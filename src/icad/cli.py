@@ -90,8 +90,8 @@ def _cmd_gen_data(args) -> int:
     if args.r_min < 0 or args.r_max < args.r_min:
         raise CliError("need 0 <= r-min <= r-max")
     gen = _scene_for_dim(args.dim, args.seed)
-    examples, r_values = episodes.generate_dataset(gen, args.count, (args.r_min, args.r_max))
-    persistence.save_dataset(out, examples, r_values)
+    r_values, blocks = episodes.iter_dataset(gen, args.count, (args.r_min, args.r_max))
+    persistence.save_dataset_blocks(out, blocks, args.count, args.dim, r_values)
     _write_run_config(_config_sidecar(out), args, "gen-data")
     print(f"wrote {args.count} examples of dimension {args.dim} to {out}")
     return EXIT_OK

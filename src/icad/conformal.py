@@ -6,13 +6,17 @@ least as strange), a mixture martingale over recent p-values measures how
 implausibly small they have been, and either a CUSUM accumulator or a plain
 threshold turns the martingale into alarms.
 
-All martingale arithmetic lives in the log domain: the mixture integral
-``M = integral_0^1 prod_i eps * p_i^(eps-1) d eps`` takes astronomically
-large values once p-values collapse, so we evaluate
-``log M = log integral_0^1 exp(n*log(eps) + (eps-1)*sum_log_p) d eps``
-with composite Simpson quadrature and log-sum-exp accumulation. The
-integrand depends on the window only through ``sum_log_p``, which is what
-makes the recursive sliding-window update exact.
+All martingale arithmetic lives in the log domain: the simple mixture
+martingale ``M = integral_0^1 prod_i eps * p_i^(eps-1) d eps`` (Vovk,
+Nouretdinov & Gammerman, "Testing exchangeability on-line", ICML 2003)
+takes astronomically large values once p-values collapse. With
+``a = -sum_i log p_i >= 0`` over a window of ``n`` p-values the integral is
+an incomplete gamma function, ``M = e^a * n! * P(n+1, a) / a^(n+1)``, so
+``log M`` is evaluated in closed form with the regularized lower incomplete
+gamma ``P``. For ``a < 1``, and where ``P`` leaves the normal float range,
+the positive series ``M = sum_k a^k * n!/(n+k+1)!`` is summed instead; its
+terms never cancel. ``M`` depends on the window only through ``a``, which is
+what makes the recursive sliding-window update exact.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammainc, logsumexp
 
+from . import models
 from .models import SvddModel, VaeModel
 from .neural import Array
 from .nonconformity import (
@@ -35,7 +40,9 @@ from .nonconformity import (
     vae_score,
 )
 
-MIXTURE_GRID_POINTS = 1001
+# Below this the regularized incomplete gamma is subnormal or zero and has
+# lost relative precision; the series takes over.
+_GAMMAINC_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 # Number of sliding-window pushes between exact recomputations of the
 # running log-p sum (bounds float drift over long streams).
@@ -156,20 +163,35 @@ def log_simpson_integral(log_f: Callable[[Array], Array], lo: float, hi: float, 
 def mixture_martingale_log(window_log_p_sum: float, count: int) -> float:
     """Log of the simple mixture martingale over a window of ``count`` p-values.
 
-    The power martingale is integrated over its exponent on [0, 1]; only the
-    window's log-p sum enters, so callers can maintain it recursively.
+    The power martingale is integrated over its exponent on [0, 1] in closed
+    form; only the window's log-p sum enters, so callers can maintain it
+    recursively.
     """
     if count < 1:
         raise ValueError("window must contain at least one p-value")
     if not np.isfinite(window_log_p_sum) or window_log_p_sum > 1e-12:
         raise ValueError("sum of log p-values must be finite and <= 0")
-    s = min(window_log_p_sum, 0.0)
+    a = -min(window_log_p_sum, 0.0)
+    if a >= 1.0:
+        p = float(gammainc(count + 1, a))
+        if p >= _GAMMAINC_FLOOR:
+            return a + math.log(p) + math.lgamma(count + 1) - (count + 1) * math.log(a)
+    return math.log(_mixture_series(a, count))
 
-    def integrand(eps: Array) -> Array:
-        with np.errstate(divide="ignore"):
-            return count * np.log(eps) + (eps - 1.0) * s
 
-    return log_simpson_integral(integrand, 0.0, 1.0, MIXTURE_GRID_POINTS)
+def _mixture_series(a: float, count: int) -> float:
+    """``sum_k a^k * count!/(count+k+1)!``, summed until a term stops counting.
+
+    Used where ``a < count + 1``, so the term ratio ``a/(count+k+2)`` is
+    below one from the first term on and the sum converges geometrically.
+    """
+    term = total = 1.0 / (count + 1)
+    k = count + 2
+    while term > total * 1e-17:
+        term *= a / k
+        total += term
+        k += 1
+    return total
 
 
 def integrate_power_factor(epsilon: float, points: int = 4001) -> float:
@@ -314,9 +336,9 @@ def vae_detect_step(
         raise FingerprintMismatchError(
             f"calibration was built with the {cal.scorer_kind!r} scorer, expected 'vae'"
         )
-    from .models import sample_reconstructions
-
-    recons = sample_reconstructions(model, z, n_samples, rng)
+    # looked up on the module at call time, so a wrapper installed on
+    # models.sample_reconstructions (e.g. a profiler's) sees the VAE steps
+    recons = models.sample_reconstructions(model, z, n_samples, rng)
     scores = tuple(vae_score(np.asarray(z, dtype=np.float64), r) for r in recons)
     p_values = tuple(p_value(s, cal) for s in scores)
     m_log = mixture_martingale_log(sum(math.log(p) for p in p_values), n_samples)

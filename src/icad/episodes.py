@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .conformal import (
 from .neural import Array
 
 OOD_THRESHOLD = 20.0
+
+# Frames rendered per block by ``iter_dataset`` (512 frames of 16x16 are 1 MB).
+DATASET_BLOCK_ROWS = 512
 
 IN_DIST = "in_dist"
 OOD = "ood"
@@ -141,16 +144,23 @@ class SceneGenerator:
     def _radius_range(self) -> tuple[float, float]:
         return 0.2 * self.side, 0.3 * self.side
 
-    def example(self, r: float, rng: np.random.Generator) -> Array:
+    def example(self, r: float, rng: np.random.Generator, out: Array | None = None) -> Array:
         """Render one frame at corruption level ``r`` and flatten it.
 
         Streak count is ``floor(rate*r)`` plus a Bernoulli on the fractional
         part, so the expected count is exactly ``rate*r`` (zero at r=0).
+        With ``out`` (a float64 vector of length ``dim``) the frame is
+        rendered into it and ``out`` is returned.
         """
         if r < 0.0:
             raise ValueError("corruption level must be nonnegative")
         side = self.side
-        img = np.full((side, side), self.background)
+        if out is None:
+            out = np.empty(self.dim)
+        elif out.shape != (self.dim,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a contiguous float64 vector of length {self.dim}")
+        img = out.reshape(side, side)
+        img.fill(self.background)
         rad_lo, rad_hi = self._radius_range()
         rad = rng.uniform(rad_lo, rad_hi)
         cy = rng.uniform(rad, side - rad)
@@ -161,7 +171,7 @@ class SceneGenerator:
             img += rng.normal(0.0, self.noise_sigma, size=(side, side))
         haze = min(1.0, self.haze_rate * r)
         if haze > 0.0:
-            img = img + haze * self.haze_value
+            img += haze * self.haze_value
         expected = self.streak_rate * r
         n_streaks = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
         for _ in range(n_streaks):
@@ -172,10 +182,26 @@ class SceneGenerator:
                 cc = min(side - 1, col + i // 2)
                 img[rr, cc] += self.streak_value
         np.clip(img, 0.0, 1.0, out=img)
-        return img.reshape(-1)
+        return out
 
     def examples(self, r_values: Sequence[float], rng: np.random.Generator) -> Array:
-        return np.stack([self.example(r, rng) for r in r_values])
+        """One frame per level, rendered in order into one preallocated array."""
+        out = np.empty((len(r_values), self.dim))
+        for row, r in zip(out, r_values):
+            self.example(r, rng, out=row)
+        return out
+
+
+def _dataset_levels(
+    gen: SceneGenerator, count: int, r_range: tuple[float, float]
+) -> tuple[Array, np.random.Generator]:
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    lo, hi = r_range
+    if lo < 0.0 or hi < lo:
+        raise ValueError("invalid corruption range")
+    rng = np.random.default_rng(gen.seed)
+    return rng.uniform(lo, hi, size=count), rng
 
 
 def generate_dataset(
@@ -185,18 +211,23 @@ def generate_dataset(
 
     Returns ``(examples, r_values)``; reproducible from the generator's seed.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    lo, hi = r_range
-    if lo < 0.0 or hi < lo:
-        raise ValueError("invalid corruption range")
-    rng = np.random.default_rng(gen.seed)
-    r_values = rng.uniform(lo, hi, size=count)
+    r_values, rng = _dataset_levels(gen, count, r_range)
     return gen.examples(r_values, rng), r_values
 
 
-def schedule_value(schedule: DriftSchedule, t: int) -> float:
-    return schedule.value(t)
+def iter_dataset(
+    gen: SceneGenerator, count: int, r_range: tuple[float, float]
+) -> tuple[Array, Iterator[Array]]:
+    """The dataset of ``generate_dataset`` as ``(r_values, blocks)``.
+
+    ``blocks`` yields the same examples in consecutive blocks of at most
+    ``DATASET_BLOCK_ROWS`` rows, drawn lazily from the same random stream,
+    so a caller that writes each block out never holds the whole dataset.
+    """
+    r_values, rng = _dataset_levels(gen, count, r_range)
+    step = DATASET_BLOCK_ROWS
+    blocks = (gen.examples(r_values[i : i + step], rng) for i in range(0, count, step))
+    return r_values, blocks
 
 
 @dataclass(frozen=True)

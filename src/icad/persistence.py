@@ -20,8 +20,12 @@ DatasetFile ("ICADDAT1")
     magic, count (u32), dimension (u32), corruption-level flag (u8),
     examples as f32 row-major, then (if flagged) one f64 level per example.
 
-Writes go to a temp file in the target directory and are renamed into
-place. A plain key=value text format carries run configuration.
+Writes go to a temp file in the target directory, part after part without
+joining the parts into one buffer, and are renamed into place. Model and
+calibration reads parse the file's bytes through a memoryview, so no
+section is copied before it is decoded; dataset reads go from the file into
+the result a block of rows at a time. A plain key=value text format carries
+run configuration.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -74,12 +78,22 @@ class FormatError(PersistenceError):
     code = "format"
 
 
-def _atomic_write(path: str | Path, data: bytes) -> None:
+# Dataset rows converted from f32 to f64 at a time when reading.
+_DATASET_BLOCK_ROWS = 512
+_DATASET_HEADER_SIZE = len(MAGIC_DATASET) + struct.calcsize("<IIB")
+
+
+def _atomic_write(path: str | Path, parts: Iterable) -> None:
+    """Write the parts (C-contiguous buffers) in order, then rename into place.
+
+    ``parts`` may be a generator; if it raises, no file appears at ``path``.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -89,11 +103,11 @@ def _atomic_write(path: str | Path, data: bytes) -> None:
 
 class _Reader:
     def __init__(self, data: bytes, what: str):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise TruncatedPayloadError(
                 f"{self.what}: expected {n} more bytes at offset {self.pos}, "
@@ -121,10 +135,10 @@ def _layer_descriptor(layer: DenseLayer) -> bytes:
     )
 
 
-def _layer_payload(layer: DenseLayer) -> bytes:
-    out = layer.weights.astype("<f4").tobytes()
+def _layer_payload(layer: DenseLayer) -> list[Array]:
+    out = [np.ascontiguousarray(layer.weights, dtype="<f4")]
     if layer.bias is not None:
-        out += layer.bias.astype("<f4").tobytes()
+        out.append(np.ascontiguousarray(layer.bias, dtype="<f4"))
     return out
 
 
@@ -163,8 +177,8 @@ def save_model(path: str | Path, model: VaeModel | SvddModel) -> None:
     parts.extend(_layer_descriptor(layer) for layer in layers)
     parts.append(struct.pack("<B", kind))
     parts.append(extras)
-    parts.extend(_layer_payload(layer) for layer in layers)
-    _atomic_write(path, b"".join(parts))
+    parts.extend(part for layer in layers for part in _layer_payload(layer))
+    _atomic_write(path, parts)
 
 
 def load_model(path: str | Path) -> VaeModel | SvddModel:
@@ -208,9 +222,9 @@ def save_calibration(path: str | Path, cal: CalibrationSet) -> None:
         struct.pack("<B", SCORER_CODES[cal.scorer_kind]),
         cal.fingerprint,
         struct.pack("<I", len(cal)),
-        cal.scores.astype("<f8").tobytes(),
+        np.ascontiguousarray(cal.scores, dtype="<f8"),
     ]
-    _atomic_write(path, b"".join(parts))
+    _atomic_write(path, parts)
 
 
 def load_calibration(path: str | Path, scorer=None) -> CalibrationSet:
@@ -221,11 +235,12 @@ def load_calibration(path: str | Path, scorer=None) -> CalibrationSet:
     (code,) = reader.unpack("<B")
     if code not in SCORER_NAMES:
         raise FormatError(f"{path}: unknown scorer code {code}")
-    fingerprint = reader.take(8)
+    fingerprint = bytes(reader.take(8))
     (count,) = reader.unpack("<I")
     if count < 1:
         raise FormatError(f"{path}: empty calibration set")
-    scores = np.frombuffer(reader.take(count * 8), dtype="<f8").astype(np.float64)
+    # a view into the file's bytes; CalibrationSet keeps its own copy
+    scores = np.frombuffer(reader.take(count * 8), dtype="<f8")
     reader.done()
     if np.any(np.diff(scores) < 0):
         raise UnsortedScoresError(f"{path}: calibration scores are not sorted")
@@ -243,39 +258,95 @@ def save_dataset(path: str | Path, examples: Array, r_values: Array | None = Non
     if examples.ndim != 2 or examples.shape[0] < 1:
         raise FormatError("dataset must be a nonempty 2-D array")
     count, dim = examples.shape
+    save_dataset_blocks(path, [examples], count, dim, r_values)
+
+
+def save_dataset_blocks(
+    path: str | Path,
+    blocks: Iterable[Array],
+    count: int,
+    dim: int,
+    r_values: Array | None = None,
+) -> None:
+    """Write a dataset whose ``count`` examples arrive as consecutive row blocks.
+
+    The bytes equal ``save_dataset`` of the stacked blocks. Each block is
+    converted and written before the next is taken, so a lazy ``blocks``
+    (see ``episodes.iter_dataset``) is written without the whole dataset in
+    memory.
+    """
+    if count < 1 or dim < 1:
+        raise FormatError("dataset must be a nonempty 2-D array")
     has_r = r_values is not None
-    parts = [
-        MAGIC_DATASET,
-        struct.pack("<IIB", count, dim, 1 if has_r else 0),
-        examples.astype("<f4").tobytes(),
-    ]
     if has_r:
-        r_arr = np.asarray(r_values, dtype="<f8")
+        r_arr = np.ascontiguousarray(r_values, dtype="<f8")
         if r_arr.shape != (count,):
             raise FormatError("need one corruption level per example")
-        parts.append(r_arr.tobytes())
-    _atomic_write(path, b"".join(parts))
+
+    def parts():
+        yield MAGIC_DATASET
+        yield struct.pack("<IIB", count, dim, 1 if has_r else 0)
+        rows = 0
+        for block in blocks:
+            block = np.ascontiguousarray(np.asarray(block, dtype=np.float64), dtype="<f4")
+            if block.ndim != 2 or block.shape[1] != dim:
+                raise FormatError(f"dataset block of shape {block.shape}, expected (rows, {dim})")
+            rows += block.shape[0]
+            if rows > count:
+                raise FormatError(f"dataset blocks hold more than {count} rows")
+            yield block
+        if rows != count:
+            raise FormatError(f"dataset blocks hold {rows} rows, expected {count}")
+        if has_r:
+            yield r_arr
+
+    _atomic_write(path, parts())
+
+
+def _read_exact(fh, out: Array, what: str) -> None:
+    """Fill the C-contiguous array ``out`` with the file's next bytes."""
+    got = fh.readinto(memoryview(out).cast("B"))
+    if got != out.nbytes:
+        raise TruncatedPayloadError(f"{what}: expected {out.nbytes} more bytes, got {got}")
 
 
 def load_dataset(path: str | Path) -> tuple[Array, Array | None]:
-    reader = _Reader(Path(path).read_bytes(), f"dataset file {path}")
-    if reader.take(8) != MAGIC_DATASET:
-        raise BadMagicError(f"{path} is not a dataset file")
-    count, dim, has_r = reader.unpack("<IIB")
-    if count < 1 or dim < 1:
-        raise FormatError(f"{path}: empty dataset")
-    x = np.frombuffer(reader.take(count * dim * 4), dtype="<f4")
-    x = x.reshape(count, dim).astype(np.float64)
-    r = None
-    if has_r:
-        r = np.frombuffer(reader.take(count * 8), dtype="<f8").astype(np.float64)
-    reader.done()
+    """Read a dataset file.
+
+    The examples go from the file into the float64 result a block of rows at
+    a time, so neither the file's bytes nor a whole f32 copy is ever held.
+    """
+    what = f"dataset file {path}"
+    with open(path, "rb") as fh:
+        reader = _Reader(fh.read(_DATASET_HEADER_SIZE), what)
+        if reader.take(8) != MAGIC_DATASET:
+            raise BadMagicError(f"{path} is not a dataset file")
+        count, dim, has_r = reader.unpack("<IIB")
+        if count < 1 or dim < 1:
+            raise FormatError(f"{path}: empty dataset")
+        expected = _DATASET_HEADER_SIZE + count * dim * 4 + (count * 8 if has_r else 0)
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise TruncatedPayloadError(f"{what}: expected {expected} bytes, file has {size}")
+        if size > expected:
+            raise FormatError(f"{what}: {size - expected} bytes of trailing data")
+        x = np.empty((count, dim))
+        buf = np.empty((min(count, _DATASET_BLOCK_ROWS), dim), dtype="<f4")
+        for lo in range(0, count, len(buf)):
+            block = buf[: count - lo]
+            _read_exact(fh, block, what)
+            x[lo : lo + len(block)] = block
+        r = None
+        if has_r:
+            r = np.empty(count, dtype="<f8")
+            _read_exact(fh, r, what)
+            r = r.astype(np.float64, copy=False)
     return x, r
 
 
 def save_config(path: str | Path, config: Mapping[str, object]) -> None:
     lines = [f"{key}={config[key]}" for key in sorted(config)]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write(path, [("\n".join(lines) + "\n").encode()])
 
 
 def load_config(path: str | Path) -> dict[str, str]:

@@ -2,6 +2,7 @@
 reproducibility. Everything runs in-process through main(argv)."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -58,6 +59,20 @@ def test_gen_data_deterministic_bytes(tmp_path):
     assert main(["gen-data", "--out", str(a), *args]) == EXIT_OK
     assert main(["gen-data", "--out", str(b), *args]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("args,sha256", [
+    (["--count", "1100", "--dim", "64", "--seed", "7"],
+     "ae35e879812c5f8eef0edc6111f495226d38c4d0edc822f1d4683e718d548dac"),
+    (["--count", "3", "--dim", "16", "--r-min", "5", "--r-max", "30", "--seed", "0"],
+     "bfb3abfb2b6d9e5c11de427c5d527b70d594bf5581698a4770df970f09c0b04f"),
+])
+def test_gen_data_file_bytes_are_pinned(tmp_path, args, sha256):
+    # digests of files written when gen-data still stacked every frame and
+    # wrote the file in one piece; block-wise generation must not move a byte
+    out = tmp_path / "d.icad"
+    assert main(["gen-data", "--out", str(out), *args]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_gen_data_rejects_zero_count(tmp_path, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from icad.conformal import (
@@ -160,6 +162,71 @@ def test_mixture_n1_matches_adaptive_quadrature(p):
     oracle, err = quad(lambda e: e * p ** (e - 1.0), 0.0, 1.0, epsabs=1e-10, epsrel=1e-12)
     assert err < 1e-10
     assert mixture_martingale_log(math.log(p), 1) == pytest.approx(math.log(oracle), abs=1e-8)
+
+
+def _mixture_oracle(a, n):
+    """log of the defining integral ``integral_0^1 eps^n e^(a(1-eps)) d eps``
+    by adaptive quadrature, scaled by the integrand's peak at ``min(1, n/a)``
+    so that it stays finite for large ``a``."""
+    peak = min(1.0, n / a)
+    log_peak = n * math.log(peak) + a * (1.0 - peak)
+
+    def scaled(eps):
+        return math.exp(n * math.log(eps) + a * (1.0 - eps) - log_peak) if eps > 0.0 else 0.0
+
+    value, err = quad(scaled, 0.0, 1.0, points=[peak] if peak < 1.0 else None,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+    assert err <= 1e-12 * value
+    return log_peak + math.log(value)
+
+
+_ORACLE_A = sorted({*np.geomspace(1e-6, 5000.0, 19).tolist(), 0.5, 1.0, 2.0, 7.3, 60.0})
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 50])
+def test_mixture_matches_quadrature_oracle(n):
+    for a in _ORACLE_A:
+        oracle = _mixture_oracle(a, n)
+        assert abs(mixture_martingale_log(-a, n) - oracle) <= 1e-11 * max(1.0, abs(oracle)), a
+
+
+def test_mixture_n1_large_sum_matches_exact_form():
+    # n=1: M = (e^a - 1 - a) / a^2 exactly; at a=5000 a 1001-point Simpson
+    # rule is off by about 1.5 nats, the closed form by rounding only
+    a = 5000.0
+    exact = a + math.log1p(-(1.0 + a) * math.exp(-a)) - 2.0 * math.log(a)
+    assert mixture_martingale_log(-a, 1) == pytest.approx(exact, rel=1e-15)
+    assert mixture_martingale_log(-a, 1) == pytest.approx(_mixture_oracle(a, 1), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 10, 50])
+def test_mixture_both_sides_of_series_switch(n):
+    # a < 1 sums the series, a >= 1 uses the incomplete gamma form
+    below, at, above = (mixture_martingale_log(-a, n) for a in (1.0 - 1e-12, 1.0, 1.0 + 1e-12))
+    oracle = _mixture_oracle(1.0, n)
+    for value in (below, at, above):
+        assert abs(value - oracle) <= 1e-12
+    assert below <= at <= above
+
+
+@pytest.mark.parametrize("n,a", [(200, 1.5), (200, 50.0), (1000, 1.5), (1000, 300.0)])
+def test_mixture_series_covers_underflowing_incomplete_gamma(n, a):
+    # P(n+1, a) underflows for these long windows; the series takes over
+    oracle = _mixture_oracle(a, n)
+    assert abs(mixture_martingale_log(-a, n) - oracle) <= 1e-11 * max(1.0, abs(oracle))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=200),
+    sums=st.lists(st.floats(min_value=-5000.0, max_value=0.0), min_size=2, max_size=2),
+)
+def test_mixture_monotone_non_increasing_in_log_p_sum(n, sums):
+    lo, hi = sorted(sums)
+    m_lo, m_hi = mixture_martingale_log(lo, n), mixture_martingale_log(hi, n)
+    # smaller p-values (a more negative sum) never lower the martingale;
+    # the slack covers rounding where both sums are one ulp apart
+    assert m_lo >= m_hi - 1e-12 * max(1.0, abs(m_hi))
 
 
 def test_mixture_rejects_empty_window_and_bad_sum():

@@ -7,6 +7,7 @@ import pytest
 
 from icad.conformal import STATEFUL_CUSUM, STATELESS_THRESHOLD
 from icad.episodes import (
+    DATASET_BLOCK_ROWS,
     FALSE_NEGATIVE,
     FALSE_POSITIVE,
     IN_DIST,
@@ -18,6 +19,7 @@ from icad.episodes import (
     Trace,
     alarm_step_from_trace,
     generate_dataset,
+    iter_dataset,
     make_suite_schedules,
     quartiles,
     run_episode,
@@ -84,12 +86,46 @@ def test_generate_dataset_is_deterministic():
     assert np.array_equal(ra, rb)
 
 
+def test_examples_equal_stacked_single_frames():
+    gen = SceneGenerator(side=16, seed=3)
+    r_values = np.random.default_rng(8).uniform(0.0, 40.0, size=60)
+    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+    batch = gen.examples(r_values, rng_a)
+    single = np.stack([gen.example(r, rng_b) for r in r_values])
+    assert batch.dtype == np.float64 and batch.flags.c_contiguous
+    assert np.array_equal(batch, single)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_example_renders_into_out():
+    gen = SceneGenerator(side=8, seed=3)
+    out = np.full(gen.dim, np.nan)
+    assert gen.example(12.0, np.random.default_rng(1), out=out) is out
+    assert np.array_equal(out, gen.example(12.0, np.random.default_rng(1)))
+    for bad in (np.empty(gen.dim + 1), np.empty((2, gen.dim))[:, 0], np.empty(gen.dim, np.float32)):
+        with pytest.raises(ValueError):
+            gen.example(1.0, np.random.default_rng(1), out=bad)
+
+
+def test_iter_dataset_blocks_concatenate_to_generate_dataset():
+    gen = SceneGenerator(side=8, seed=5)
+    count = 2 * DATASET_BLOCK_ROWS + 7
+    x, r = generate_dataset(gen, count, (0.0, 30.0))
+    r_iter, blocks = iter_dataset(gen, count, (0.0, 30.0))
+    blocks = list(blocks)
+    assert [len(b) for b in blocks] == [DATASET_BLOCK_ROWS, DATASET_BLOCK_ROWS, 7]
+    assert np.array_equal(np.concatenate(blocks), x)
+    assert np.array_equal(r_iter, r)
+
+
 def test_generate_dataset_validates_args():
     gen = SceneGenerator(side=8, seed=3)
     with pytest.raises(ValueError):
         generate_dataset(gen, 0, (0.0, 20.0))
     with pytest.raises(ValueError):
         generate_dataset(gen, 1, (5.0, 1.0))
+    with pytest.raises(ValueError):
+        iter_dataset(gen, 0, (0.0, 20.0))
 
 
 def test_zero_corruption_adds_no_streak_pixels():

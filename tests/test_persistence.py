@@ -9,6 +9,7 @@ from icad.nonconformity import SvddScorer
 from icad.persistence import (
     BadMagicError,
     FormatError,
+    PersistenceError,
     TruncatedPayloadError,
     UnsortedScoresError,
     VersionMismatchError,
@@ -19,6 +20,7 @@ from icad.persistence import (
     save_calibration,
     save_config,
     save_dataset,
+    save_dataset_blocks,
     save_model,
 )
 
@@ -201,3 +203,58 @@ def test_atomic_write_replaces_existing(tmp_path):
     x, _ = load_dataset(path)
     assert x.shape == (3, 2)
     assert not list(tmp_path.glob("d.icad.*"))  # no temp files left behind
+
+
+def _write_small_file(kind, path):
+    """Write a small file of one format; returns its loader."""
+    if kind == "dataset":
+        rng = np.random.default_rng(11)
+        save_dataset(path, rng.normal(size=(3, 4)), rng.uniform(0, 20, size=3))
+        return load_dataset
+    if kind == "calibration":
+        save_calibration(path, CalibrationSet(np.arange(5.0), "svdd", b"abcdefgh"))
+        return load_calibration
+    save_model(path, _random_svdd(12) if kind == "svdd_model" else _random_vae(12))
+    return load_model
+
+
+@pytest.mark.parametrize("kind", ["dataset", "calibration", "svdd_model", "vae_model"])
+def test_truncation_at_every_offset_raises_persistence_error(tmp_path, kind):
+    path = tmp_path / "f.icad"
+    loader = _write_small_file(kind, path)
+    raw = path.read_bytes()
+    loader(path)
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(PersistenceError):  # any other exception fails the test
+            loader(path)
+
+
+@pytest.mark.parametrize("kind,offset", [("dataset", 8), ("dataset", 12), ("calibration", 17)])
+def test_corrupted_count_raises_truncation_before_allocating(tmp_path, kind, offset):
+    path = tmp_path / "f.icad"
+    loader = _write_small_file(kind, path)
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TruncatedPayloadError):
+        loader(path)
+
+
+def test_dataset_blocks_write_the_same_bytes(tmp_path):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(1300, 6))
+    r = rng.uniform(0, 20, size=1300)
+    whole, blocked = tmp_path / "whole.icad", tmp_path / "blocked.icad"
+    save_dataset(whole, x, r)
+    save_dataset_blocks(blocked, (x[i : i + 7] for i in range(0, 1300, 7)), 1300, 6, r)
+    assert blocked.read_bytes() == whole.read_bytes()
+    assert len(whole.read_bytes()) == 8 + 9 + 1300 * 6 * 4 + 1300 * 8
+
+
+@pytest.mark.parametrize("blocks", [[np.zeros((2, 3))], [np.zeros((2, 3))] * 3, [np.zeros((4, 2))]])
+def test_dataset_blocks_must_match_declared_shape(tmp_path, blocks):
+    path = tmp_path / "d.icad"
+    with pytest.raises(FormatError):
+        save_dataset_blocks(path, iter(blocks), 4, 3)
+    assert not list(tmp_path.iterdir())  # neither the file nor a temp file

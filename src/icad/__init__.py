@@ -4,19 +4,19 @@ nonconformity measures, martingale tests, and a drift-episode harness."""
 
 from .conformal import (
     CalibrationSet,
-    DetectorState,
+    CusumDetector,
     FingerprintMismatchError,
     MartingaleState,
+    StepResult,
     SvddPipeline,
+    ThresholdDetector,
     VaePipeline,
     calibrate,
     calibration_scores,
-    cusum_step,
     integrate_power_factor,
     mixture_martingale_log,
     p_value,
     power_martingale_log,
-    stateless_step,
     svdd_detect_step,
     vae_detect_step,
 )

@@ -167,12 +167,22 @@ def _cmd_train_svdd(args) -> int:
     return EXIT_OK
 
 
-def _load_typed_model(path: str, expect: str):
+def _load_scorer(path: str, method: str):
+    """The vae/svdd scorer of the model file at ``path``, which must hold a ``method`` model."""
     model = persistence.load_model(path)
-    actual = "vae" if isinstance(model, models.VaeModel) else "svdd"
-    if actual != expect:
-        raise CliError(f"{path} holds a {actual} model, expected {expect}")
-    return model
+    scorer_cls = (
+        nonconformity.VaeScorer if isinstance(model, models.VaeModel) else nonconformity.SvddScorer
+    )
+    if scorer_cls.kind != method:
+        raise CliError(f"{path} holds a {scorer_cls.kind} model, expected {method}")
+    return scorer_cls(model)
+
+
+def _model_scene(model, seed: int) -> episodes.SceneGenerator:
+    side = math.isqrt(model.input_dim)
+    if side * side != model.input_dim:
+        raise CliError("model input dimension is not a square image")
+    return episodes.SceneGenerator(side=side, seed=seed)
 
 
 def _build_scorer(args):
@@ -194,10 +204,7 @@ def _build_scorer(args):
         return scorer, cal_part
     if not args.model:
         raise CliError(f"the {kind} scorer needs --model")
-    model = _load_typed_model(args.model, kind)
-    if kind == "vae":
-        return nonconformity.VaeScorer(model), None
-    return nonconformity.SvddScorer(model), None
+    return _load_scorer(args.model, kind), None
 
 
 def _cmd_calibrate(args) -> int:
@@ -232,30 +239,19 @@ def _make_pipeline(method, model, cal, n, delta, tau, seed):
 
 def _cmd_detect(args) -> int:
     out = Path(args.out)
-    model = _load_typed_model(args.model, args.method)
-    if args.method == "vae":
-        scorer = nonconformity.VaeScorer(model)
-    else:
-        scorer = nonconformity.SvddScorer(model)
+    scorer = _load_scorer(args.model, args.method)
     cal = persistence.load_calibration(args.cal, scorer=scorer)
     stream, _ = persistence.load_dataset(args.input)
     tau = _default_tau(args.method, args.tau)
-    pipeline = _make_pipeline(args.method, model, cal, args.N, args.delta, tau, args.seed)
+    pipeline = _make_pipeline(args.method, scorer.model, cal, args.N, args.delta, tau, args.seed)
+    p_cols = [f"p_{k + 1}" for k in range(args.N)] if args.method == "vae" else ["p"]
     alarmed = False
     rows = []
-    if args.method == "vae":
-        header = ["step", "score"] + [f"p_{k + 1}" for k in range(args.N)] + ["log_m", "s", "alarm"]
-        for t, z in enumerate(stream):
-            res = pipeline.step(z)
-            alarmed |= res.alarm
-            rows.append([t, res.score, *res.p_values, res.m_log, res.s, res.alarm])
-    else:
-        header = ["step", "score", "p", "log_m", "s", "alarm"]
-        for t, z in enumerate(stream):
-            res = pipeline.step(z)
-            alarmed |= res.alarm
-            rows.append([t, res.score, res.p, res.m_log, res.window_log_p_sum, res.alarm])
-    _write_csv(out, header, rows)
+    for t, z in enumerate(stream):
+        res = pipeline.step(z)
+        alarmed |= res.alarm
+        rows.append([t, res.score, *res.p_values, res.m_log, res.s, res.alarm])
+    _write_csv(out, ["step", "score", *p_cols, "log_m", "s", "alarm"], rows)
     _write_run_config(_config_sidecar(out), args, "detect")
     print(f"processed {len(stream)} steps; {'alarm raised' if alarmed else 'no alarm'}")
     return EXIT_ALARM if alarmed else EXIT_OK
@@ -282,32 +278,24 @@ def _sim_params(cfg: dict[str, str], method: str, seed_override: int | None):
 
 def _sim_setup(args):
     cfg = _read_sim_config(args.config)
-    method = args.method
-    model = _load_typed_model(cfg["model"], method)
-    scorer = (
-        nonconformity.VaeScorer(model) if method == "vae" else nonconformity.SvddScorer(model)
-    )
+    scorer = _load_scorer(cfg["model"], args.method)
     cal = persistence.load_calibration(cfg["cal"], scorer=scorer)
     n, delta, tau, max_steps, ood_fraction, ood_margin, seed = _sim_params(
-        cfg, method, args.seed
+        cfg, args.method, args.seed
     )
-    side = math.isqrt(model.input_dim)
-    if side * side != model.input_dim:
-        raise CliError("model input dimension is not a square image")
-    gen = episodes.SceneGenerator(side=side, seed=seed)
+    gen = _model_scene(scorer.model, seed)
+    schedules = episodes.make_suite_schedules(args.episodes, ood_fraction, seed, ood_margin)
 
-    def factory(tau_value=tau):
-        return _make_pipeline(method, model, cal, n, delta, tau_value, seed)
+    def factory():
+        return _make_pipeline(args.method, scorer.model, cal, n, delta, tau, seed)
 
-    return cfg, model, cal, gen, factory, n, delta, tau, max_steps, ood_fraction, ood_margin, seed
+    return gen, factory, schedules, (n, delta, tau), max_steps, seed
 
 
 def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (cfg, _model, _cal, gen, factory, n, delta, tau, max_steps,
-     ood_fraction, ood_margin, seed) = _sim_setup(args)
-    schedules = episodes.make_suite_schedules(args.episodes, ood_fraction, seed, ood_margin)
+    gen, factory, schedules, (n, delta, tau), max_steps, seed = _sim_setup(args)
     metrics, diagnostics = episodes.run_suite(
         gen, schedules, factory, max_steps=max_steps, seed=seed + 10000
     )
@@ -372,18 +360,16 @@ def _parse_grid(text: str, method: str) -> tuple[list[float] | None, list[float]
         raise CliError("grid must include tau=...")
     if method == "vae" and deltas is None:
         raise CliError("the vae grid must include delta=...")
-    return deltas, taus
+    # the threshold detector has no drift: a delta grid given for svdd is ignored
+    return (deltas if method == "vae" else None), taus
 
 
 def _cmd_tune(args) -> int:
     out = Path(args.out)
     deltas, taus = _parse_grid(args.grid, args.method)
-    (cfg, _model, _cal, gen, factory, n, _delta, _tau, max_steps,
-     ood_fraction, ood_margin, seed) = _sim_setup(args)
-    schedules = episodes.make_suite_schedules(args.episodes, ood_fraction, seed, ood_margin)
+    gen, factory, schedules, _, max_steps, seed = _sim_setup(args)
     traces = episodes.collect_traces(gen, schedules, factory, max_steps, seed=seed + 10000)
-    mode = conformal.STATEFUL_CUSUM if args.method == "vae" else conformal.STATELESS_THRESHOLD
-    best, points = episodes.tune_thresholds(traces, mode, taus, deltas)
+    best, points = episodes.tune_thresholds(traces, taus, deltas)
     _write_csv(
         out,
         ["delta", "tau", "false_positives", "false_negatives", "mean_delay", "objective"],
@@ -405,19 +391,13 @@ def _cmd_tune(args) -> int:
 
 def _cmd_bench(args) -> int:
     out = Path(args.out)
-    model = _load_typed_model(args.model, args.method)
-    scorer = (
-        nonconformity.VaeScorer(model) if args.method == "vae" else nonconformity.SvddScorer(model)
-    )
+    scorer = _load_scorer(args.model, args.method)
     cal = persistence.load_calibration(args.cal, scorer=scorer)
-    side = math.isqrt(model.input_dim)
-    if side * side != model.input_dim:
-        raise CliError("model input dimension is not a square image")
-    gen = episodes.SceneGenerator(side=side, seed=args.seed)
+    gen = _model_scene(scorer.model, args.seed)
     tau = _default_tau(args.method, args.tau)
 
     def factory(n: int):
-        return _make_pipeline(args.method, model, cal, n, args.delta, tau, args.seed)
+        return _make_pipeline(args.method, scorer.model, cal, n, args.delta, tau, args.seed)
 
     rows = episodes.benchmark_timing(factory, gen, args.N_list, steps=args.steps, seed=args.seed)
     _write_csv(
@@ -472,7 +452,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train_svdd)
 
     p = sub.add_parser("calibrate", help="compute sorted calibration scores")
-    p.add_argument("--scorer", choices=("knn", "kde", "vae", "svdd"), required=True)
+    p.add_argument("--scorer", choices=nonconformity.SCORER_KINDS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--model", help="ModelFile for the vae/svdd scorers")
     p.add_argument("--train-data", help="proper training DatasetFile for knn/kde")

@@ -11,20 +11,13 @@ past 20.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .conformal import (
-    STATEFUL_CUSUM,
-    STATELESS_THRESHOLD,
-    DetectorState,
-    cusum_step,
-    stateless_step,
-)
+from .conformal import CusumDetector, ThresholdDetector
 from .neural import Array
 
 OOD_THRESHOLD = 20.0
@@ -258,6 +251,24 @@ def _classify(label: str, onset: int | None, alarm: int | None) -> tuple[str, in
     return FALSE_POSITIVE, None
 
 
+def _ground_truth(schedule: DriftSchedule, max_steps: int) -> tuple[int | None, str]:
+    """``(onset_step, label)``; an onset at or past the horizon does not count."""
+    onset = schedule.onset_step()
+    if onset is not None and onset >= max_steps:
+        onset = None
+    return onset, OOD if onset is not None else IN_DIST
+
+
+def _steps(gen: SceneGenerator, schedule: DriftSchedule, pipeline, max_steps: int, seed: int):
+    """Feed an episode's frames to ``pipeline``; yields ``(t, r, step result)``."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    rng = np.random.default_rng(seed)
+    for t in range(max_steps):
+        r = schedule.value(t)
+        yield t, r, pipeline.step(gen.example(r, rng))
+
+
 def run_episode(
     gen: SceneGenerator,
     schedule: DriftSchedule,
@@ -267,24 +278,11 @@ def run_episode(
 ) -> tuple[EpisodeResult, list[StepRecord]]:
     """Stream one episode through a detection pipeline, stopping at the first
     alarm. The ground-truth label depends only on the schedule and horizon."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    rng = np.random.default_rng(seed)
-    onset = schedule.onset_step()
-    if onset is not None and onset >= max_steps:
-        onset = None
-    label = OOD if onset is not None else IN_DIST
+    onset, label = _ground_truth(schedule, max_steps)
     records: list[StepRecord] = []
     alarm_step: int | None = None
-    for t in range(max_steps):
-        r = schedule.value(t)
-        z = gen.example(r, rng)
-        res = pipeline.step(z)
-        if hasattr(res, "p_values"):
-            p_vals, s_col = res.p_values, res.s
-        else:
-            p_vals, s_col = (res.p,), res.window_log_p_sum
-        records.append(StepRecord(t, r, res.score, p_vals, res.m_log, s_col, res.alarm))
+    for t, r, res in _steps(gen, schedule, pipeline, max_steps, seed):
+        records.append(StepRecord(t, r, res.score, res.p_values, res.m_log, res.s, res.alarm))
         if res.alarm:
             alarm_step = t
             break
@@ -349,30 +347,18 @@ def make_suite_schedules(
     return [sample_schedule_labeled(rng, flag, ood_margin) for flag in flags]
 
 
-def alarm_step_from_trace(
-    m_logs: Sequence[float], mode: str, tau: float, delta: float = 0.0
-) -> int | None:
-    """Replay detector logic over a recorded log-martingale trace.
+def alarm_step_from_trace(m_logs: Sequence[float], detector) -> int | None:
+    """First step at which a fresh ``detector`` alarms on a recorded
+    log-martingale trace.
 
-    Uses the same step functions as the live pipelines, including the CUSUM
-    one-step lag, so threshold tuning on traces matches live runs exactly.
+    The detector gets the same ``update`` calls as in a live run, so
+    threshold tuning on traces matches live runs exactly.
     """
-    if mode == STATEFUL_CUSUM:
-        det = DetectorState(STATEFUL_CUSUM, tau=tau, delta=delta)
-        for t in range(len(m_logs)):
-            if t == 0:
-                continue
-            alarm, _ = cusum_step(det, m_logs[t - 1])
-            if alarm:
-                return t
-        return None
-    if mode == STATELESS_THRESHOLD:
-        det = DetectorState(STATELESS_THRESHOLD, tau=tau)
-        for t, m in enumerate(m_logs):
-            if stateless_step(det, m):
-                return t
-        return None
-    raise ValueError(f"unknown detector mode {mode!r}")
+    for t, m_log in enumerate(m_logs):
+        alarm, _ = detector.update(m_log)
+        if alarm:
+            return t
+    return None
 
 
 @dataclass(frozen=True)
@@ -389,18 +375,15 @@ def collect_traces(
     max_steps: int = 150,
     seed: int = 0,
 ) -> list[Trace]:
-    """Run episodes to the full horizon (alarms disabled) recording log M."""
+    """Run episodes to the full horizon recording log M.
 
+    Alarms do not stop the run: ``log M`` does not depend on the detector.
+    """
     traces = []
     for i, sched in enumerate(schedules):
-        pipeline = pipeline_factory()
-        pipeline.detector.tau = math.inf
-        _, records = run_episode(gen, sched, pipeline, max_steps, seed=seed + i)
-        onset = sched.onset_step()
-        if onset is not None and onset >= max_steps:
-            onset = None
-        label = OOD if onset is not None else IN_DIST
-        traces.append(Trace(tuple(rec.m_log for rec in records), onset, label))
+        steps = _steps(gen, sched, pipeline_factory(), max_steps, seed + i)
+        m_logs = tuple(res.m_log for _, _, res in steps)
+        traces.append(Trace(m_logs, *_ground_truth(sched, max_steps)))
     return traces
 
 
@@ -416,31 +399,29 @@ class GridPoint:
 
 def tune_thresholds(
     traces: Sequence[Trace],
-    mode: str,
     taus: Sequence[float],
     deltas: Sequence[float] | None = None,
 ) -> tuple[GridPoint | None, list[GridPoint]]:
     """Grid-search detector thresholds on recorded traces.
 
-    Feasible points have zero false positives; among them the winner
-    minimizes (false negatives, mean delay with misses charged the full
-    remaining horizon). Returns ``(best_or_None, all_points)``.
+    With a ``deltas`` grid the detector is CUSUM over every (delta, tau);
+    without one it is a plain threshold over ``taus``. Feasible points have
+    zero false positives; among them the winner minimizes (false negatives,
+    mean delay with misses charged the full remaining horizon). Returns
+    ``(best_or_None, all_points)``.
     """
-    if mode == STATEFUL_CUSUM:
-        if not deltas:
-            raise ValueError("CUSUM tuning needs a delta grid")
-        grid = [(d, t) for d in deltas for t in taus]
-    else:
+    if deltas is None:
         grid = [(None, t) for t in taus]
+    else:
+        grid = [(d, t) for d in deltas for t in taus]
     points: list[GridPoint] = []
     for delta, tau in grid:
         fp = fn = 0
         tp_delays: list[float] = []
         padded: list[float] = []
         for trace in traces:
-            alarm = alarm_step_from_trace(
-                trace.m_logs, mode, tau, delta if delta is not None else 0.0
-            )
+            detector = ThresholdDetector(tau) if delta is None else CusumDetector(tau, delta)
+            alarm = alarm_step_from_trace(trace.m_logs, detector)
             verdict, delay = _classify(trace.label, trace.onset_step, alarm)
             if verdict == FALSE_POSITIVE:
                 fp += 1

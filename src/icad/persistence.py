@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .conformal import CalibrationSet, FingerprintMismatchError
+from .conformal import CalibrationSet
 from .models import SvddModel, VaeModel
 from .neural import ACTIVATIONS, Array, DenseLayer, Mlp
 
@@ -246,10 +246,7 @@ def load_calibration(path: str | Path, scorer=None) -> CalibrationSet:
         raise UnsortedScoresError(f"{path}: calibration scores are not sorted")
     cal = CalibrationSet(scores, SCORER_NAMES[code], fingerprint)
     if scorer is not None:
-        if scorer.kind != cal.scorer_kind or scorer.fingerprint() != cal.fingerprint:
-            raise FingerprintMismatchError(
-                f"{path}: calibration does not belong to the provided {scorer.kind!r} scorer"
-            )
+        cal.check_scorer(scorer)
     return cal
 
 

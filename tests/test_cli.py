@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from icad.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, main
-from icad.persistence import load_calibration, save_config
+from icad.persistence import load_calibration, load_dataset, save_config, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +227,21 @@ def test_detect_rejects_mismatched_calibration(work, tmp_path, capsys):
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert "calibration" in err
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_detect_non_finite_frame_is_error_without_output(work, tmp_path, capsys, method):
+    frames, _ = load_dataset(work["in_stream"])
+    frames[5, 3] = np.nan
+    bad = tmp_path / "nan.icad"
+    save_dataset(bad, frames)
+    out = tmp_path / "diag.csv"
+    code = main(["detect", "--method", method, "--model", str(work[method]),
+                 "--cal", str(work[f"{method}_cal"]), "--input", str(bad), "--out", str(out)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("icad: error: ") and "example contains non-finite values" in err
+    assert not out.exists() and not out.with_name(out.name + ".config.txt").exists()
 
 
 def test_detect_rerun_is_byte_identical(work, tmp_path):

@@ -4,27 +4,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from icad.conformal import (
-    STATEFUL_CUSUM,
-    STATELESS_THRESHOLD,
+    _REFRESH_INTERVAL,
     CalibrationSet,
-    DetectorState,
+    CusumDetector,
     FingerprintMismatchError,
     MartingaleState,
     SvddPipeline,
+    ThresholdDetector,
     VaePipeline,
     calibrate,
     calibration_scores,
-    cusum_step,
     integrate_power_factor,
     mixture_martingale_log,
     p_value,
     power_martingale_log,
-    stateless_step,
 )
 from icad.nonconformity import KnnScorer, SvddScorer, VaeScorer
 
@@ -117,6 +115,22 @@ def test_p_value_monotone_in_score():
 def test_p_value_rejects_non_finite():
     with pytest.raises(ValueError):
         p_value(np.nan, _cal([1.0]))
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_finite, min_size=1, max_size=40), _finite, _finite)
+def test_p_value_floor_monotone_and_ties(values, a, b):
+    cal = _cal(sorted(values))
+    n = len(cal)
+    lo, hi = min(a, b), max(a, b)
+    p_lo, p_hi = p_value(lo, cal), p_value(hi, cal)
+    assert 1.0 / (n + 1) <= p_hi <= p_lo <= 1.0
+    for c in cal.scores:
+        # a score equal to a calibration value counts that value
+        assert p_value(c, cal) == np.count_nonzero(cal.scores >= c) / n
 
 
 # ---------------------------------------------------------------- martingales
@@ -259,6 +273,31 @@ def test_martingale_state_running_sum_stays_exact():
         assert abs(state.log_p_sum - sum(state.window)) < 1e-9
 
 
+_log_p = st.one_of(
+    st.floats(-1e6, 0.0),
+    st.floats(-1e-9, 0.0),
+    st.sampled_from([0.0, -1e6, -5e-324]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 30), st.lists(_log_p, min_size=1, max_size=50))
+# rounding in this cycle drifts one way, about 0.2 * eps * window * max|log p|
+# per push, so without the periodic refresh the sum leaves the bound
+@example(5, [-0.8656619002872337, -1.2540997403176715, -0.6666666666666666])
+def test_martingale_state_sum_tracks_fsum_across_refreshes(window, pattern):
+    # a repeated pattern of huge and tiny log p-values, long enough to cross
+    # two refreshes; the running sum may drift only by the rounding of the
+    # pushes since the last refresh (and of the refresh's own sum)
+    pushes = (pattern * (2 * _REFRESH_INTERVAL // len(pattern) + 2))[: 2 * _REFRESH_INTERVAL + 50]
+    state = MartingaleState(window_size=window)
+    bound = window * max(abs(v) for v in pushes) * np.finfo(float).eps
+    for k, log_p in enumerate(pushes, start=1):
+        state.push(log_p)
+        exact = math.fsum(state.window)
+        assert abs(state.log_p_sum - exact) <= 2.0 * bound * (k % _REFRESH_INTERVAL + window)
+
+
 def test_martingale_state_warmup_is_seeded_and_full():
     a = MartingaleState.warmed_up(10, np.random.default_rng(5))
     b = MartingaleState.warmed_up(10, np.random.default_rng(5))
@@ -277,76 +316,76 @@ def test_martingale_state_rejects_bad_log_p():
 
 
 # ---------------------------------------------------------------- detectors
+#
+# CusumDetector.update consumes the previous step's log M, so each CUSUM
+# trace below primes the detector with one update that never alarms.
+
+def test_cusum_first_update_never_alarms():
+    det = CusumDetector(tau=0.0, delta=0.0)
+    assert det.update(1e6) == (False, 0.0)
+    assert det.update(0.0) == (True, 1e6)
+
 
 def test_cusum_stays_zero_at_exact_drift():
-    det = DetectorState(STATEFUL_CUSUM, tau=5.0, delta=6.0)
+    det = CusumDetector(tau=5.0, delta=6.0)
     for _ in range(50):
-        alarm, s = cusum_step(det, 6.0)
+        alarm, s = det.update(6.0)
         assert not alarm and s == 0.0
 
 
 def test_cusum_hand_trace_with_reset():
-    det = DetectorState(STATEFUL_CUSUM, tau=5.0, delta=6.0)
-    alarm, s = cusum_step(det, 10.0)
+    det = CusumDetector(tau=5.0, delta=6.0)
+    det.update(10.0)
+    alarm, s = det.update(10.0)
     assert not alarm and s == pytest.approx(4.0)
-    alarm, s = cusum_step(det, 10.0)
+    alarm, s = det.update(10.0)
     assert alarm and s == pytest.approx(8.0)
     assert det.s == 0.0
 
 
 def test_cusum_nonnegative_under_any_inputs():
     rng = np.random.default_rng(6)
-    det = DetectorState(STATEFUL_CUSUM, tau=1e9, delta=2.0)
+    det = CusumDetector(tau=1e9, delta=2.0)
     for _ in range(500):
-        _, s = cusum_step(det, float(rng.normal()))
+        _, s = det.update(float(rng.normal()))
         assert s >= 0.0
 
 
 def test_cusum_stays_zero_below_drift():
     rng = np.random.default_rng(7)
-    det = DetectorState(STATEFUL_CUSUM, tau=10.0, delta=3.0)
+    det = CusumDetector(tau=10.0, delta=3.0)
     for _ in range(200):
-        cusum_step(det, float(rng.uniform(-5.0, 3.0)))
+        det.update(float(rng.uniform(-5.0, 3.0)))
         assert det.s == 0.0
 
 
 def test_reference_operating_points_are_valid():
     # stateful (N, delta, tau) = (10, 6, 156); stateless (N, tau) = (10, 14)
-    det = DetectorState(STATEFUL_CUSUM, tau=156.0, delta=6.0)
+    det = CusumDetector(tau=156.0, delta=6.0)
+    det.update(45.0)
     steps = 0
     while True:
         steps += 1
-        alarm, _ = cusum_step(det, 45.0)
+        alarm, _ = det.update(45.0)
         if alarm:
             break
     assert steps == math.ceil(156.0 / (45.0 - 6.0)) + 1
-    stateless = DetectorState(STATELESS_THRESHOLD, tau=14.0)
-    assert not stateless_step(stateless, 13.9)
-    assert stateless_step(stateless, 14.1)
+    threshold = ThresholdDetector(tau=14.0)
+    assert not threshold.update(13.9)[0]
+    assert threshold.update(14.1)[0]
 
 
 def test_stateless_threshold_is_strict():
-    det = DetectorState(STATELESS_THRESHOLD, tau=12.0)
-    assert not stateless_step(det, 11.9)
-    assert not stateless_step(det, 12.0)
-    assert stateless_step(det, 12.1)
+    det = ThresholdDetector(tau=12.0)
+    assert det.update(11.9) == (False, 11.9)
+    assert det.update(12.0) == (False, 12.0)
+    assert det.update(12.1) == (True, 12.1)
 
 
 def test_stateless_never_alarms_on_all_ones_window():
-    det = DetectorState(STATELESS_THRESHOLD, tau=0.0)
+    det = ThresholdDetector(tau=0.0)
     for n in range(1, 20):
-        assert not stateless_step(det, mixture_martingale_log(0.0, n))
-
-
-def test_detector_mode_enforced():
-    det = DetectorState(STATELESS_THRESHOLD, tau=1.0)
-    with pytest.raises(ValueError):
-        cusum_step(det, 0.0)
-    det2 = DetectorState(STATEFUL_CUSUM, tau=1.0)
-    with pytest.raises(ValueError):
-        stateless_step(det2, 0.0)
-    with pytest.raises(ValueError):
-        DetectorState("other", tau=1.0)
+        assert not det.update(mixture_martingale_log(0.0, n))[0]
 
 
 # ---------------------------------------------------------------- pipelines

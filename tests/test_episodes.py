@@ -1,11 +1,18 @@
 """Drift schedules, scene generation, the episode harness, tuning, timing."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icad.conformal import STATEFUL_CUSUM, STATELESS_THRESHOLD
+from icad.conformal import (
+    CusumDetector,
+    StepResult,
+    SvddPipeline,
+    ThresholdDetector,
+    VaePipeline,
+    calibration_scores,
+)
 from icad.episodes import (
     DATASET_BLOCK_ROWS,
     FALSE_NEGATIVE,
@@ -18,6 +25,7 @@ from icad.episodes import (
     SceneGenerator,
     Trace,
     alarm_step_from_trace,
+    collect_traces,
     generate_dataset,
     iter_dataset,
     make_suite_schedules,
@@ -28,6 +36,7 @@ from icad.episodes import (
     sample_schedule_labeled,
     tune_thresholds,
 )
+from icad.nonconformity import SvddScorer, VaeScorer
 
 
 # ---------------------------------------------------------------- schedules
@@ -155,15 +164,6 @@ def test_example_dimension_and_range():
 
 # ---------------------------------------------------------------- harness
 
-@dataclass
-class _StubResult:
-    alarm: bool
-    score: float = 0.0
-    p: float = 0.5
-    m_log: float = 0.0
-    window_log_p_sum: float = -1.0
-
-
 class _StubPipeline:
     """Alarms at a fixed step; counts how many steps it was fed."""
 
@@ -174,7 +174,8 @@ class _StubPipeline:
     def step(self, z):
         t = self.calls
         self.calls += 1
-        return _StubResult(alarm=(self.alarm_at is not None and t == self.alarm_at))
+        alarm = self.alarm_at is not None and t == self.alarm_at
+        return StepResult(alarm, (0.0,), (0.5,), 0.0, -1.0)
 
 
 def _gen():
@@ -274,17 +275,56 @@ def test_make_suite_schedules_mix_and_determinism():
 def test_alarm_step_from_trace_matches_live_cusum():
     m_logs = [10.0, 10.0, 10.0, 10.0]
     # delta=6, tau=5: s after t=1 is 4, after t=2 is 8 > 5 -> alarm at t=2
-    assert alarm_step_from_trace(m_logs, STATEFUL_CUSUM, tau=5.0, delta=6.0) == 2
-    assert alarm_step_from_trace(m_logs, STATELESS_THRESHOLD, tau=9.0) == 0
-    assert alarm_step_from_trace([1.0, 2.0], STATELESS_THRESHOLD, tau=9.0) is None
+    assert alarm_step_from_trace(m_logs, CusumDetector(tau=5.0, delta=6.0)) == 2
+    assert alarm_step_from_trace(m_logs, ThresholdDetector(tau=9.0)) == 0
+    assert alarm_step_from_trace([1.0, 2.0], ThresholdDetector(tau=9.0)) is None
+
+
+class _BlobGen:
+    """Two-dimensional frames for the toy models: the training blob at the origin
+    that drifts away along the diagonal as the corruption level grows."""
+
+    def example(self, r, rng):
+        return rng.normal(0.0, 0.5, size=2) + r / 10.0
+
+
+@pytest.fixture(scope="module")
+def toy_pipelines(two_blob_vae, toy_svdd, two_blobs):
+    cal_examples = two_blobs[0][200:]
+    vae_cal = calibration_scores(VaeScorer(two_blob_vae), cal_examples)
+    svdd_cal = calibration_scores(SvddScorer(toy_svdd[0]), cal_examples)
+    return {
+        "vae": lambda tau, delta, seed: VaePipeline(
+            two_blob_vae, vae_cal, n_samples=5, delta=delta, tau=tau, seed=seed),
+        "svdd": lambda tau, delta, seed: SvddPipeline(
+            toy_svdd[0], svdd_cal, window=5, tau=tau, seed=seed),
+    }
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+@settings(max_examples=25, deadline=None)
+@given(
+    tau=st.floats(0.0, 12.0),
+    delta=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+    schedule_seed=st.integers(0, 2**32 - 1),
+)
+def test_replay_equals_live_run(toy_pipelines, method, tau, delta, seed, schedule_seed):
+    make = toy_pipelines[method]
+    sched = sample_schedule(np.random.default_rng(schedule_seed))
+    result, records = run_episode(_BlobGen(), sched, make(tau, delta, seed), 60, seed=seed)
+    (trace,) = collect_traces(_BlobGen(), [sched], lambda: make(tau, delta, seed), 60, seed=seed)
+    detector = CusumDetector(tau, delta) if method == "vae" else ThresholdDetector(tau)
+    assert alarm_step_from_trace(trace.m_logs, detector) == result.alarm_step
+    assert trace.m_logs[: len(records)] == tuple(rec.m_log for rec in records)
+    assert (trace.onset_step, trace.label) == (result.onset_step, result.label)
 
 
 def test_tune_picks_zero_fp_minimal_delay():
     # hand-built traces: in-dist peaks at 5; OOD jumps to 20 at step 10
     in_trace = Trace(tuple([1.0] * 8 + [5.0] + [1.0] * 11), None, IN_DIST)
     ood_trace = Trace(tuple([1.0] * 10 + [20.0] * 10), 10, OOD)
-    best, points = tune_thresholds([in_trace, ood_trace], STATELESS_THRESHOLD,
-                                   taus=[3.0, 10.0, 30.0])
+    best, points = tune_thresholds([in_trace, ood_trace], taus=[3.0, 10.0, 30.0])
     assert best is not None
     # tau=3 alarms on the in-dist spike; tau=30 misses; tau=10 is the winner
     assert best.tau == 10.0
@@ -295,14 +335,19 @@ def test_tune_picks_zero_fp_minimal_delay():
     assert by_tau[30.0].false_negatives == 1
 
 
-def test_tune_requires_delta_grid_for_cusum():
-    with pytest.raises(ValueError):
-        tune_thresholds([], STATEFUL_CUSUM, taus=[1.0])
+def test_tune_delta_grid_selects_cusum():
+    # log M = 10 from the onset on: the threshold alarms at once, the CUSUM
+    # (delta=6, tau=5) two steps later, one of them its lag
+    trace = Trace((10.0,) * 4, 0, OOD)
+    _, (threshold,) = tune_thresholds([trace], taus=[5.0])
+    _, (cusum,) = tune_thresholds([trace], taus=[5.0], deltas=[6.0])
+    assert threshold.delta is None and threshold.mean_delay == 0.0
+    assert cusum.delta == 6.0 and cusum.mean_delay == 2.0
 
 
 def test_tune_returns_none_when_no_feasible_point():
     noisy = Trace(tuple([50.0] * 5), None, IN_DIST)
-    best, points = tune_thresholds([noisy], STATELESS_THRESHOLD, taus=[1.0, 10.0])
+    best, points = tune_thresholds([noisy], taus=[1.0, 10.0])
     assert best is None
     assert all(p.false_positives == 1 for p in points)
 

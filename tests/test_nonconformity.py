@@ -4,7 +4,7 @@ nonnegativity, finiteness, permutation invariance, and statistical separation.""
 import numpy as np
 import pytest
 
-from icad.models import SvddModel
+from icad.models import SvddModel, VaeModel, sample_reconstructions
 from icad.neural import DenseLayer, Mlp
 from icad.nonconformity import (
     KdeScorer,
@@ -225,6 +225,15 @@ def test_vae_scorer_score_many_is_seeded(toy_vae):
     b = VaeScorer(model).score_many(z, 5, 123)
     assert a == b
     assert all(np.isfinite(s) and s >= 0 for s in a)
+
+
+@pytest.mark.parametrize("dim", [2, 7, 64, 256, 300])
+def test_vae_score_many_equals_vae_score_per_reconstruction(dim):
+    # row-wise scoring must give the bits of one vae_score call per sample
+    model = VaeModel.build(dim, latent_dim=3, hidden=(16,), seed=dim)
+    z = np.random.default_rng(dim).random(dim)
+    expected = [vae_score(z, r) for r in sample_reconstructions(model, z, 20, 9)]
+    assert VaeScorer(model).score_many(z, 20, 9) == expected
 
 
 def test_separation_on_two_blob_task(two_blob_vae, toy_svdd, two_blobs):

@@ -78,10 +78,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _scene_for_dim(dim: int, seed: int) -> episodes.SceneGenerator:
+def _scene(dim: int, seed: int) -> episodes.SceneGenerator:
+    """The scene generator whose flattened square frames have ``dim`` pixels."""
     side = math.isqrt(dim)
     if side * side != dim or side < 4:
-        raise CliError(f"--dim must be a perfect square >= 16, got {dim}")
+        raise CliError(f"frame dimension must be a perfect square >= 16, got {dim}")
     return episodes.SceneGenerator(side=side, seed=seed)
 
 
@@ -89,7 +90,7 @@ def _cmd_gen_data(args) -> int:
     out = Path(args.out)
     if args.r_min < 0 or args.r_max < args.r_min:
         raise CliError("need 0 <= r-min <= r-max")
-    gen = _scene_for_dim(args.dim, args.seed)
+    gen = _scene(args.dim, args.seed)
     r_values, blocks = episodes.iter_dataset(gen, args.count, (args.r_min, args.r_max))
     persistence.save_dataset_blocks(out, blocks, args.count, args.dim, r_values)
     _write_run_config(_config_sidecar(out), args, "gen-data")
@@ -176,13 +177,6 @@ def _load_scorer(path: str, method: str):
     if scorer_cls.kind != method:
         raise CliError(f"{path} holds a {scorer_cls.kind} model, expected {method}")
     return scorer_cls(model)
-
-
-def _model_scene(model, seed: int) -> episodes.SceneGenerator:
-    side = math.isqrt(model.input_dim)
-    if side * side != model.input_dim:
-        raise CliError("model input dimension is not a square image")
-    return episodes.SceneGenerator(side=side, seed=seed)
 
 
 def _build_scorer(args):
@@ -283,7 +277,7 @@ def _sim_setup(args):
     n, delta, tau, max_steps, ood_fraction, ood_margin, seed = _sim_params(
         cfg, args.method, args.seed
     )
-    gen = _model_scene(scorer.model, seed)
+    gen = _scene(scorer.model.input_dim, seed)
     schedules = episodes.make_suite_schedules(args.episodes, ood_fraction, seed, ood_margin)
 
     def factory():
@@ -360,8 +354,9 @@ def _parse_grid(text: str, method: str) -> tuple[list[float] | None, list[float]
         raise CliError("grid must include tau=...")
     if method == "vae" and deltas is None:
         raise CliError("the vae grid must include delta=...")
-    # the threshold detector has no drift: a delta grid given for svdd is ignored
-    return (deltas if method == "vae" else None), taus
+    if method == "svdd" and deltas is not None:
+        raise CliError("the svdd grid takes no delta=...; its threshold detector has no drift")
+    return deltas, taus
 
 
 def _cmd_tune(args) -> int:
@@ -393,7 +388,7 @@ def _cmd_bench(args) -> int:
     out = Path(args.out)
     scorer = _load_scorer(args.model, args.method)
     cal = persistence.load_calibration(args.cal, scorer=scorer)
-    gen = _model_scene(scorer.model, args.seed)
+    gen = _scene(scorer.model.input_dim, args.seed)
     tau = _default_tau(args.method, args.tau)
 
     def factory(n: int):

@@ -86,13 +86,12 @@ class CalibrationSet:
             )
 
 
-def calibrate(train: Array, m: int, scorer, samples: int = 0, seed: int = 0) -> CalibrationSet:
+def calibrate(train: Array, m: int, build_scorer, samples: int = 0, seed: int = 0) -> CalibrationSet:
     """Split a training set and score the calibration portion.
 
     The first ``m`` examples form the proper training set, the remainder the
-    calibration set. ``scorer`` is either a ready scorer (model-backed
-    scorers are trained on the proper set elsewhere) or a callable that
-    builds one from the proper training set (k-NN/KDE).
+    calibration set. ``build_scorer`` builds the scorer from the proper
+    training set (for example ``lambda proper: KnnScorer(proper, k=10)``).
 
     For the VAE scorer the default is one score per calibration example via
     the noise-free mean reconstruction; ``samples > 0`` pools that many
@@ -103,9 +102,7 @@ def calibrate(train: Array, m: int, scorer, samples: int = 0, seed: int = 0) -> 
     if not 0 < m < l:
         raise ValueError(f"proper-train size m={m} must satisfy 0 < m < {l}")
     proper, cal_part = train[:m], train[m:]
-    if callable(scorer) and not hasattr(scorer, "score"):
-        scorer = scorer(proper)
-    return calibration_scores(scorer, cal_part, samples=samples, seed=seed)
+    return calibration_scores(build_scorer(proper), cal_part, samples=samples, seed=seed)
 
 
 def calibration_scores(scorer, cal_examples: Array, samples: int = 0, seed: int = 0) -> CalibrationSet:

@@ -288,9 +288,6 @@ def _train_two_phase(
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("need a nonempty 2-D training array")
     rng = np.random.default_rng(cfg.seed)
-    names: list[str] = []
-    for i, net in enumerate(nets):
-        names.extend(f"net{i}.{n}" for n in net.parameter_names())
     state = AdamState(learning_rate=cfg.learning_rates[0])
     curve: list[float] = []
     aux_curve: list[float] = []
@@ -306,15 +303,7 @@ def _train_two_phase(
                 loss, grads, aux = batch_fn(batch, rng)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch, f"{what} training loss diverged")
-                params: list[Array] = []
-                for net in nets:
-                    params.extend(net.parameters())
-                new_params = adam_step(state, params, grads, names)
-                offset = 0
-                for net in nets:
-                    k = len(net.parameters())
-                    net.set_parameters(new_params[offset : offset + k])
-                    offset += k
+                adam_step(state, nets, grads)
                 losses.append(loss)
                 auxes.append(aux)
             curve.append(float(np.mean(losses)))
@@ -352,28 +341,16 @@ def _clone_architecture(net: Mlp, rng: np.random.Generator) -> Mlp:
     return init_mlp(dims, acts, bias, rng)
 
 
-def pretrain_with_autoencoder(
-    model: SvddModel,
-    data: Array,
-    cfg: TrainConfig,
-    encoder: Mlp | None = None,
-) -> list[float]:
+def pretrain_with_autoencoder(model: SvddModel, data: Array, cfg: TrainConfig) -> list[float]:
     """Autoencoder pretraining: train, copy encoder weights into the mapper,
     then initialize the center.
 
-    The encoder must mirror the mapper (same dimensions, bias-free); pass
-    ``encoder=None`` to have one built. Returns the autoencoder loss curve.
+    The encoder is built to mirror the mapper (same dimensions, bias-free).
+    Returns the autoencoder loss curve.
     """
     rng = np.random.default_rng(cfg.seed)
-    if encoder is None:
-        encoder = _clone_architecture(model.mapper, rng)
     mapper = model.mapper
-    if [l.out_dim for l in encoder.layers] != [l.out_dim for l in mapper.layers] or (
-        encoder.input_dim != mapper.input_dim
-    ):
-        raise ValueError("encoder architecture does not mirror the SVDD mapper")
-    if encoder.has_bias():
-        raise ValueError("pretraining encoder must be bias-free like the mapper")
+    encoder = _clone_architecture(mapper, rng)
     hidden_rev = [l.out_dim for l in reversed(encoder.layers)][1:]
     dec_dims = [encoder.output_dim, *hidden_rev, encoder.input_dim]
     dec_acts = ["elu"] * (len(dec_dims) - 2) + ["identity"]
@@ -390,6 +367,6 @@ def pretrain_with_autoencoder(
         return loss, enc_grads + dec_grads, loss
 
     curve, _ = _train_two_phase([encoder, decoder], batch_fn, data, cfg, "autoencoder")
-    mapper.set_parameters([p.copy() for p in encoder.parameters()])
+    mapper.set_parameters(encoder.parameters())
     svdd_init_center(model, data)
     return curve

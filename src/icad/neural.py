@@ -1,10 +1,10 @@
 """Dense feedforward networks with exact analytic gradients.
 
 Deliberately small: affine layers with a fixed set of activations, batched
-forward/backward passes, an Adam optimizer with decoupled weight decay, and
-a finite-difference gradient checker. All math is float64; networks are
-mutated only through ``Mlp.set_parameters`` so forward caches can detect
-staleness.
+forward/backward passes, an Adam optimizer, and a finite-difference gradient
+checker. All math is float64; networks are mutated only through
+``Mlp.set_parameters`` and ``adam_step``, which both bump the network's
+version so forward caches can detect staleness.
 """
 
 from __future__ import annotations
@@ -142,9 +142,6 @@ class Mlp:
                 layer.bias = b
         self._version += 1
 
-    def has_bias(self) -> bool:
-        return any(layer.bias is not None for layer in self.layers)
-
 
 def init_mlp(
     dims: Sequence[int],
@@ -243,15 +240,16 @@ def backward(net: Mlp, cache: ForwardCache, loss_grad: Array) -> tuple[list[Arra
     return flat, input_grad
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam with decoupled weight decay; moments are bound lazily to shapes."""
+    """Adam moments, bound lazily to the shapes of the first step's parameters."""
 
     learning_rate: float
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: list[Array] | None = field(default=None, repr=False)
     v: list[Array] | None = field(default=None, repr=False)
@@ -259,50 +257,40 @@ class AdamState:
     def __post_init__(self):
         if self.learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight decay must be nonnegative")
 
 
-def adam_step(
-    state: AdamState,
-    params: Sequence[Array],
-    grads: Sequence[Array],
-    names: Sequence[str] | None = None,
-    decay_mask: Sequence[bool] | None = None,
-) -> list[Array]:
-    """One optimizer step; returns the updated parameter arrays.
+def adam_step(state: AdamState, nets: Sequence[Mlp], grads: Sequence[Array]) -> None:
+    """One optimizer step that updates the weights and biases of ``nets`` in place.
 
-    ``decay_mask`` selects which parameters receive the decoupled weight
-    decay (all by default). A non-finite gradient raises, naming the
-    offending parameter.
+    ``grads`` is aligned with the networks' parameters, taken in order. Every
+    network's version is bumped, so forward caches taken before the step are
+    stale. A non-finite gradient raises, naming the offending parameter,
+    before anything is changed.
     """
+    params = [p for net in nets for p in net.parameters()]
     if len(params) != len(grads):
         raise ValueError("params and grads length mismatch")
     if state.m is None:
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
-    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
+    for i, (p, g, m) in enumerate(zip(params, grads, state.m)):
         if p.shape != g.shape or p.shape != m.shape:
             raise ValueError(f"shape mismatch at parameter {i}: {p.shape} vs {g.shape}")
         if not np.all(np.isfinite(g)):
-            name = names[i] if names is not None else f"parameter {i}"
-            raise ValueError(f"non-finite gradient for {name}")
+            names = [f"net{k}.{n}" for k, net in enumerate(nets) for n in net.parameter_names()]
+            raise ValueError(f"non-finite gradient for {names[i]}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    out: list[Array] = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        update = m_hat / (np.sqrt(v_hat) + state.eps)
-        decay = state.weight_decay
-        if decay_mask is not None and not decay_mask[i]:
-            decay = 0.0
-        out.append(p - state.learning_rate * (update + decay * p))
-    return out
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.learning_rate * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
+    for net in nets:
+        net._version += 1
 
 
 def finite_difference_grads(

@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .models import SvddModel, VaeModel, mean_reconstruction, sample_reconstructions
-from .neural import Array, Mlp
+from .neural import ACTIVATIONS, Array, Mlp
 
 SCORER_KINDS = ("knn", "kde", "vae", "svdd")
 
@@ -115,7 +115,7 @@ def _mlp_signature(net: Mlp) -> bytes:
     for layer in net.layers:
         parts.append(
             struct.pack("<IIBB", layer.in_dim, layer.out_dim,
-                        ("identity", "relu", "elu", "sigmoid").index(layer.activation),
+                        ACTIVATIONS.index(layer.activation),
                         1 if layer.bias is not None else 0)
         )
         parts.append(layer.weights.astype("<f4").tobytes())

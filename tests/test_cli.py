@@ -327,6 +327,18 @@ def test_tune_requires_delta_for_vae(work, tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_tune_rejects_delta_for_svdd(work, tmp_path, capsys):
+    cfg = tmp_path / "sim.txt"
+    _sim_config(work, cfg, "svdd", tau=10.0)
+    out = tmp_path / "g.csv"
+    code = main(["tune", "--method", "svdd", "--config", str(cfg),
+                 "--grid", "delta=1,2;tau=12", "--episodes", "2", "--out", str(out)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "icad: error:" in err and "delta" in err
+    assert not out.exists()
+
+
 def test_bench_has_five_quartile_columns(work, tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["bench", "--method", "svdd", "--model", str(work["svdd"]),

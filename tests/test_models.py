@@ -318,19 +318,6 @@ def test_pretrain_copies_encoder_weights(toy_blob):
                           SvddModel(clone, 0.0).represent(z))
 
 
-def test_pretrain_rejects_mismatched_encoder(toy_blob):
-    model = SvddModel.build(2, output_dim=2, hidden=(8,), seed=7)
-    rng = np.random.default_rng(0)
-    from icad.neural import init_mlp
-
-    wrong = init_mlp((2, 4, 2), ["elu", "identity"], False, rng)
-    with pytest.raises(ValueError, match="mirror"):
-        pretrain_with_autoencoder(model, toy_blob, TrainConfig(epochs=(1, 0)), encoder=wrong)
-    biased = init_mlp((2, 8, 2), ["elu", "identity"], True, rng)
-    with pytest.raises(ValueError, match="bias-free"):
-        pretrain_with_autoencoder(model, toy_blob, TrainConfig(epochs=(1, 0)), encoder=biased)
-
-
 def test_both_initialization_paths_produce_valid_models(toy_blob):
     cfg = TrainConfig(epochs=(5, 0), learning_rates=(1e-3, 1e-4), batch_size=32, seed=3)
     pre = SvddModel.build(2, output_dim=2, hidden=(8,), seed=3)

@@ -159,50 +159,45 @@ def test_max_relative_error_floor_hides_roundoff_only():
     assert err < 1e-5
 
 
+def _weights_net(w):
+    return Mlp([DenseLayer(np.array(w, dtype=float), None, "identity")])
+
+
 def test_adam_zero_gradient_is_identity():
-    params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-    state = AdamState(learning_rate=0.1, weight_decay=0.0)
-    out = adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-    for p, q in zip(params, out):
-        assert np.array_equal(p, q)
+    net = _random_net(6)
+    before = [p.copy() for p in net.parameters()]
+    version = net.version
+    adam_step(AdamState(learning_rate=0.1), [net], [np.zeros_like(p) for p in before])
+    for old, new in zip(before, net.parameters()):
+        assert np.array_equal(old, new)
+    assert net.version == version + 1
 
 
 def test_adam_moves_against_constant_gradient():
-    w = [np.array([0.0])]
+    net = _weights_net([[0.0]])
     state = AdamState(learning_rate=0.01)
     for _ in range(100):
-        w = adam_step(state, w, [np.array([3.0])])
-    assert w[0][0] < 0.0
+        adam_step(state, [net], [np.array([[3.0]])])
+    assert net.layers[0].weights[0, 0] < 0.0
 
 
 def test_adam_converges_on_quadratic_bowl():
-    w = [np.array([3.0, -2.0])]
+    net = _weights_net([[3.0, -2.0]])
     state = AdamState(learning_rate=1e-2)
     for _ in range(5000):
-        w = adam_step(state, w, [2.0 * w[0]])
-    assert np.max(np.abs(w[0])) < 1e-6
-
-
-def test_adam_weight_decay_shrinks_parameters():
-    w = [np.array([1.0])]
-    state = AdamState(learning_rate=0.1, weight_decay=0.5)
-    for _ in range(200):
-        w = adam_step(state, w, [np.zeros(1)])
-    assert abs(w[0][0]) < 1e-3
-
-
-def test_adam_decay_mask_exempts_parameters():
-    params = [np.array([1.0]), np.array([1.0])]
-    state = AdamState(learning_rate=0.1, weight_decay=0.5)
-    out = adam_step(state, params, [np.zeros(1), np.zeros(1)], decay_mask=[True, False])
-    assert out[0][0] < 1.0
-    assert out[1][0] == 1.0
+        adam_step(state, [net], [2.0 * net.layers[0].weights])
+    assert np.max(np.abs(net.layers[0].weights)) < 1e-6
 
 
 def test_adam_rejects_non_finite_gradient_by_name():
-    state = AdamState(learning_rate=0.1)
-    with pytest.raises(ValueError, match="layer0.weights"):
-        adam_step(state, [np.ones((2, 2))], [np.full((2, 2), np.nan)], names=["layer0.weights"])
+    nets = [_random_net(1), _random_net(2)]
+    before = [p.copy() for net in nets for p in net.parameters()]
+    grads = [np.zeros_like(p) for p in before]
+    grads[7] = np.full_like(grads[7], np.nan)  # second net, layer0 bias
+    with pytest.raises(ValueError, match=r"net1\.layer0\.bias"):
+        adam_step(AdamState(learning_rate=0.1), nets, grads)
+    after = [p for net in nets for p in net.parameters()]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_bias_free_net_stays_bias_free_through_training():
@@ -213,9 +208,38 @@ def test_bias_free_net_stays_bias_free_through_training():
     for _ in range(25):
         y, cache = forward(net, x)
         grads, _ = backward(net, cache, 2.0 * y)
-        net.set_parameters(adam_step(state, net.parameters(), grads))
-    assert not net.has_bias()
+        adam_step(state, [net], grads)
+    assert all(layer.bias is None for layer in net.layers)
     assert len(net.parameters()) == 2
+
+
+def test_adam_in_place_matches_out_of_place_reference_bitwise():
+    nets = [_random_net(3), _random_net(4, bias=False)]
+    params = [p.copy() for net in nets for p in net.parameters()]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    state = AdamState(learning_rate=1e-2)
+    rng = np.random.default_rng(5)
+    for t in range(1, 9):
+        state.learning_rate = lr = 1e-2 if t <= 4 else 1e-3
+        grads = [rng.normal(size=p.shape) for p in params]
+        adam_step(state, nets, grads)
+        bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+            params[i] = params[i] - lr * ((m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps))
+        live = [p for net in nets for p in net.parameters()]
+        assert all(np.array_equal(a, b) for a, b in zip(live, params))
+
+
+def test_backward_rejects_cache_taken_before_adam_step():
+    net = _random_net(2)
+    _, cache = forward(net, np.zeros(4))
+    adam_step(AdamState(learning_rate=0.1), [net], [np.ones_like(p) for p in net.parameters()])
+    with pytest.raises(ValueError, match="stale"):
+        backward(net, cache, np.zeros(3))
 
 
 def test_init_respects_uniform_bound():

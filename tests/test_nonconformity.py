@@ -218,6 +218,16 @@ def test_fingerprints_distinguish_scorers(toy_vae, toy_svdd):
     assert KnnScorer(train, k=3).fingerprint() == KnnScorer(train, k=3).fingerprint()
 
 
+def test_model_fingerprints_are_pinned():
+    # calibration files store these digests, so their bytes must not drift;
+    # the SVDD center is set by hand so no matrix product enters the digest
+    vae = VaeModel.build(16, latent_dim=2, hidden=(8,), seed=5)
+    assert VaeScorer(vae).fingerprint().hex() == "56488e6bfbc3c336"
+    svdd = SvddModel.build(16, output_dim=3, hidden=(8,), seed=5)
+    svdd.center = np.array([0.5, -0.25, 1.0])
+    assert SvddScorer(svdd).fingerprint().hex() == "1e27dd5e4950ad05"
+
+
 def test_vae_scorer_score_many_is_seeded(toy_vae):
     model, _ = toy_vae
     z = np.array([1.0, -0.5])

@@ -16,7 +16,6 @@ from .conformal import (
     integrate_power_factor,
     mixture_martingale_log,
     p_value,
-    power_martingale_log,
     svdd_detect_step,
     vae_detect_step,
 )

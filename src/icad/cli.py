@@ -312,14 +312,14 @@ def _cmd_simulate(args) -> int:
             metrics.mean_delay,
         )],
     )
-    for i, records in enumerate(diagnostics):
+    for i, steps in enumerate(diagnostics):
         _write_csv(
             out_dir / f"episode_{i:03d}.csv",
             ["step", "r", "score", "p_values", "log_m", "s", "alarm"],
             [
-                (rec.step, rec.r, rec.score, ";".join(_fmt(p) for p in rec.p_values),
-                 rec.m_log, rec.s, rec.alarm)
-                for rec in records
+                (t, r, res.score, ";".join(_fmt(p) for p in res.p_values),
+                 res.m_log, res.s, res.alarm)
+                for t, r, res in steps
             ],
         )
     _write_run_config(out_dir / "config.txt", args, "simulate")

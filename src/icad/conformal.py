@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammainc, logsumexp
 
 from .models import SvddModel, VaeModel
-from .neural import Array
+from .neural import BLOCK_ROWS, Array
 from .nonconformity import SvddScorer, VaeScorer, _check_examples
 
 # Below this the regularized incomplete gamma is subnormal or zero and has
@@ -106,7 +106,8 @@ def calibrate(train: Array, m: int, build_scorer, samples: int = 0, seed: int = 
 
 
 def calibration_scores(scorer, cal_examples: Array, samples: int = 0, seed: int = 0) -> CalibrationSet:
-    """Score each calibration example and return the sorted result."""
+    """Score the calibration examples ``BLOCK_ROWS`` at a time (one network
+    pass per block) and return the sorted result."""
     cal_examples = _check_examples(cal_examples, "calibration set")
     if samples < 0:
         raise ValueError("samples must be >= 0")
@@ -116,7 +117,8 @@ def calibration_scores(scorer, cal_examples: Array, samples: int = 0, seed: int 
         rng = np.random.default_rng(seed)
         scores = [s for z in cal_examples for s in scorer.score_many(z, samples, rng)]
     else:
-        scores = [scorer.score(z) for z in cal_examples]
+        starts = range(0, len(cal_examples), BLOCK_ROWS)
+        scores = np.concatenate([scorer.score(cal_examples[i : i + BLOCK_ROWS]) for i in starts])
     return CalibrationSet(np.sort(np.asarray(scores)), scorer.kind, scorer.fingerprint())
 
 
@@ -132,18 +134,6 @@ def p_value(score: float, cal: CalibrationSet) -> float:
     idx = int(np.searchsorted(cal.scores, score, side="left"))
     raw = (n - idx) / n
     return max(raw, 1.0 / (n + 1))
-
-
-def power_martingale_log(p_values: Sequence[float], epsilon: float) -> float:
-    """Log of the power martingale ``prod_i epsilon * p_i^(epsilon - 1)``."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must be in (0, 1]")
-    total = 0.0
-    for p in p_values:
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"p-value {p} outside (0, 1]")
-        total += math.log(epsilon) + (epsilon - 1.0) * math.log(p)
-    return total
 
 
 def log_simpson_integral(log_f: Callable[[Array], Array], lo: float, hi: float, points: int) -> float:

@@ -17,13 +17,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .conformal import CusumDetector, ThresholdDetector
-from .neural import Array
+from .conformal import CusumDetector, StepResult, ThresholdDetector
+from .neural import BLOCK_ROWS, Array
 
 OOD_THRESHOLD = 20.0
-
-# Frames rendered per block by ``iter_dataset`` (512 frames of 16x16 are 1 MB).
-DATASET_BLOCK_ROWS = 512
 
 IN_DIST = "in_dist"
 OOD = "ood"
@@ -214,11 +211,11 @@ def iter_dataset(
     """The dataset of ``generate_dataset`` as ``(r_values, blocks)``.
 
     ``blocks`` yields the same examples in consecutive blocks of at most
-    ``DATASET_BLOCK_ROWS`` rows, drawn lazily from the same random stream,
-    so a caller that writes each block out never holds the whole dataset.
+    ``BLOCK_ROWS`` rows, drawn lazily from the same random stream, so a
+    caller that writes each block out never holds the whole dataset.
     """
     r_values, rng = _dataset_levels(gen, count, r_range)
-    step = DATASET_BLOCK_ROWS
+    step = BLOCK_ROWS
     blocks = (gen.examples(r_values[i : i + step], rng) for i in range(0, count, step))
     return r_values, blocks
 
@@ -230,17 +227,6 @@ class EpisodeResult:
     onset_step: int | None
     verdict: str
     delay_frames: int | None
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    step: int
-    r: float
-    score: float
-    p_values: tuple[float, ...]
-    m_log: float
-    s: float
-    alarm: bool
 
 
 def _classify(label: str, onset: int | None, alarm: int | None) -> tuple[str, int | None]:
@@ -275,19 +261,20 @@ def run_episode(
     pipeline,
     max_steps: int = 150,
     seed: int = 0,
-) -> tuple[EpisodeResult, list[StepRecord]]:
+) -> tuple[EpisodeResult, list[tuple[int, float, StepResult]]]:
     """Stream one episode through a detection pipeline, stopping at the first
-    alarm. The ground-truth label depends only on the schedule and horizon."""
+    alarm; returns the verdict and the ``(t, r, step result)`` triples. The
+    ground-truth label depends only on the schedule and horizon."""
     onset, label = _ground_truth(schedule, max_steps)
-    records: list[StepRecord] = []
+    steps = []
     alarm_step: int | None = None
     for t, r, res in _steps(gen, schedule, pipeline, max_steps, seed):
-        records.append(StepRecord(t, r, res.score, res.p_values, res.m_log, res.s, res.alarm))
+        steps.append((t, r, res))
         if res.alarm:
             alarm_step = t
             break
     verdict, delay = _classify(label, onset, alarm_step)
-    return EpisodeResult(label, alarm_step, onset, verdict, delay), records
+    return EpisodeResult(label, alarm_step, onset, verdict, delay), steps
 
 
 @dataclass(frozen=True)
@@ -322,14 +309,15 @@ def run_suite(
     pipeline_factory: Callable[[], object],
     max_steps: int = 150,
     seed: int = 0,
-) -> tuple[SuiteMetrics, list[list[StepRecord]]]:
-    """Run independent episodes (fresh pipeline each) and aggregate verdicts."""
+) -> tuple[SuiteMetrics, list[list[tuple[int, float, StepResult]]]]:
+    """Run independent episodes (fresh pipeline each) and aggregate verdicts;
+    also returns each episode's ``run_episode`` triples."""
     results = []
     diagnostics = []
     for i, sched in enumerate(schedules):
-        res, records = run_episode(gen, sched, pipeline_factory(), max_steps, seed=seed + i)
+        res, steps = run_episode(gen, sched, pipeline_factory(), max_steps, seed=seed + i)
         results.append(res)
-        diagnostics.append(records)
+        diagnostics.append(steps)
     return SuiteMetrics(tuple(results)), diagnostics
 
 

@@ -156,9 +156,11 @@ def mean_reconstruction(model: VaeModel, z: Array) -> Array:
 def sample_reconstructions(
     model: VaeModel, z: Array, count: int, rng: np.random.Generator | int
 ) -> Array:
-    """Decode ``count`` independent posterior samples of ``z``.
+    """Decode ``count`` independent posterior samples of ``z``, one per row.
 
-    Samples are drawn and decoded one at a time; each costs one decoder pass.
+    The noise is drawn as one ``(count, latent_dim)`` block, which takes the
+    numbers of ``count`` successive ``standard_normal(latent_dim)`` draws,
+    and all samples are decoded in one decoder pass.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -168,12 +170,8 @@ def sample_reconstructions(
     mu, logvar = model.encode(z)
     if not np.all(np.isfinite(logvar)):
         raise ValueError("encoder produced non-finite log-variance")
-    sigma = np.exp(0.5 * logvar)
-    out = np.empty((count, model.input_dim))
-    for k in range(count):
-        noise = rng.standard_normal(model.latent_dim)
-        decoded, _ = forward(model.decoder, mu + sigma * noise)
-        out[k] = decoded
+    noise = rng.standard_normal((count, model.latent_dim))
+    out, _ = forward(model.decoder, mu + np.exp(0.5 * logvar) * noise)
     return out
 
 

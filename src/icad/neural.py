@@ -18,6 +18,10 @@ Array = np.ndarray
 
 ACTIVATIONS = ("identity", "relu", "elu", "sigmoid")
 
+# Rows per block wherever a dataset would otherwise be held whole or fed a
+# row at a time (512 frames of 16x16 are 1 MB in float64).
+BLOCK_ROWS = 512
+
 
 def _activate(name: str, z: Array) -> Array:
     if name == "identity":

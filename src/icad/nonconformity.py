@@ -5,6 +5,10 @@ distance, Gaussian kernel density, VAE reconstruction error, and SVDD
 distance-to-center. Every scorer is immutable after construction, returns a
 finite nonnegative score for finite input, and carries an 8-byte fingerprint
 that binds calibration files to the exact scorer that produced them.
+
+Scoring follows ``neural.forward``'s shape convention: one example ``(D,)``
+gives a float, a block ``(B, D)`` gives ``(B,)`` scores. A block is checked
+once and goes through each network in one pass.
 """
 
 from __future__ import annotations
@@ -29,29 +33,38 @@ def _check_examples(arr: Array, what: str) -> Array:
     return arr
 
 
-def _check_example(z: Array, dim: int | None = None) -> Array:
+def _check_frames(z: Array, dim: int | None = None) -> Array:
+    """One example ``(D,)`` or a nonempty block ``(B, D)``."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError(f"an example must be a vector, got shape {z.shape}")
-    if dim is not None and z.shape != (dim,):
-        raise ValueError(f"example has dimension {z.shape[0]}, expected {dim}")
+    if z.ndim not in (1, 2) or z.size == 0:
+        raise ValueError(f"expected an example (D,) or a block (B, D), got shape {z.shape}")
+    if dim is not None and z.shape[-1] != dim:
+        raise ValueError(f"example has dimension {z.shape[-1]}, expected {dim}")
     if not np.all(np.isfinite(z)):
         raise ValueError("example contains non-finite values")
     return z
 
 
-def knn_score(train: Array, z: Array, k: int) -> float:
-    """Mean Euclidean distance from ``z`` to its ``k`` nearest training points.
+def _per_frame(z: Array, scores: Array) -> float | Array:
+    """A float for one example, the ``(B,)`` scores for a block."""
+    return float(scores) if z.ndim == 1 else scores
 
-    Ties at the neighborhood boundary are broken by training-set index.
-    """
+
+def _sq_dists(train: Array, z: Array) -> Array:
+    """Squared distances to every training point, ``(n,)`` or ``(B, n)``; a
+    block is done a row at a time, so it never holds ``B x n x D`` differences."""
+    rows = [((train - row) ** 2).sum(axis=1) for row in np.atleast_2d(z)]
+    return rows[0] if z.ndim == 1 else np.stack(rows)
+
+
+def knn_score(train: Array, z: Array, k: int) -> float | Array:
+    """Mean Euclidean distance from ``z`` to its ``k`` nearest training points."""
     train = _check_examples(train, "training set")
-    z = _check_example(z, train.shape[1])
+    z = _check_frames(z, train.shape[1])
     if not 1 <= k <= train.shape[0]:
         raise ValueError(f"k={k} out of range for training set of size {train.shape[0]}")
-    d = np.sqrt(((train - z) ** 2).sum(axis=1))
-    order = np.argsort(d, kind="stable")
-    return float(d[order[:k]].mean())
+    d = np.sqrt(_sq_dists(train, z))
+    return _per_frame(z, np.sort(d, axis=-1)[..., :k].mean(axis=-1))
 
 
 def silverman_bandwidth(train: Array) -> float:
@@ -64,7 +77,7 @@ def silverman_bandwidth(train: Array) -> float:
     return spread * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
 
 
-def kde_score(train: Array, z: Array, bandwidth: float) -> float:
+def kde_score(train: Array, z: Array, bandwidth: float) -> float | Array:
     """Negative log Gaussian-kernel density, shifted so the minimum is zero.
 
     The shift puts the score at 0 when ``z`` coincides with every training
@@ -75,32 +88,33 @@ def kde_score(train: Array, z: Array, bandwidth: float) -> float:
     from scipy.special import logsumexp
 
     train = _check_examples(train, "training set")
-    z = _check_example(z, train.shape[1])
+    z = _check_frames(z, train.shape[1])
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
-    sq = ((train - z) ** 2).sum(axis=1)
-    return float(np.log(train.shape[0]) - logsumexp(-sq / (2.0 * bandwidth * bandwidth)))
+    sq = _sq_dists(train, z)
+    log_density = logsumexp(-sq / (2.0 * bandwidth * bandwidth), axis=-1)
+    return _per_frame(z, np.log(train.shape[0]) - log_density)
 
 
-def vae_score(z: Array, reconstruction: Array) -> float:
-    """Squared error between an input and one generated reconstruction."""
-    z = _check_example(z)
+def vae_score(z: Array, reconstruction: Array) -> float | Array:
+    """Squared error between each input and its generated reconstruction."""
+    z = _check_frames(z)
     reconstruction = np.asarray(reconstruction, dtype=np.float64)
     if reconstruction.shape != z.shape:
         raise ValueError(
             f"dimension mismatch: input {z.shape} vs reconstruction {reconstruction.shape}"
         )
     diff = z - reconstruction
-    return float((diff * diff).sum())
+    return _per_frame(z, (diff * diff).sum(axis=-1))
 
 
-def svdd_score(model: SvddModel, z: Array) -> float:
-    """Squared distance of the mapped example from the frozen center."""
+def svdd_score(model: SvddModel, z: Array) -> float | Array:
+    """Squared distance of each mapped example from the frozen center."""
     if model.center is None:
         raise RuntimeError("SVDD center is not initialized")
-    z = _check_example(z, model.input_dim)
+    z = _check_frames(z, model.input_dim)
     diff = model.represent(z) - model.center
-    return float((diff * diff).sum())
+    return _per_frame(z, (diff * diff).sum(axis=-1))
 
 
 def _hash_chunks(*chunks: bytes) -> bytes:
@@ -134,7 +148,7 @@ class KnnScorer:
             raise ValueError(f"k={k} out of range for training set of size {self.train.shape[0]}")
         self.k = int(k)
 
-    def score(self, z: Array) -> float:
+    def score(self, z: Array) -> float | Array:
         return knn_score(self.train, z, self.k)
 
     def fingerprint(self) -> bytes:
@@ -151,7 +165,7 @@ class KdeScorer:
         if self.bandwidth <= 0.0:
             raise ValueError("bandwidth must be positive")
 
-    def score(self, z: Array) -> float:
+    def score(self, z: Array) -> float | Array:
         return kde_score(self.train, z, self.bandwidth)
 
     def fingerprint(self) -> bytes:
@@ -161,9 +175,9 @@ class KdeScorer:
 class VaeScorer:
     """Reconstruction-error scorer.
 
-    ``score`` uses the noise-free mean reconstruction (one score, used for
-    calibration); ``score_many`` draws fresh posterior samples and returns
-    one score per reconstruction (used at detection time).
+    ``score`` uses the noise-free mean reconstruction (one score per example,
+    used for calibration); ``score_many`` draws fresh posterior samples of one
+    example and returns one score per reconstruction (used at detection time).
     """
 
     kind = "vae"
@@ -171,13 +185,16 @@ class VaeScorer:
     def __init__(self, model: VaeModel):
         self.model = model
 
-    def score(self, z: Array) -> float:
-        z = _check_example(z, self.model.input_dim)
-        return vae_score(z, mean_reconstruction(self.model, z))
+    def score(self, z: Array) -> float | Array:
+        z = _check_frames(z, self.model.input_dim)
+        diff = z - mean_reconstruction(self.model, z)
+        return _per_frame(z, (diff * diff).sum(axis=-1))
 
     def score_many(self, z: Array, count: int, rng: np.random.Generator | int) -> list[float]:
         """One ``vae_score`` per sampled reconstruction, computed row-wise."""
-        z = _check_example(z, self.model.input_dim)
+        z = _check_frames(z, self.model.input_dim)
+        if z.ndim != 1:
+            raise ValueError(f"score_many takes one example, got shape {z.shape}")
         diff = z - sample_reconstructions(self.model, z, count, rng)
         return (diff * diff).sum(axis=1).tolist()
 
@@ -198,7 +215,7 @@ class SvddScorer:
             raise RuntimeError("SVDD center is not initialized")
         self.model = model
 
-    def score(self, z: Array) -> float:
+    def score(self, z: Array) -> float | Array:
         return svdd_score(self.model, z)
 
     def fingerprint(self) -> bytes:

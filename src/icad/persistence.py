@@ -40,7 +40,7 @@ import numpy as np
 
 from .conformal import CalibrationSet
 from .models import SvddModel, VaeModel
-from .neural import ACTIVATIONS, Array, DenseLayer, Mlp
+from .neural import ACTIVATIONS, BLOCK_ROWS, Array, DenseLayer, Mlp
 
 MAGIC_MODEL = b"ICADMDL1"
 MAGIC_CALIBRATION = b"ICADCAL1"
@@ -78,8 +78,6 @@ class FormatError(PersistenceError):
     code = "format"
 
 
-# Dataset rows converted from f32 to f64 at a time when reading.
-_DATASET_BLOCK_ROWS = 512
 _DATASET_HEADER_SIZE = len(MAGIC_DATASET) + struct.calcsize("<IIB")
 
 
@@ -328,7 +326,7 @@ def load_dataset(path: str | Path) -> tuple[Array, Array | None]:
         if size > expected:
             raise FormatError(f"{what}: {size - expected} bytes of trailing data")
         x = np.empty((count, dim))
-        buf = np.empty((min(count, _DATASET_BLOCK_ROWS), dim), dtype="<f4")
+        buf = np.empty((min(count, BLOCK_ROWS), dim), dtype="<f4")
         for lo in range(0, count, len(buf)):
             block = buf[: count - lo]
             _read_exact(fh, block, what)

@@ -15,7 +15,7 @@ from icad.models import (
     train_svdd,
     train_vae,
 )
-from icad.nonconformity import SvddScorer, VaeScorer
+from icad.nonconformity import KdeScorer, KnnScorer, SvddScorer, VaeScorer
 
 # Scene-scale recipe shared by the detection-suite and statistical tests.
 SCENE_SIDE = 16
@@ -26,6 +26,20 @@ VAE_TRAIN = TrainConfig(epochs=(150, 50), learning_rates=(1e-3, 1e-4), batch_siz
 # long aggressive training collapses it together with the nuisance factors.
 SVDD_CFG = dict(output_dim=64, hidden=(512,), weight_decay=1e-3, seed=21)
 SVDD_TRAIN = TrainConfig(epochs=(30, 10), learning_rates=(5e-5, 1e-5), batch_size=64, seed=22)
+
+
+def untrained_scorers(dim):
+    """One scorer of each kind on ``dim``-wide inputs, built without training."""
+    rng = np.random.default_rng(dim)
+    train = rng.normal(size=(30, dim))
+    svdd = SvddModel.build(dim, output_dim=3, hidden=(8,), seed=1)
+    svdd_init_center(svdd, train)
+    return {
+        "knn": KnnScorer(train, k=4),
+        "kde": KdeScorer(train),
+        "vae": VaeScorer(VaeModel.build(dim, latent_dim=2, hidden=(8,), seed=2)),
+        "svdd": SvddScorer(svdd),
+    }
 
 
 @pytest.fixture(scope="session")

@@ -22,9 +22,11 @@ from icad.conformal import (
     integrate_power_factor,
     mixture_martingale_log,
     p_value,
-    power_martingale_log,
 )
+from icad.neural import BLOCK_ROWS
 from icad.nonconformity import KnnScorer, SvddScorer, VaeScorer
+
+from conftest import untrained_scorers
 
 
 def _cal(scores):
@@ -86,6 +88,25 @@ def test_sampled_calibration_pools_scores(two_blob_vae, two_blobs):
         calibration_scores(KnnScorer(blob_in[:50], 3), blob_in[200:210], samples=2)
 
 
+@pytest.mark.parametrize("kind", ["knn", "kde", "vae", "svdd"])
+def test_calibration_blocks_equal_per_row_scores(kind):
+    # two full blocks and a short one, so every block edge is crossed
+    scorer = untrained_scorers(16)[kind]
+    examples = np.random.default_rng(4).normal(size=(2 * BLOCK_ROWS + 7, 16))
+    cal = calibration_scores(scorer, examples)
+    expected = np.sort([scorer.score(z) for z in examples])
+    rtol = 0.0 if kind in ("knn", "kde") else 1e-14
+    np.testing.assert_allclose(cal.scores, expected, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["vae", "svdd"])
+def test_calibration_rejects_non_finite_row_past_first_block(kind):
+    examples = np.random.default_rng(5).normal(size=(2 * BLOCK_ROWS, 16))
+    examples[BLOCK_ROWS + 3, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite values"):
+        calibration_scores(untrained_scorers(16)[kind], examples)
+
+
 # ---------------------------------------------------------------- p-values
 
 def test_p_value_direct_count():
@@ -134,29 +155,6 @@ def test_p_value_floor_monotone_and_ties(values, a, b):
 
 
 # ---------------------------------------------------------------- martingales
-
-def test_power_martingale_epsilon_one_is_unit():
-    assert power_martingale_log([0.3, 0.9, 0.01], 1.0) == 0.0
-
-
-def test_power_martingale_all_p_one():
-    n, eps = 7, 0.4
-    assert power_martingale_log([1.0] * n, eps) == pytest.approx(n * math.log(eps))
-
-
-def test_power_martingale_hand_value():
-    # 0.5 * 0.25^(-0.5) = 1.0
-    assert power_martingale_log([0.25], 0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_power_martingale_domain_errors():
-    with pytest.raises(ValueError):
-        power_martingale_log([0.0], 0.5)
-    with pytest.raises(ValueError):
-        power_martingale_log([1.5], 0.5)
-    with pytest.raises(ValueError):
-        power_martingale_log([0.5], 0.0)
-
 
 def test_mixture_all_p_one_closed_form_n3():
     assert mixture_martingale_log(0.0, 3) == pytest.approx(-math.log(4.0), abs=1e-6)

@@ -14,7 +14,6 @@ from icad.conformal import (
     calibration_scores,
 )
 from icad.episodes import (
-    DATASET_BLOCK_ROWS,
     FALSE_NEGATIVE,
     FALSE_POSITIVE,
     IN_DIST,
@@ -36,6 +35,7 @@ from icad.episodes import (
     sample_schedule_labeled,
     tune_thresholds,
 )
+from icad.neural import BLOCK_ROWS
 from icad.nonconformity import SvddScorer, VaeScorer
 
 
@@ -118,11 +118,11 @@ def test_example_renders_into_out():
 
 def test_iter_dataset_blocks_concatenate_to_generate_dataset():
     gen = SceneGenerator(side=8, seed=5)
-    count = 2 * DATASET_BLOCK_ROWS + 7
+    count = 2 * BLOCK_ROWS + 7
     x, r = generate_dataset(gen, count, (0.0, 30.0))
     r_iter, blocks = iter_dataset(gen, count, (0.0, 30.0))
     blocks = list(blocks)
-    assert [len(b) for b in blocks] == [DATASET_BLOCK_ROWS, DATASET_BLOCK_ROWS, 7]
+    assert [len(b) for b in blocks] == [BLOCK_ROWS, BLOCK_ROWS, 7]
     assert np.array_equal(np.concatenate(blocks), x)
     assert np.array_equal(r_iter, r)
 
@@ -185,9 +185,11 @@ def _gen():
 def test_episode_stops_at_first_alarm():
     pipe = _StubPipeline(alarm_at=12)
     sched = DriftSchedule(r0=1.0, t0=10, t1=60, beta=0.1)
-    result, records = run_episode(_gen(), sched, pipe, max_steps=100, seed=0)
+    result, steps = run_episode(_gen(), sched, pipe, max_steps=100, seed=0)
     assert pipe.calls == 13
-    assert len(records) == 13
+    assert [t for t, _, _ in steps] == list(range(13))
+    assert [res.alarm for _, _, res in steps] == [False] * 12 + [True]
+    assert [r for _, r, _ in steps] == [sched.value(t) for t in range(13)]
     assert result.alarm_step == 12
 
 
@@ -203,11 +205,11 @@ def test_episode_delay_arithmetic():
 
 def test_episode_true_negative_without_alarm():
     sched = DriftSchedule(r0=1.0, t0=10, t1=60, beta=0.1)
-    result, records = run_episode(_gen(), sched, _StubPipeline(), max_steps=50, seed=0)
+    result, steps = run_episode(_gen(), sched, _StubPipeline(), max_steps=50, seed=0)
     assert result.label == IN_DIST
     assert result.verdict == TRUE_NEGATIVE
     assert result.alarm_step is None and result.delay_frames is None
-    assert len(records) == 50
+    assert len(steps) == 50
 
 
 def test_episode_false_positive_before_onset():
@@ -238,8 +240,8 @@ def test_episode_determinism_with_real_pipeline(scene_gen, scene_svdd, scene_svd
     outs = []
     for _ in range(2):
         pipe = SvddPipeline(scene_svdd, scene_svdd_cal, window=10, tau=10.0, seed=2)
-        result, records = run_episode(scene_gen, sched, pipe, max_steps=120, seed=3)
-        outs.append((result, tuple((rec.m_log, rec.alarm) for rec in records)))
+        result, steps = run_episode(scene_gen, sched, pipe, max_steps=120, seed=3)
+        outs.append((result, tuple((res.m_log, res.alarm) for _, _, res in steps)))
     assert outs[0] == outs[1]
 
 
@@ -312,11 +314,11 @@ def toy_pipelines(two_blob_vae, toy_svdd, two_blobs):
 def test_replay_equals_live_run(toy_pipelines, method, tau, delta, seed, schedule_seed):
     make = toy_pipelines[method]
     sched = sample_schedule(np.random.default_rng(schedule_seed))
-    result, records = run_episode(_BlobGen(), sched, make(tau, delta, seed), 60, seed=seed)
+    result, steps = run_episode(_BlobGen(), sched, make(tau, delta, seed), 60, seed=seed)
     (trace,) = collect_traces(_BlobGen(), [sched], lambda: make(tau, delta, seed), 60, seed=seed)
     detector = CusumDetector(tau, delta) if method == "vae" else ThresholdDetector(tau)
     assert alarm_step_from_trace(trace.m_logs, detector) == result.alarm_step
-    assert trace.m_logs[: len(records)] == tuple(rec.m_log for rec in records)
+    assert trace.m_logs[: len(steps)] == tuple(res.m_log for _, _, res in steps)
     assert (trace.onset_step, trace.label) == (result.onset_step, result.label)
 
 

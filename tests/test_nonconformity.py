@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from icad.models import SvddModel, VaeModel, sample_reconstructions
-from icad.neural import DenseLayer, Mlp
+from icad.neural import DenseLayer, Mlp, forward
 from icad.nonconformity import (
     KdeScorer,
     KnnScorer,
@@ -17,6 +17,8 @@ from icad.nonconformity import (
     svdd_score,
     vae_score,
 )
+
+from conftest import untrained_scorers
 
 # ---------------------------------------------------------------- knn
 
@@ -244,6 +246,51 @@ def test_vae_score_many_equals_vae_score_per_reconstruction(dim):
     z = np.random.default_rng(dim).random(dim)
     expected = [vae_score(z, r) for r in sample_reconstructions(model, z, 20, 9)]
     assert VaeScorer(model).score_many(z, 20, 9) == expected
+
+
+@pytest.mark.parametrize("kind", ["knn", "kde", "vae", "svdd"])
+def test_block_score_equals_per_row_scores(kind):
+    # a block runs through gemm where a row ran through gemv, so the learned
+    # scorers may move in the last bits; the distance scorers may not
+    scorer = untrained_scorers(16)[kind]
+    block = np.random.default_rng(8).normal(scale=2.0, size=(37, 16))
+    got = scorer.score(block)
+    rows = [scorer.score(z) for z in block]
+    assert isinstance(got, np.ndarray) and got.shape == (37,)
+    assert all(type(s) is float for s in rows)
+    rtol = 0.0 if kind in ("knn", "kde") else 1e-14
+    np.testing.assert_allclose(got, rows, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["knn", "kde", "vae", "svdd"])
+def test_scorers_reject_malformed_blocks(kind):
+    scorer = untrained_scorers(4)[kind]
+    for bad in (np.zeros((2, 3, 4)), np.zeros((0, 4)), np.zeros((3, 5)), np.zeros(5)):
+        with pytest.raises(ValueError):
+            scorer.score(bad)
+    block = np.zeros((3, 4))
+    block[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        scorer.score(block)
+
+
+def test_vae_score_many_rejects_a_block(toy_vae):
+    with pytest.raises(ValueError, match="one example"):
+        VaeScorer(toy_vae[0]).score_many(np.zeros((3, 2)), 5, 0)
+
+
+@pytest.mark.parametrize("count", [1, 7, 20])
+def test_sample_reconstructions_draws_and_decodes_like_single_rows(count):
+    model = VaeModel.build(12, latent_dim=3, hidden=(10,), seed=count)
+    z = np.random.default_rng(count).normal(size=12)
+    rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
+    got = sample_reconstructions(model, z, count, rng)
+    mu, logvar = model.encode(z)
+    for sample in got:
+        ref, _ = forward(model.decoder, mu + np.exp(0.5 * logvar) * ref_rng.standard_normal(3))
+        assert np.max(np.abs(sample - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert got.shape == (count, 12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_separation_on_two_blob_task(two_blob_vae, toy_svdd, two_blobs):

@@ -52,8 +52,6 @@ from .nonconformity import (
     KnnScorer,
     SvddScorer,
     VaeScorer,
-    kde_score,
-    knn_score,
     svdd_score,
     vae_score,
 )

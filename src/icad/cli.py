@@ -52,13 +52,16 @@ def _positive_int(text: str) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
 
 
-def _write_run_config(target: Path, args: argparse.Namespace, command: str) -> None:
-    record = {"command": command}
+def _write_run_config(target: Path, args: argparse.Namespace) -> None:
+    record = {"command": args.command}
     for key, value in sorted(vars(args).items()):
         if key in ("func", "command"):
             continue
@@ -93,7 +96,7 @@ def _cmd_gen_data(args) -> int:
     gen = _scene(args.dim, args.seed)
     r_values, blocks = episodes.iter_dataset(gen, args.count, (args.r_min, args.r_max))
     persistence.save_dataset_blocks(out, blocks, args.count, args.dim, r_values)
-    _write_run_config(_config_sidecar(out), args, "gen-data")
+    _write_run_config(_config_sidecar(out), args)
     print(f"wrote {args.count} examples of dimension {args.dim} to {out}")
     return EXIT_OK
 
@@ -131,7 +134,7 @@ def _cmd_train_vae(args) -> int:
     curve = models.train_vae(model, data, _train_config(args))
     persistence.save_model(out, model)
     _write_loss_csv(out, curve)
-    _write_run_config(_config_sidecar(out), args, "train-vae")
+    _write_run_config(_config_sidecar(out), args)
     print(f"trained VAE for {len(curve)} epochs; final loss {curve[-1]:.6g}; saved to {out}")
     return EXIT_OK
 
@@ -160,7 +163,7 @@ def _cmd_train_svdd(args) -> int:
     losses, distances = models.train_svdd(model, data, cfg)
     persistence.save_model(out, model)
     _write_loss_csv(out, losses)
-    _write_run_config(_config_sidecar(out), args, "train-svdd")
+    _write_run_config(_config_sidecar(out), args)
     print(
         f"trained SVDD for {len(losses)} epochs; mean distance "
         f"{distances[0]:.6g} -> {distances[-1]:.6g}; saved to {out}"
@@ -214,7 +217,7 @@ def _cmd_calibrate(args) -> int:
         scorer, cal_examples, samples=args.cal_samples, seed=args.seed
     )
     persistence.save_calibration(out, cal)
-    _write_run_config(_config_sidecar(out), args, "calibrate")
+    _write_run_config(_config_sidecar(out), args)
     print(f"calibrated {len(cal)} scores with the {scorer.kind} scorer; saved to {out}")
     return EXIT_OK
 
@@ -246,7 +249,7 @@ def _cmd_detect(args) -> int:
         alarmed |= res.alarm
         rows.append([t, res.score, *res.p_values, res.m_log, res.s, res.alarm])
     _write_csv(out, ["step", "score", *p_cols, "log_m", "s", "alarm"], rows)
-    _write_run_config(_config_sidecar(out), args, "detect")
+    _write_run_config(_config_sidecar(out), args)
     print(f"processed {len(stream)} steps; {'alarm raised' if alarmed else 'no alarm'}")
     return EXIT_ALARM if alarmed else EXIT_OK
 
@@ -287,12 +290,12 @@ def _sim_setup(args):
 
 
 def _cmd_simulate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     gen, factory, schedules, (n, delta, tau), max_steps, seed = _sim_setup(args)
     metrics, diagnostics = episodes.run_suite(
         gen, schedules, factory, max_steps=max_steps, seed=seed + 10000
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "episodes.csv",
         ["episode", "label", "onset_step", "alarm_step", "verdict", "delay_frames"],
@@ -322,7 +325,7 @@ def _cmd_simulate(args) -> int:
                 for t, r, res in steps
             ],
         )
-    _write_run_config(out_dir / "config.txt", args, "simulate")
+    _write_run_config(out_dir / "config.txt", args)
     delay = "n/a" if metrics.mean_delay is None else f"{metrics.mean_delay:.2f}"
     print(
         f"{args.episodes} episodes: FP {metrics.false_positives}/{metrics.in_dist_count}, "
@@ -371,7 +374,7 @@ def _cmd_tune(args) -> int:
         [(p.delta, p.tau, p.false_positives, p.false_negatives, p.mean_delay, p.objective)
          for p in points],
     )
-    _write_run_config(_config_sidecar(out), args, "tune")
+    _write_run_config(_config_sidecar(out), args)
     if best is None:
         print("no grid point achieved zero false positives", file=sys.stderr)
         return EXIT_ERROR
@@ -400,7 +403,7 @@ def _cmd_bench(args) -> int:
         ["method", "n", "min", "q1", "q2", "q3", "max"],
         [(r.method, r.n, r.min_ms, r.q1_ms, r.q2_ms, r.q3_ms, r.max_ms) for r in rows],
     )
-    _write_run_config(_config_sidecar(out), args, "bench")
+    _write_run_config(_config_sidecar(out), args)
     for r in rows:
         print(f"{r.method} N={r.n}: median {r.q2_ms:.3f} ms/step")
     return EXIT_OK

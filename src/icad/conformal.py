@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammainc, logsumexp
@@ -44,8 +43,6 @@ _REFRESH_INTERVAL = 1024
 
 class FingerprintMismatchError(RuntimeError):
     """Calibration scores were produced by a different scorer/model."""
-
-    code = "fingerprint_mismatch"
 
 
 @dataclass(frozen=True)
@@ -136,22 +133,6 @@ def p_value(score: float, cal: CalibrationSet) -> float:
     return max(raw, 1.0 / (n + 1))
 
 
-def log_simpson_integral(log_f: Callable[[Array], Array], lo: float, hi: float, points: int) -> float:
-    """log of ``integral_lo^hi exp(log_f(x)) dx`` by composite Simpson.
-
-    ``log_f`` must be vectorized and may return ``-inf`` where the integrand
-    vanishes (e.g. at an endpoint).
-    """
-    if points < 3 or points % 2 == 0:
-        raise ValueError("need an odd number of grid points >= 3")
-    grid = np.linspace(lo, hi, points)
-    h = (hi - lo) / (points - 1)
-    weights = np.full(points, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return float(logsumexp(log_f(grid), b=weights * h / 3.0))
-
-
 def mixture_martingale_log(window_log_p_sum: float, count: int) -> float:
     """Log of the simple mixture martingale over a window of ``count`` p-values.
 
@@ -186,21 +167,28 @@ def _mixture_series(a: float, count: int) -> float:
     return total
 
 
-def integrate_power_factor(epsilon: float, points: int = 4001) -> float:
+# Simpson grid points (odd) for ``integrate_power_factor``.
+_SIMPSON_POINTS = 4001
+
+
+def integrate_power_factor(epsilon: float) -> float:
     """Quadrature check of the fair-bet identity ``integral_0^1 eps*p^(eps-1) dp``.
 
-    The integrand is singular at p=0, so we substitute s = log p (the exact
-    tail below the truncation point is added back analytically). A correct
-    implementation returns 1 for every epsilon in (0, 1].
+    The integrand is singular at p=0, so we substitute s = log p and
+    integrate ``exp(log eps + eps*s)`` over [s_lo, 0] by composite Simpson
+    in the log domain (the exact tail below the truncation point is added
+    back analytically). A correct implementation returns 1 for every
+    epsilon in (0, 1].
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be in (0, 1]")
     s_lo = -50.0 / epsilon
-
-    def integrand(s: Array) -> Array:
-        return np.log(epsilon) + epsilon * s
-
-    body = math.exp(log_simpson_integral(integrand, s_lo, 0.0, points))
+    grid = np.linspace(s_lo, 0.0, _SIMPSON_POINTS)
+    weights = np.full(_SIMPSON_POINTS, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    h = -s_lo / (_SIMPSON_POINTS - 1)
+    body = math.exp(float(logsumexp(np.log(epsilon) + epsilon * grid, b=weights * h / 3.0)))
     tail = math.exp(epsilon * s_lo)
     return body + tail
 

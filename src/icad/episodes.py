@@ -100,39 +100,45 @@ def sample_schedule_labeled(
     raise RuntimeError("could not sample a schedule with the requested label")
 
 
+# Scene rendering: grey levels in [0, 1], per-pixel sensor noise, and the
+# per-unit-``r`` rates of the two corruption effects.
+BACKGROUND = 0.1
+DISK_VALUE = 0.9
+NOISE_SIGMA = 0.02
+STREAK_RATE = 0.4
+STREAK_VALUE = 0.5
+STREAK_LENGTH = 4
+HAZE_RATE = 0.006
+HAZE_VALUE = 0.7
+
+
 @dataclass(frozen=True)
 class SceneGenerator:
     """Disk-plus-rain image generator; flattened frames are the examples.
 
-    The corruption level ``r`` drives two precipitation-like effects: an
-    additive grey veil over the whole frame (``haze_rate * r * haze_value``)
-    and rain streaks whose expected count is ``streak_rate * r``. At
-    ``r = 0`` the frame is the uncorrupted scene.
+    Only the image side and the dataset seed vary; the rendering constants
+    are the module's ``BACKGROUND`` through ``HAZE_VALUE``. A frame is a
+    disk of value ``DISK_VALUE`` and radius in [0.2, 0.3] x ``side`` on a
+    ``BACKGROUND`` field, plus Gaussian noise of scale ``NOISE_SIGMA``. The
+    corruption level ``r`` drives two precipitation-like effects: an
+    additive grey veil over the whole frame (``HAZE_RATE * r * HAZE_VALUE``,
+    at most ``HAZE_VALUE``) and rain streaks of ``STREAK_LENGTH`` pixels
+    whose expected count is ``STREAK_RATE * r``. At ``r = 0`` the frame is
+    the uncorrupted scene.
     """
 
     side: int = 16
     seed: int = 0
-    background: float = 0.1
-    disk_value: float = 0.9
-    noise_sigma: float = 0.02
-    streak_rate: float = 0.4
-    streak_value: float = 0.5
-    streak_length: int = 4
-    haze_rate: float = 0.006
-    haze_value: float = 0.7
 
     def __post_init__(self):
         if self.side < 4:
             raise ValueError("image side must be at least 4")
-        if self.streak_length > self.side:
+        if self.side < STREAK_LENGTH:
             raise ValueError("streak length exceeds the image side")
 
     @property
     def dim(self) -> int:
         return self.side * self.side
-
-    def _radius_range(self) -> tuple[float, float]:
-        return 0.2 * self.side, 0.3 * self.side
 
     def example(self, r: float, rng: np.random.Generator, out: Array | None = None) -> Array:
         """Render one frame at corruption level ``r`` and flatten it.
@@ -150,27 +156,25 @@ class SceneGenerator:
         elif out.shape != (self.dim,) or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError(f"out must be a contiguous float64 vector of length {self.dim}")
         img = out.reshape(side, side)
-        img.fill(self.background)
-        rad_lo, rad_hi = self._radius_range()
-        rad = rng.uniform(rad_lo, rad_hi)
+        img.fill(BACKGROUND)
+        rad = rng.uniform(0.2 * side, 0.3 * side)
         cy = rng.uniform(rad, side - rad)
         cx = rng.uniform(rad, side - rad)
         yy, xx = np.ogrid[:side, :side]
-        img[(yy - cy) ** 2 + (xx - cx) ** 2 <= rad * rad] = self.disk_value
-        if self.noise_sigma > 0.0:
-            img += rng.normal(0.0, self.noise_sigma, size=(side, side))
-        haze = min(1.0, self.haze_rate * r)
+        img[(yy - cy) ** 2 + (xx - cx) ** 2 <= rad * rad] = DISK_VALUE
+        img += rng.normal(0.0, NOISE_SIGMA, size=(side, side))
+        haze = min(1.0, HAZE_RATE * r)
         if haze > 0.0:
-            img += haze * self.haze_value
-        expected = self.streak_rate * r
+            img += haze * HAZE_VALUE
+        expected = STREAK_RATE * r
         n_streaks = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
         for _ in range(n_streaks):
             col = int(rng.integers(0, side))
-            row = int(rng.integers(0, side - self.streak_length + 1))
-            for i in range(self.streak_length):
+            row = int(rng.integers(0, side - STREAK_LENGTH + 1))
+            for i in range(STREAK_LENGTH):
                 rr = row + i
                 cc = min(side - 1, col + i // 2)
-                img[rr, cc] += self.streak_value
+                img[rr, cc] += STREAK_VALUE
         np.clip(img, 0.0, 1.0, out=img)
         return out
 
@@ -444,33 +448,37 @@ class TimingRow:
     max_ms: float
 
 
+# Untimed steps per configuration before ``benchmark_timing`` measures.
+BENCH_WARMUP = 50
+
+
 def benchmark_timing(
     pipeline_factory: Callable[[int], object],
     gen: SceneGenerator,
     n_values: Sequence[int],
     steps: int = 1000,
-    warmup: int = 50,
-    r_range: tuple[float, float] = (0.0, 20.0),
     seed: int = 0,
 ) -> list[TimingRow]:
     """Wall-clock per detection step, quartiles over ``steps`` measurements.
 
     One row per window/sample count, all fed the same pre-generated
-    in-distribution stream. Measurements are interleaved round-robin across
-    the configurations so process-level throughput drift (cache and
-    frequency warm-up) does not bias one configuration against another.
+    in-distribution stream (r ~ U[0, 20]), whose first ``BENCH_WARMUP``
+    frames warm each pipeline up untimed. Measurements are interleaved
+    round-robin across the configurations so process-level throughput drift
+    (cache and frequency warm-up) does not bias one configuration against
+    another.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rng = np.random.default_rng(seed)
-    r_values = rng.uniform(r_range[0], r_range[1], size=warmup + steps)
+    r_values = rng.uniform(0.0, OOD_THRESHOLD, size=BENCH_WARMUP + steps)
     stream = gen.examples(r_values, rng)
     pipelines = [pipeline_factory(n) for n in n_values]
     for pipeline in pipelines:
-        for z in stream[:warmup]:
+        for z in stream[:BENCH_WARMUP]:
             pipeline.step(z)
     times_ms = np.empty((len(pipelines), steps))
-    for i, z in enumerate(stream[warmup:]):
+    for i, z in enumerate(stream[BENCH_WARMUP:]):
         for j, pipeline in enumerate(pipelines):
             start = time.perf_counter()
             pipeline.step(z)

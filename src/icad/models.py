@@ -154,7 +154,7 @@ def mean_reconstruction(model: VaeModel, z: Array) -> Array:
 
 
 def sample_reconstructions(
-    model: VaeModel, z: Array, count: int, rng: np.random.Generator | int
+    model: VaeModel, z: Array, count: int, rng: np.random.Generator
 ) -> Array:
     """Decode ``count`` independent posterior samples of ``z``, one per row.
 
@@ -164,8 +164,6 @@ def sample_reconstructions(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     z = np.asarray(z, dtype=np.float64)
     mu, logvar = model.encode(z)
     if not np.all(np.isfinite(logvar)):
@@ -193,10 +191,6 @@ class SvddModel:
     @property
     def input_dim(self) -> int:
         return self.mapper.input_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.mapper.output_dim
 
     @classmethod
     def build(
@@ -332,27 +326,20 @@ def train_svdd(model: SvddModel, data: Array, cfg: TrainConfig) -> tuple[list[fl
     return _train_two_phase([model.mapper], batch_fn, data, cfg, "SVDD")
 
 
-def _clone_architecture(net: Mlp, rng: np.random.Generator) -> Mlp:
-    dims = [net.input_dim] + [layer.out_dim for layer in net.layers]
-    acts = [layer.activation for layer in net.layers]
-    bias = [layer.bias is not None for layer in net.layers]
-    return init_mlp(dims, acts, bias, rng)
-
-
 def pretrain_with_autoencoder(model: SvddModel, data: Array, cfg: TrainConfig) -> list[float]:
-    """Autoencoder pretraining: train, copy encoder weights into the mapper,
-    then initialize the center.
+    """Autoencoder pretraining (Ruff et al., "Deep One-Class Classification",
+    ICML 2018): train an autoencoder whose encoder has the mapper's layers
+    (same dimensions and activations, bias-free), make the trained encoder
+    the mapper, then initialize the center.
 
-    The encoder is built to mirror the mapper (same dimensions, bias-free).
-    Returns the autoencoder loss curve.
+    The mapper's own initial weights are discarded. Returns the autoencoder
+    loss curve.
     """
     rng = np.random.default_rng(cfg.seed)
-    mapper = model.mapper
-    encoder = _clone_architecture(mapper, rng)
-    hidden_rev = [l.out_dim for l in reversed(encoder.layers)][1:]
-    dec_dims = [encoder.output_dim, *hidden_rev, encoder.input_dim]
-    dec_acts = ["elu"] * (len(dec_dims) - 2) + ["identity"]
-    decoder = init_mlp(dec_dims, dec_acts, bias=True, rng=rng)
+    dims = [model.input_dim] + [layer.out_dim for layer in model.mapper.layers]
+    acts = [layer.activation for layer in model.mapper.layers]
+    encoder = init_mlp(dims, acts, False, rng)
+    decoder = init_mlp(dims[::-1], ["elu"] * (len(dims) - 2) + ["identity"], True, rng)
 
     def batch_fn(batch: Array, _rng: np.random.Generator):
         code, enc_cache = forward(encoder, batch)
@@ -365,6 +352,6 @@ def pretrain_with_autoencoder(model: SvddModel, data: Array, cfg: TrainConfig) -
         return loss, enc_grads + dec_grads, loss
 
     curve, _ = _train_two_phase([encoder, decoder], batch_fn, data, cfg, "autoencoder")
-    mapper.set_parameters(encoder.parameters())
+    model.mapper = encoder
     svdd_init_center(model, data)
     return curve

@@ -2,9 +2,10 @@
 
 Deliberately small: affine layers with a fixed set of activations, batched
 forward/backward passes, an Adam optimizer, and a finite-difference gradient
-checker. All math is float64; networks are mutated only through
-``Mlp.set_parameters`` and ``adam_step``, which both bump the network's
-version so forward caches can detect staleness.
+checker. All math is float64. Only training changes a network: ``adam_step``
+is the one function that writes a network's weights and biases, in place,
+and it bumps the network's version so ``backward`` rejects a forward cache
+taken before the step.
 """
 
 from __future__ import annotations
@@ -126,31 +127,11 @@ class Mlp:
                 names.append(f"layer{i}.bias")
         return names
 
-    def set_parameters(self, new_params: Sequence[Array]) -> None:
-        """Replace all parameters (same shapes, same bias structure)."""
-        current = self.parameters()
-        if len(new_params) != len(current):
-            raise ValueError(
-                f"expected {len(current)} parameter arrays, got {len(new_params)}"
-            )
-        it = iter(new_params)
-        for layer in self.layers:
-            w = np.asarray(next(it), dtype=np.float64)
-            if w.shape != layer.weights.shape:
-                raise ValueError(f"weight shape mismatch: {w.shape} vs {layer.weights.shape}")
-            layer.weights = w
-            if layer.bias is not None:
-                b = np.asarray(next(it), dtype=np.float64)
-                if b.shape != layer.bias.shape:
-                    raise ValueError(f"bias shape mismatch: {b.shape} vs {layer.bias.shape}")
-                layer.bias = b
-        self._version += 1
-
 
 def init_mlp(
     dims: Sequence[int],
     activations: Sequence[str],
-    bias: bool | Sequence[bool],
+    bias: bool,
     rng: np.random.Generator,
 ) -> Mlp:
     """Build an Mlp with uniform(-a, a) weights, a = sqrt(6/(fan_in+fan_out))."""
@@ -159,18 +140,12 @@ def init_mlp(
     n_layers = len(dims) - 1
     if len(activations) != n_layers:
         raise ValueError(f"expected {n_layers} activations, got {len(activations)}")
-    if isinstance(bias, bool):
-        bias_flags = [bias] * n_layers
-    else:
-        bias_flags = list(bias)
-        if len(bias_flags) != n_layers:
-            raise ValueError(f"expected {n_layers} bias flags, got {len(bias_flags)}")
     layers = []
     for i in range(n_layers):
         fan_in, fan_out = dims[i], dims[i + 1]
         a = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-a, a, size=(fan_out, fan_in))
-        b = np.zeros(fan_out) if bias_flags[i] else None
+        b = np.zeros(fan_out) if bias else None
         layers.append(DenseLayer(w, b, activations[i]))
     return Mlp(layers)
 

@@ -17,6 +17,7 @@ import hashlib
 import struct
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .models import SvddModel, VaeModel, mean_reconstruction, sample_reconstructions
 from .neural import ACTIVATIONS, Array, Mlp
@@ -57,16 +58,6 @@ def _sq_dists(train: Array, z: Array) -> Array:
     return rows[0] if z.ndim == 1 else np.stack(rows)
 
 
-def knn_score(train: Array, z: Array, k: int) -> float | Array:
-    """Mean Euclidean distance from ``z`` to its ``k`` nearest training points."""
-    train = _check_examples(train, "training set")
-    z = _check_frames(z, train.shape[1])
-    if not 1 <= k <= train.shape[0]:
-        raise ValueError(f"k={k} out of range for training set of size {train.shape[0]}")
-    d = np.sqrt(_sq_dists(train, z))
-    return _per_frame(z, np.sort(d, axis=-1)[..., :k].mean(axis=-1))
-
-
 def silverman_bandwidth(train: Array) -> float:
     """Silverman's rule-of-thumb bandwidth, averaged over dimensions."""
     train = _check_examples(train, "training set")
@@ -75,25 +66,6 @@ def silverman_bandwidth(train: Array) -> float:
     if spread <= 0.0:
         return 1.0
     return spread * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
-
-
-def kde_score(train: Array, z: Array, bandwidth: float) -> float | Array:
-    """Negative log Gaussian-kernel density, shifted so the minimum is zero.
-
-    The shift puts the score at 0 when ``z`` coincides with every training
-    point (the maximum achievable density), which makes all scores >= 0.
-    With the normalization constants cancelled this reduces to
-    ``log n - logsumexp(-||z - z_i||^2 / (2 h^2))``.
-    """
-    from scipy.special import logsumexp
-
-    train = _check_examples(train, "training set")
-    z = _check_frames(z, train.shape[1])
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    sq = _sq_dists(train, z)
-    log_density = logsumexp(-sq / (2.0 * bandwidth * bandwidth), axis=-1)
-    return _per_frame(z, np.log(train.shape[0]) - log_density)
 
 
 def vae_score(z: Array, reconstruction: Array) -> float | Array:
@@ -149,7 +121,10 @@ class KnnScorer:
         self.k = int(k)
 
     def score(self, z: Array) -> float | Array:
-        return knn_score(self.train, z, self.k)
+        """Mean Euclidean distance from ``z`` to its ``k`` nearest training points."""
+        z = _check_frames(z, self.train.shape[1])
+        d = np.sqrt(_sq_dists(self.train, z))
+        return _per_frame(z, np.sort(d, axis=-1)[..., : self.k].mean(axis=-1))
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(b"knn", struct.pack("<I", self.k), self.train.astype("<f4").tobytes())
@@ -166,7 +141,17 @@ class KdeScorer:
             raise ValueError("bandwidth must be positive")
 
     def score(self, z: Array) -> float | Array:
-        return kde_score(self.train, z, self.bandwidth)
+        """Negative log Gaussian-kernel density, shifted so the minimum is zero.
+
+        The shift puts the score at 0 when ``z`` coincides with every training
+        point (the maximum achievable density), which makes all scores >= 0.
+        With the normalization constants cancelled this reduces to
+        ``log n - logsumexp(-||z - z_i||^2 / (2 h^2))``.
+        """
+        z = _check_frames(z, self.train.shape[1])
+        sq = _sq_dists(self.train, z)
+        log_density = logsumexp(-sq / (2.0 * self.bandwidth * self.bandwidth), axis=-1)
+        return _per_frame(z, np.log(self.train.shape[0]) - log_density)
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(b"kde", struct.pack("<d", self.bandwidth), self.train.astype("<f4").tobytes())
@@ -190,7 +175,7 @@ class VaeScorer:
         diff = z - mean_reconstruction(self.model, z)
         return _per_frame(z, (diff * diff).sum(axis=-1))
 
-    def score_many(self, z: Array, count: int, rng: np.random.Generator | int) -> list[float]:
+    def score_many(self, z: Array, count: int, rng: np.random.Generator) -> list[float]:
         """One ``vae_score`` per sampled reconstruction, computed row-wise."""
         z = _check_frames(z, self.model.input_dim)
         if z.ndim != 1:

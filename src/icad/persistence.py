@@ -55,27 +55,27 @@ SCORER_NAMES = {v: k for k, v in SCORER_CODES.items()}
 
 
 class PersistenceError(Exception):
-    code = "persistence"
+    """A file could not be read or written in its binary format."""
 
 
 class BadMagicError(PersistenceError):
-    code = "bad_magic"
+    """The file does not open with the expected magic string."""
 
 
 class VersionMismatchError(PersistenceError):
-    code = "version_mismatch"
+    """The file was written in another format version."""
 
 
 class TruncatedPayloadError(PersistenceError):
-    code = "truncated_payload"
+    """The file ends before its header says it should."""
 
 
 class UnsortedScoresError(PersistenceError):
-    code = "unsorted_scores"
+    """A calibration file's scores are not sorted ascending."""
 
 
 class FormatError(PersistenceError):
-    code = "format"
+    """A header field, the file's length or the data to write breaks the format."""
 
 
 _DATASET_HEADER_SIZE = len(MAGIC_DATASET) + struct.calcsize("<IIB")

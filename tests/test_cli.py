@@ -364,3 +364,77 @@ def test_missing_file_is_reported_as_error(tmp_path, capsys):
                  "--out", str(tmp_path / "d.csv")])
     assert code == EXIT_ERROR
     assert "error" in capsys.readouterr().err
+
+
+# Every case exits 1 with a single "icad: error:" line naming the problem and
+# leaves the output directory empty: no output file, no sidecar, no directory.
+_ERROR_CASES = {
+    "r-min-above-r-max": (["gen-data", "--out", "{out}/d.icad", "--count", "5", "--dim", "64",
+                           "--r-min", "5", "--r-max", "1"], "r-min <= r-max"),
+    "empty-hidden": (["train-vae", "--data", "{train}", "--out", "{out}/m.icad",
+                      "--hidden", ""], "bad hidden layer spec"),
+    "vae-model-as-svdd": (["calibrate", "--scorer", "svdd", "--model", "{vae}",
+                           "--cal-data", "{cal_data}", "--out", "{out}/c.icad"],
+                          "holds a vae model, expected svdd"),
+    "split-m-too-large": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
+                           "--split-m", "150", "--out", "{out}/c.icad"], "--split-m must be in"),
+    "split-m-zero": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
+                      "--split-m", "0", "--out", "{out}/c.icad"], "--split-m must be in"),
+    "vae-without-model": (["calibrate", "--scorer", "vae", "--cal-data", "{cal_data}",
+                           "--out", "{out}/c.icad"], "needs --model"),
+    "knn-without-cal-data": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
+                              "--out", "{out}/c.icad"], "need --cal-data"),
+    "k-above-training-size": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
+                               "--cal-data", "{cal_data}", "--k", "151",
+                               "--out", "{out}/c.icad"], "k=151 out of range"),
+    "negative-bandwidth": (["calibrate", "--scorer", "kde", "--train-data", "{train}",
+                            "--cal-data", "{cal_data}", "--bandwidth", "-1",
+                            "--out", "{out}/c.icad"], "bandwidth must be positive"),
+    "negative-cal-samples": (["calibrate", "--scorer", "vae", "--model", "{vae}",
+                              "--cal-data", "{cal_data}", "--cal-samples", "-1",
+                              "--out", "{out}/c.icad"], "samples must be >= 0"),
+    "sim-config-without-cal": (["simulate", "--episodes", "2", "--method", "svdd",
+                                "--config", "{cfg_no_cal}", "--out", "{out}/sim"],
+                               "missing 'cal'"),
+    "sim-max-steps-zero": (["simulate", "--episodes", "2", "--method", "svdd",
+                            "--config", "{cfg_zero_steps}", "--out", "{out}/sim"],
+                           "max_steps must be >= 1"),
+    "grid-without-tau": (["tune", "--method", "vae", "--config", "{cfg_vae}",
+                          "--grid", "delta=6", "--episodes", "2", "--out", "{out}/g.csv"],
+                         "grid must include tau"),
+    "grid-unknown-dimension": (["tune", "--method", "svdd", "--config", "{cfg_svdd}",
+                                "--grid", "tau=1;foo=2", "--episodes", "2",
+                                "--out", "{out}/g.csv"], "unknown grid dimension 'foo'"),
+    "grid-empty-values": (["tune", "--method", "svdd", "--config", "{cfg_svdd}",
+                           "--grid", "tau=", "--episodes", "2", "--out", "{out}/g.csv"],
+                          "empty grid for 'tau'"),
+    "grid-without-equals": (["tune", "--method", "svdd", "--config", "{cfg_svdd}",
+                             "--grid", "tau", "--episodes", "2", "--out", "{out}/g.csv"],
+                            "bad grid component 'tau'"),
+    "bench-empty-n-list": (["bench", "--method", "svdd", "--model", "{svdd}",
+                            "--cal", "{svdd_cal}", "--N-list", "", "--steps", "5",
+                            "--out", "{out}/b.csv"], "expected at least one integer"),
+}
+
+
+@pytest.mark.parametrize("argv,message", _ERROR_CASES.values(), ids=list(_ERROR_CASES))
+def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, message):
+    cfg_dir, out_dir = tmp_path / "cfg", tmp_path / "out"
+    cfg_dir.mkdir()
+    out_dir.mkdir()
+    _sim_config(work, cfg_dir / "svdd.txt", "svdd", tau=10.0)
+    _sim_config(work, cfg_dir / "vae.txt", "vae", tau=156.0)
+    save_config(cfg_dir / "no_cal.txt", {"model": work["svdd"]})
+    save_config(cfg_dir / "zero_steps.txt",
+                {"model": work["svdd"], "cal": work["svdd_cal"], "max_steps": 0})
+    paths = {name: str(path) for name, path in work.items()}
+    paths.update(out=str(out_dir), cfg_svdd=str(cfg_dir / "svdd.txt"),
+                 cfg_vae=str(cfg_dir / "vae.txt"), cfg_no_cal=str(cfg_dir / "no_cal.txt"),
+                 cfg_zero_steps=str(cfg_dir / "zero_steps.txt"))
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    errors = [line for line in captured.err.splitlines() if line.startswith("icad: error:")]
+    assert len(errors) == 1 and message in errors[0], captured.err
+    assert captured.out == ""
+    assert not list(out_dir.iterdir())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icad import episodes
 from icad.conformal import (
     CusumDetector,
     StepResult,
@@ -137,12 +138,13 @@ def test_generate_dataset_validates_args():
         iter_dataset(gen, 0, (0.0, 20.0))
 
 
-def test_zero_corruption_adds_no_streak_pixels():
-    gen = SceneGenerator(side=16, seed=4, noise_sigma=0.0)
+def test_zero_corruption_adds_no_streak_pixels(monkeypatch):
+    monkeypatch.setattr(episodes, "NOISE_SIGMA", 0.0)
+    gen = SceneGenerator(side=16, seed=4)
     rng = np.random.default_rng(5)
     for _ in range(10):
         img = gen.example(0.0, rng)
-        assert set(np.unique(img)) <= {gen.background, gen.disk_value}
+        assert set(np.unique(img)) <= {episodes.BACKGROUND, episodes.DISK_VALUE}
 
 
 def test_mean_pixel_energy_increases_with_corruption():
@@ -366,7 +368,7 @@ def test_benchmark_timing_smoke(scene_gen, scene_svdd, scene_svdd_cal):
 
     rows = benchmark_timing(
         lambda n: SvddPipeline(scene_svdd, scene_svdd_cal, window=n, tau=np.inf, seed=0),
-        scene_gen, [5, 10], steps=50, warmup=10, seed=1,
+        scene_gen, [5, 10], steps=50, seed=1,
     )
     assert [r.n for r in rows] == [5, 10]
     for row in rows:

@@ -114,8 +114,8 @@ def test_sample_reconstructions_zero_noise_equals_mean():
 def test_sample_reconstructions_deterministic_per_seed():
     model = VaeModel.build(4, latent_dim=2, hidden=(6,), seed=1)
     z = np.array([0.3, 0.1, -0.4, 0.2])
-    a = sample_reconstructions(model, z, 10, 99)
-    b = sample_reconstructions(model, z, 10, 99)
+    a = sample_reconstructions(model, z, 10, np.random.default_rng(99))
+    b = sample_reconstructions(model, z, 10, np.random.default_rng(99))
     assert np.array_equal(a, b)
 
 

@@ -97,15 +97,6 @@ def test_backward_matches_finite_differences(seed):
     assert report.passed, report
 
 
-def test_backward_rejects_stale_cache():
-    net = _random_net(2)
-    x = np.zeros(4)
-    _, cache = forward(net, x)
-    net.set_parameters([p + 0.1 for p in net.parameters()])
-    with pytest.raises(ValueError, match="stale"):
-        backward(net, cache, np.zeros(3))
-
-
 def test_backward_rejects_mismatched_network():
     net_a, net_b = _random_net(2), _random_net(2)
     _, cache = forward(net_a, np.zeros(4))

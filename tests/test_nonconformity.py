@@ -11,8 +11,6 @@ from icad.nonconformity import (
     KnnScorer,
     SvddScorer,
     VaeScorer,
-    kde_score,
-    knn_score,
     silverman_bandwidth,
     svdd_score,
     vae_score,
@@ -24,19 +22,19 @@ from conftest import untrained_scorers
 
 def test_knn_equidistant_pair():
     train = np.array([[0.0, 0.0], [0.0, 2.0]])
-    assert knn_score(train, np.array([0.0, 1.0]), k=2) == pytest.approx(1.0)
+    assert KnnScorer(train, k=2).score(np.array([0.0, 1.0])) == pytest.approx(1.0)
 
 
 def test_knn_self_distance_zero():
     train = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert knn_score(train, train[0], k=1) == 0.0
+    assert KnnScorer(train, k=1).score(train[0]) == 0.0
 
 
 def test_knn_matches_pairwise_sort_oracle():
     rng = np.random.default_rng(0)
     train = rng.normal(size=(20, 3))
     z = rng.normal(size=3)
-    got = knn_score(train, z, k=5)
+    got = KnnScorer(train, k=5).score(z)
     dists = sorted(np.sqrt(((p - z) ** 2).sum()) for p in train)
     assert abs(got - np.mean(dists[:5])) < 1e-12
 
@@ -44,32 +42,33 @@ def test_knn_matches_pairwise_sort_oracle():
 def test_knn_rejects_bad_k():
     train = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        knn_score(train, np.zeros(2), k=0)
+        KnnScorer(train, k=0)
     with pytest.raises(ValueError):
-        knn_score(train, np.zeros(2), k=4)
+        KnnScorer(train, k=4)
 
 
 def test_knn_adding_point_never_increases_score():
     rng = np.random.default_rng(4)
     train = rng.normal(size=(15, 2))
     z = rng.normal(size=2)
-    base = knn_score(train, z, k=5)
+    base = KnnScorer(train, k=5).score(z)
     for _ in range(20):
         grown = np.vstack([train, rng.normal(size=2)])
-        assert knn_score(grown, z, k=5) <= base + 1e-12
+        assert KnnScorer(grown, k=5).score(z) <= base + 1e-12
 
 
 # ---------------------------------------------------------------- kde
 
 def test_kde_coincident_point_scores_zero():
     train = np.array([[0.5, -0.5]])
-    assert kde_score(train, np.array([0.5, -0.5]), bandwidth=0.7) == pytest.approx(0.0)
+    assert KdeScorer(train, bandwidth=0.7).score(np.array([0.5, -0.5])) == pytest.approx(0.0)
 
 
 def test_kde_grows_with_distance():
     rng = np.random.default_rng(1)
     train = rng.normal(size=(10, 2))
-    scores = [kde_score(train, np.array([d, 0.0]), bandwidth=1.0) for d in (5.0, 10.0, 20.0)]
+    kde = KdeScorer(train, bandwidth=1.0)
+    scores = [kde.score(np.array([d, 0.0])) for d in (5.0, 10.0, 20.0)]
     assert scores[0] < scores[1] < scores[2]
     assert scores[2] > 100.0
 
@@ -83,12 +82,14 @@ def test_kde_matches_density_sum_oracle():
     norm = (2 * np.pi) ** (-d / 2) * h**-d
     dens = np.mean([norm * np.exp(-((p - z) ** 2).sum() / (2 * h * h)) for p in train])
     expected = -np.log(dens) + np.log(norm)
-    assert abs(kde_score(train, z, h) - expected) < 1e-10
+    assert abs(KdeScorer(train, bandwidth=h).score(z) - expected) < 1e-10
 
 
 def test_kde_rejects_nonpositive_bandwidth():
     with pytest.raises(ValueError):
-        kde_score(np.zeros((2, 2)), np.zeros(2), bandwidth=0.0)
+        KdeScorer(np.zeros((2, 2)), bandwidth=0.0)
+    with pytest.raises(ValueError):
+        KdeScorer(np.zeros((2, 2)), bandwidth=-1.0)
 
 
 def test_silverman_bandwidth_positive_and_scale_aware():
@@ -182,9 +183,9 @@ def test_scorers_reject_non_finite_examples():
     train = np.zeros((3, 2))
     bad = np.array([np.nan, 0.0])
     with pytest.raises(ValueError):
-        knn_score(train, bad, k=1)
+        KnnScorer(train, k=1).score(bad)
     with pytest.raises(ValueError):
-        kde_score(train, bad, 1.0)
+        KdeScorer(train, bandwidth=1.0).score(bad)
 
 
 def test_permutation_invariance():
@@ -192,8 +193,10 @@ def test_permutation_invariance():
     train = rng.normal(size=(25, 2))
     z = rng.normal(size=2)
     perm = rng.permutation(25)
-    assert knn_score(train, z, 7) == pytest.approx(knn_score(train[perm], z, 7), abs=1e-12)
-    assert kde_score(train, z, 0.9) == pytest.approx(kde_score(train[perm], z, 0.9), abs=1e-12)
+    knn, knn_perm = KnnScorer(train, k=7), KnnScorer(train[perm], k=7)
+    assert knn.score(z) == pytest.approx(knn_perm.score(z), abs=1e-12)
+    kde, kde_perm = KdeScorer(train, bandwidth=0.9), KdeScorer(train[perm], bandwidth=0.9)
+    assert kde.score(z) == pytest.approx(kde_perm.score(z), abs=1e-12)
 
 
 def test_knn_tie_break_is_order_stable():
@@ -201,7 +204,7 @@ def test_knn_tie_break_is_order_stable():
     train = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     z = np.zeros(2)
     for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
-        assert knn_score(train[perm], z, 2) == pytest.approx(1.0)
+        assert KnnScorer(train[perm], k=2).score(z) == pytest.approx(1.0)
 
 
 def test_fingerprints_distinguish_scorers(toy_vae, toy_svdd):
@@ -233,8 +236,8 @@ def test_model_fingerprints_are_pinned():
 def test_vae_scorer_score_many_is_seeded(toy_vae):
     model, _ = toy_vae
     z = np.array([1.0, -0.5])
-    a = VaeScorer(model).score_many(z, 5, 123)
-    b = VaeScorer(model).score_many(z, 5, 123)
+    a = VaeScorer(model).score_many(z, 5, np.random.default_rng(123))
+    b = VaeScorer(model).score_many(z, 5, np.random.default_rng(123))
     assert a == b
     assert all(np.isfinite(s) and s >= 0 for s in a)
 
@@ -244,8 +247,9 @@ def test_vae_score_many_equals_vae_score_per_reconstruction(dim):
     # row-wise scoring must give the bits of one vae_score call per sample
     model = VaeModel.build(dim, latent_dim=3, hidden=(16,), seed=dim)
     z = np.random.default_rng(dim).random(dim)
-    expected = [vae_score(z, r) for r in sample_reconstructions(model, z, 20, 9)]
-    assert VaeScorer(model).score_many(z, 20, 9) == expected
+    samples = sample_reconstructions(model, z, 20, np.random.default_rng(9))
+    expected = [vae_score(z, r) for r in samples]
+    assert VaeScorer(model).score_many(z, 20, np.random.default_rng(9)) == expected
 
 
 @pytest.mark.parametrize("kind", ["knn", "kde", "vae", "svdd"])
@@ -276,7 +280,7 @@ def test_scorers_reject_malformed_blocks(kind):
 
 def test_vae_score_many_rejects_a_block(toy_vae):
     with pytest.raises(ValueError, match="one example"):
-        VaeScorer(toy_vae[0]).score_many(np.zeros((3, 2)), 5, 0)
+        VaeScorer(toy_vae[0]).score_many(np.zeros((3, 2)), 5, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("count", [1, 7, 20])

@@ -1,5 +1,7 @@
 """Round-trip exactness and structured failure modes of the binary formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,51 @@ def test_dataset_blocks_must_match_declared_shape(tmp_path, blocks):
     with pytest.raises(FormatError):
         save_dataset_blocks(path, iter(blocks), 4, 3)
     assert not list(tmp_path.iterdir())  # neither the file nor a temp file
+
+
+_LAYERS_AT = 16  # model file: magic, format version, layer count, then layer descriptors
+
+
+def _set(raw, offset, fmt, value):
+    raw = bytearray(raw)
+    struct.pack_into(fmt, raw, offset, value)
+    return bytes(raw)
+
+
+def _layer_count(raw):
+    return struct.unpack_from("<I", raw, 12)[0]
+
+
+def _model_kind_at(raw):
+    return _LAYERS_AT + struct.calcsize("<IIBB") * _layer_count(raw)
+
+
+_MALFORMED = {
+    "model-without-layers": ("vae_model", lambda raw: _set(raw, 12, "<I", 0), "no layers"),
+    "unknown-activation": ("vae_model", lambda raw: _set(raw, _LAYERS_AT + 8, "<B", 200),
+                           "unknown activation code 200"),
+    "vae-encoder-without-layers": ("vae_model",
+                                   lambda raw: _set(raw, _model_kind_at(raw) + 1, "<I", 0),
+                                   "bad encoder layer count 0"),
+    "vae-encoder-with-every-layer": ("vae_model",
+                                     lambda raw: _set(raw, _model_kind_at(raw) + 1, "<I",
+                                                      _layer_count(raw)),
+                                     "bad encoder layer count 6"),
+    "unknown-model-kind": ("svdd_model", lambda raw: _set(raw, _model_kind_at(raw), "<B", 3),
+                           "unknown model kind 3"),
+    "unknown-scorer-code": ("calibration", lambda raw: _set(raw, 8, "<B", 9),
+                            "unknown scorer code 9"),
+    "empty-calibration": ("calibration", lambda raw: _set(raw, 17, "<I", 0),
+                          "empty calibration set"),
+    "empty-dataset": ("dataset", lambda raw: _set(raw, 8, "<I", 0), "empty dataset"),
+    "dataset-trailing-bytes": ("dataset", lambda raw: raw + b"\0", "1 bytes of trailing data"),
+}
+
+
+@pytest.mark.parametrize("kind,edit,message", _MALFORMED.values(), ids=list(_MALFORMED))
+def test_malformed_header_raises_format_error(tmp_path, kind, edit, message):
+    path = tmp_path / "f.icad"
+    loader = _write_small_file(kind, path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FormatError, match=message):
+        loader(path)

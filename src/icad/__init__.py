@@ -16,6 +16,7 @@ from .conformal import (
     integrate_power_factor,
     mixture_martingale_log,
     p_value,
+    p_values,
     svdd_detect_step,
     vae_detect_step,
 )
@@ -46,7 +47,7 @@ from .models import (
     train_vae,
     vae_loss,
 )
-from .neural import AdamState, DenseLayer, Mlp, adam_step, backward, forward, grad_check
+from .neural import AdamState, DenseLayer, Mlp, adam_step, backward, forward, grad_check, infer
 from .nonconformity import (
     KdeScorer,
     KnnScorer,

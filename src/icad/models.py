@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .neural import AdamState, Array, Mlp, adam_step, backward, forward, init_mlp
+from .neural import AdamState, Array, Mlp, adam_step, backward, forward, infer, init_mlp
 
 
 class TrainingDivergedError(RuntimeError):
@@ -83,7 +83,7 @@ class VaeModel:
         return cls(encoder, decoder, latent_dim)
 
     def encode(self, z: Array) -> tuple[Array, Array]:
-        out, _ = forward(self.encoder, z)
+        out = infer(self.encoder, z)
         d = self.latent_dim
         return out[..., :d], out[..., d:]
 
@@ -149,8 +149,7 @@ def kl_standard_normal(mu: Array, logvar: Array) -> float:
 def mean_reconstruction(model: VaeModel, z: Array) -> Array:
     """Noise-free reconstruction: decode the posterior mean."""
     mu, _ = model.encode(np.asarray(z, dtype=np.float64))
-    out, _ = forward(model.decoder, mu)
-    return out
+    return infer(model.decoder, mu)
 
 
 def sample_reconstructions(
@@ -169,8 +168,7 @@ def sample_reconstructions(
     if not np.all(np.isfinite(logvar)):
         raise ValueError("encoder produced non-finite log-variance")
     noise = rng.standard_normal((count, model.latent_dim))
-    out, _ = forward(model.decoder, mu + np.exp(0.5 * logvar) * noise)
-    return out
+    return infer(model.decoder, mu + np.exp(0.5 * logvar) * noise)
 
 
 class SvddModel:
@@ -208,8 +206,7 @@ class SvddModel:
         return cls(mapper, weight_decay)
 
     def represent(self, z: Array) -> Array:
-        out, _ = forward(self.mapper, z)
-        return out
+        return infer(self.mapper, z)
 
 
 def svdd_init_center(model: SvddModel, data: Array) -> Array:
@@ -223,8 +220,7 @@ def svdd_init_center(model: SvddModel, data: Array) -> Array:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("need a nonempty 2-D data array")
-    reps, _ = forward(model.mapper, data)
-    c = reps.mean(axis=0)
+    c = infer(model.mapper, data).mean(axis=0)
     if np.linalg.norm(c) < 1e-6:
         offset = np.zeros_like(c)
         offset[0] = 0.1

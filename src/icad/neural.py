@@ -2,7 +2,9 @@
 
 Deliberately small: affine layers with a fixed set of activations, batched
 forward/backward passes, an Adam optimizer, and a finite-difference gradient
-checker. All math is float64. Only training changes a network: ``adam_step``
+checker. All math is float64. ``forward`` keeps each layer's arrays for
+``backward`` and serves training only; scoring runs ``infer``, the same
+arithmetic without the cache. Only training changes a network: ``adam_step``
 is the one function that writes a network's weights and biases, in place,
 and it bumps the network's version so ``backward`` rejects a forward cache
 taken before the step.
@@ -185,6 +187,18 @@ def forward(net: Mlp, x: Array) -> tuple[Array, ForwardCache]:
         post.append(a)
     y = post[-1][0] if squeeze else post[-1]
     return y, ForwardCache(net, net.version, x2, pre, post, squeeze)
+
+
+def infer(net: Mlp, x: Array) -> Array:
+    """``forward``'s output without its cache, for scoring. ``x`` is a float64
+    ``(D,)`` or ``(B, D)`` array that the caller has checked."""
+    a = np.atleast_2d(x)
+    for layer in net.layers:
+        z = a @ layer.weights.T
+        if layer.bias is not None:
+            z += layer.bias
+        a = _activate(layer.activation, z)
+    return a[0] if x.ndim == 1 else a
 
 
 def backward(net: Mlp, cache: ForwardCache, loss_grad: Array) -> tuple[list[Array], Array]:

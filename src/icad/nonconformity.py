@@ -8,7 +8,7 @@ that binds calibration files to the exact scorer that produced them.
 
 Scoring follows ``neural.forward``'s shape convention: one example ``(D,)``
 gives a float, a block ``(B, D)`` gives ``(B,)`` scores. A block is checked
-once and goes through each network in one pass.
+once, here, and goes through each network in one ``neural.infer`` pass.
 """
 
 from __future__ import annotations
@@ -180,8 +180,10 @@ class VaeScorer:
         z = _check_frames(z, self.model.input_dim)
         if z.ndim != 1:
             raise ValueError(f"score_many takes one example, got shape {z.shape}")
-        diff = z - sample_reconstructions(self.model, z, count, rng)
-        return (diff * diff).sum(axis=1).tolist()
+        diff = sample_reconstructions(self.model, z, count, rng)
+        np.subtract(z, diff, out=diff)
+        diff *= diff
+        return diff.sum(axis=1).tolist()
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(

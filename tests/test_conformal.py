@@ -1,5 +1,6 @@
 """Calibration, p-values, martingales, detectors, and the two step pipelines."""
 
+import copy
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from icad.conformal import (
     CusumDetector,
     FingerprintMismatchError,
     MartingaleState,
+    StepResult,
     SvddPipeline,
     ThresholdDetector,
     VaePipeline,
@@ -22,6 +24,7 @@ from icad.conformal import (
     integrate_power_factor,
     mixture_martingale_log,
     p_value,
+    p_values,
 )
 from icad.neural import BLOCK_ROWS
 from icad.nonconformity import KnnScorer, SvddScorer, VaeScorer
@@ -152,6 +155,36 @@ def test_p_value_floor_monotone_and_ties(values, a, b):
     for c in cal.scores:
         # a score equal to a calibration value counts that value
         assert p_value(c, cal) == np.count_nonzero(cal.scores >= c) / n
+
+
+# calibration values on a coarse grid, so that ties and duplicates are common,
+# mixed with arbitrary finite floats
+_grid_or_any = st.one_of(st.integers(-4, 4).map(float), _finite)
+# scores also fall below the smallest and above the largest calibration value
+_score = st.one_of(_grid_or_any, st.sampled_from([-2e6, 2e6]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_grid_or_any, min_size=1, max_size=30), st.lists(_score, max_size=25))
+@example([1.0, 2.0, 2.0, 2.0, 4.0], [2.0, 0.5, 5.0, 4.0, 1.0, 2.0])
+@example([3.0], [3.0, 2.0, 4.0])
+def test_p_values_match_count_oracle_bitwise(values, scores):
+    cal = _cal(sorted(values))
+    n = len(cal)
+    got = p_values(scores, cal)
+    oracle = [max(np.count_nonzero(cal.scores >= s) / n, 1 / (n + 1)) for s in scores]
+    assert [p.hex() for p in got] == [float(p).hex() for p in oracle]
+    assert [p.hex() for p in got] == [p_value(s, cal).hex() for s in scores]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_finite, max_size=10), st.data(),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_p_values_reject_non_finite_at_any_position(scores, data, bad):
+    position = data.draw(st.integers(0, len(scores)))
+    scores.insert(position, bad)
+    with pytest.raises(ValueError, match="finite"):
+        p_values(scores, _cal([0.0, 1.0, 2.0]))
 
 
 # ---------------------------------------------------------------- martingales
@@ -487,3 +520,57 @@ def test_calibration_rate_is_well_calibrated(two_blob_setup):
         rate = float(np.mean(ps < eps))
         print(f"P(p < {eps}) = {rate:.4f}")
         assert rate <= eps + 0.02
+
+
+def test_vae_step_equals_composition_of_public_pieces(two_blob_setup):
+    # pins the step's order of operations, including the order of the log-p sum
+    vae, _, vae_cal, _, blob_in, blob_out = two_blob_setup
+    pipe = VaePipeline(vae, vae_cal, n_samples=7, delta=6.0, tau=40.0, seed=11)
+    scorer = VaeScorer(vae)
+    detector = CusumDetector(40.0, 6.0)
+    for z in np.concatenate([blob_in[:15], blob_out[:15], blob_in[15:20]]):
+        scores = scorer.score_many(z, 7, copy.deepcopy(pipe._rng))
+        ps = [p_value(s, vae_cal) for s in scores]
+        m_log = mixture_martingale_log(sum(math.log(p) for p in ps), 7)
+        alarm, s = detector.update(m_log)
+        assert pipe.step(z) == StepResult(alarm, tuple(scores), tuple(ps), m_log, s)
+
+
+def test_vae_step_takes_math_log_of_each_p_value(two_blob_vae, monkeypatch):
+    # on these p-values np.log and math.log differ in the last bit, and so do
+    # the two sums of logs
+    cal = CalibrationSet(np.arange(1000.0), "vae", VaeScorer(two_blob_vae).fingerprint())
+    scores = [32.0, 83.0, 194.0, 309.0, 338.0]
+    pipe = VaePipeline(two_blob_vae, cal, n_samples=5, delta=6.0, tau=156.0, seed=0)
+    monkeypatch.setattr(pipe.scorer, "score_many", lambda z, count, rng: scores)
+    ps = [(1000.0 - s) / 1000.0 for s in scores]
+    result = pipe.step(np.zeros(2))
+    assert result.p_values == tuple(ps)
+    assert result.m_log == mixture_martingale_log(sum(math.log(p) for p in ps), 5)
+
+
+def test_svdd_step_equals_composition_of_public_pieces(two_blob_setup):
+    _, svdd, _, svdd_cal, blob_in, blob_out = two_blob_setup
+    pipe = SvddPipeline(svdd, svdd_cal, window=10, tau=14.0, seed=12)
+    scorer = SvddScorer(svdd)
+    martingale = MartingaleState.warmed_up(10, np.random.default_rng(12))
+    for z in np.concatenate([blob_in[:15], blob_out[:15], blob_in[15:20]]):
+        score = scorer.score(z)
+        p = p_value(score, svdd_cal)
+        martingale.push(math.log(p))
+        m_log = mixture_martingale_log(martingale.log_p_sum, 10)
+        expected = StepResult(m_log > 14.0, (score,), (p,), m_log, martingale.log_p_sum)
+        assert pipe.step(z) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_steps_reject_non_finite_score_from_finite_frame(two_blob_setup, monkeypatch, bad):
+    vae, svdd, vae_cal, svdd_cal, blob_in, _ = two_blob_setup
+    vae_pipe = VaePipeline(vae, vae_cal, n_samples=5, delta=6.0, tau=156.0, seed=0)
+    monkeypatch.setattr(vae_pipe.scorer, "score_many",
+                        lambda z, count, rng: [1.0] * (count - 2) + [bad, 1.0])
+    svdd_pipe = SvddPipeline(svdd, svdd_cal, window=10, tau=14.0, seed=0)
+    monkeypatch.setattr(svdd_pipe.scorer, "score", lambda z: bad)
+    for pipe in (vae_pipe, svdd_pipe):
+        with pytest.raises(ValueError, match="score must be finite"):
+            pipe.step(blob_in[0])

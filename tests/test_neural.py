@@ -12,6 +12,7 @@ from icad.neural import (
     finite_difference_grads,
     forward,
     grad_check,
+    infer,
     grad_check_params,
     init_mlp,
     max_relative_error,
@@ -259,3 +260,20 @@ def test_batched_forward_matches_per_example():
     for i, x in enumerate(batch):
         y, _ = forward(net, x)
         assert np.max(np.abs(y_batch[i] - y)) < 1e-12
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("activation", ["identity", "relu", "elu", "sigmoid"])
+def test_infer_equals_forward_bitwise(activation, bias):
+    rng = np.random.default_rng(23)
+    net = init_mlp((16, 32, 8), [activation, activation], bias, rng)
+    for layer in net.layers:
+        if bias:
+            layer.bias[:] = rng.normal(size=layer.out_dim)
+    # scale so that every activation sees both signs and its saturated ends
+    for x in (4.0 * rng.normal(size=16), 4.0 * rng.normal(size=(512, 16))):
+        y, _ = forward(net, x)
+        out = infer(net, x)
+        assert out.shape == y.shape
+        assert out.tobytes() == y.tobytes()
+

@@ -53,7 +53,6 @@ from .nonconformity import (
     KnnScorer,
     SvddScorer,
     VaeScorer,
-    svdd_score,
     vae_score,
 )
 

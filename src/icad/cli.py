@@ -171,15 +171,13 @@ def _cmd_train_svdd(args) -> int:
     return EXIT_OK
 
 
-def _load_scorer(path: str, method: str):
-    """The vae/svdd scorer of the model file at ``path``, which must hold a ``method`` model."""
+def _load_model(path: str, method: str):
+    """The model in the file at ``path``, which must hold a ``method`` model."""
     model = persistence.load_model(path)
-    scorer_cls = (
-        nonconformity.VaeScorer if isinstance(model, models.VaeModel) else nonconformity.SvddScorer
-    )
-    if scorer_cls.kind != method:
-        raise CliError(f"{path} holds a {scorer_cls.kind} model, expected {method}")
-    return scorer_cls(model)
+    kind = "vae" if isinstance(model, models.VaeModel) else "svdd"
+    if kind != method:
+        raise CliError(f"{path} holds a {kind} model, expected {method}")
+    return model
 
 
 def _build_scorer(args):
@@ -187,6 +185,8 @@ def _build_scorer(args):
     if kind in ("knn", "kde"):
         if not args.train_data:
             raise CliError(f"the {kind} scorer needs --train-data")
+        if args.split_m is not None and args.cal_data:
+            raise CliError("--split-m and --cal-data both name the calibration set; give one")
         train, _ = persistence.load_dataset(args.train_data)
         if args.split_m is not None:
             if not 0 < args.split_m < train.shape[0]:
@@ -199,9 +199,12 @@ def _build_scorer(args):
         else:
             scorer = nonconformity.KdeScorer(proper, bandwidth=args.bandwidth)
         return scorer, cal_part
+    if args.train_data or args.split_m is not None:
+        raise CliError(f"the {kind} scorer takes no --train-data or --split-m")
     if not args.model:
         raise CliError(f"the {kind} scorer needs --model")
-    return _load_scorer(args.model, kind), None
+    scorer_cls = nonconformity.VaeScorer if kind == "vae" else nonconformity.SvddScorer
+    return scorer_cls(_load_model(args.model, kind)), None
 
 
 def _cmd_calibrate(args) -> int:
@@ -236,11 +239,11 @@ def _make_pipeline(method, model, cal, n, delta, tau, seed):
 
 def _cmd_detect(args) -> int:
     out = Path(args.out)
-    scorer = _load_scorer(args.model, args.method)
-    cal = persistence.load_calibration(args.cal, scorer=scorer)
-    stream, _ = persistence.load_dataset(args.input)
+    model = _load_model(args.model, args.method)
+    cal = persistence.load_calibration(args.cal)
     tau = _default_tau(args.method, args.tau)
-    pipeline = _make_pipeline(args.method, scorer.model, cal, args.N, args.delta, tau, args.seed)
+    pipeline = _make_pipeline(args.method, model, cal, args.N, args.delta, tau, args.seed)
+    stream, _ = persistence.load_dataset(args.input)
     p_cols = [f"p_{k + 1}" for k in range(args.N)] if args.method == "vae" else ["p"]
     alarmed = False
     rows = []
@@ -275,16 +278,16 @@ def _sim_params(cfg: dict[str, str], method: str, seed_override: int | None):
 
 def _sim_setup(args):
     cfg = _read_sim_config(args.config)
-    scorer = _load_scorer(cfg["model"], args.method)
-    cal = persistence.load_calibration(cfg["cal"], scorer=scorer)
+    model = _load_model(cfg["model"], args.method)
+    cal = persistence.load_calibration(cfg["cal"])
     n, delta, tau, max_steps, ood_fraction, ood_margin, seed = _sim_params(
         cfg, args.method, args.seed
     )
-    gen = _scene(scorer.model.input_dim, seed)
+    gen = _scene(model.input_dim, seed)
     schedules = episodes.make_suite_schedules(args.episodes, ood_fraction, seed, ood_margin)
 
     def factory():
-        return _make_pipeline(args.method, scorer.model, cal, n, delta, tau, seed)
+        return _make_pipeline(args.method, model, cal, n, delta, tau, seed)
 
     return gen, factory, schedules, (n, delta, tau), max_steps, seed
 
@@ -389,13 +392,13 @@ def _cmd_tune(args) -> int:
 
 def _cmd_bench(args) -> int:
     out = Path(args.out)
-    scorer = _load_scorer(args.model, args.method)
-    cal = persistence.load_calibration(args.cal, scorer=scorer)
-    gen = _scene(scorer.model.input_dim, args.seed)
+    model = _load_model(args.model, args.method)
+    cal = persistence.load_calibration(args.cal)
+    gen = _scene(model.input_dim, args.seed)
     tau = _default_tau(args.method, args.tau)
 
     def factory(n: int):
-        return _make_pipeline(args.method, scorer.model, cal, n, args.delta, tau, args.seed)
+        return _make_pipeline(args.method, model, cal, n, args.delta, tau, args.seed)
 
     rows = episodes.benchmark_timing(factory, gen, args.N_list, steps=args.steps, seed=args.seed)
     _write_csv(

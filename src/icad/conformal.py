@@ -105,20 +105,21 @@ def calibrate(train: Array, m: int, build_scorer, samples: int = 0, seed: int = 
 
 
 def calibration_scores(scorer, cal_examples: Array, samples: int = 0, seed: int = 0) -> CalibrationSet:
-    """Score the calibration examples ``BLOCK_ROWS`` at a time (one network
-    pass per block) and return the sorted result."""
+    """Score the calibration examples in blocks, one network pass per block of
+    at most ``BLOCK_ROWS`` rows (examples times ``samples``), and return the
+    sorted result."""
     cal_examples = _check_examples(cal_examples, "calibration set")
     if samples < 0:
         raise ValueError("samples must be >= 0")
-    if samples > 0:
-        if not hasattr(scorer, "score_many"):
-            raise ValueError(f"{scorer.kind} scorer does not support sampled calibration")
-        rng = np.random.default_rng(seed)
-        scores = [s for z in cal_examples for s in scorer.score_many(z, samples, rng)]
-    else:
-        starts = range(0, len(cal_examples), BLOCK_ROWS)
-        scores = np.concatenate([scorer.score(cal_examples[i : i + BLOCK_ROWS]) for i in starts])
-    return CalibrationSet(np.sort(np.asarray(scores)), scorer.kind, scorer.fingerprint())
+    if samples > 0 and not hasattr(scorer, "score_many"):
+        raise ValueError(f"{scorer.kind} scorer does not support sampled calibration")
+    rng = np.random.default_rng(seed)
+    rows = max(1, BLOCK_ROWS // max(samples, 1))
+    blocks = (cal_examples[i : i + rows] for i in range(0, len(cal_examples), rows))
+    scores = np.concatenate(
+        [scorer.score_many(b, samples, rng).ravel() if samples else scorer.score(b) for b in blocks]
+    )
+    return CalibrationSet(np.sort(scores), scorer.kind, scorer.fingerprint())
 
 
 def p_values(scores, cal: CalibrationSet) -> list[float]:

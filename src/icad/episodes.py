@@ -233,12 +233,13 @@ class EpisodeResult:
     delay_frames: int | None
 
 
-def _classify(label: str, onset: int | None, alarm: int | None) -> tuple[str, int | None]:
+def _episode_result(label: str, onset: int | None, alarm: int | None) -> EpisodeResult:
     if alarm is None:
-        return (FALSE_NEGATIVE, None) if label == OOD else (TRUE_NEGATIVE, None)
+        verdict = FALSE_NEGATIVE if label == OOD else TRUE_NEGATIVE
+        return EpisodeResult(label, None, onset, verdict, None)
     if onset is not None and alarm >= onset:
-        return TRUE_POSITIVE, alarm - onset
-    return FALSE_POSITIVE, None
+        return EpisodeResult(label, alarm, onset, TRUE_POSITIVE, alarm - onset)
+    return EpisodeResult(label, alarm, onset, FALSE_POSITIVE, None)
 
 
 def _ground_truth(schedule: DriftSchedule, max_steps: int) -> tuple[int | None, str]:
@@ -277,8 +278,7 @@ def run_episode(
         if res.alarm:
             alarm_step = t
             break
-    verdict, delay = _classify(label, onset, alarm_step)
-    return EpisodeResult(label, alarm_step, onset, verdict, delay), steps
+    return _episode_result(label, onset, alarm_step), steps
 
 
 @dataclass(frozen=True)
@@ -408,24 +408,21 @@ def tune_thresholds(
         grid = [(d, t) for d in deltas for t in taus]
     points: list[GridPoint] = []
     for delta, tau in grid:
-        fp = fn = 0
-        tp_delays: list[float] = []
+        results = []
         padded: list[float] = []
         for trace in traces:
             detector = ThresholdDetector(tau) if delta is None else CusumDetector(tau, delta)
             alarm = alarm_step_from_trace(trace.m_logs, detector)
-            verdict, delay = _classify(trace.label, trace.onset_step, alarm)
-            if verdict == FALSE_POSITIVE:
-                fp += 1
-            elif verdict == FALSE_NEGATIVE:
-                fn += 1
+            result = _episode_result(trace.label, trace.onset_step, alarm)
+            results.append(result)
+            if result.verdict == FALSE_NEGATIVE:
                 padded.append(float(len(trace.m_logs) - trace.onset_step))
-            elif verdict == TRUE_POSITIVE:
-                tp_delays.append(float(delay))
-                padded.append(float(delay))
+            elif result.verdict == TRUE_POSITIVE:
+                padded.append(float(result.delay_frames))
+        suite = SuiteMetrics(tuple(results))
         objective = float(np.mean(padded)) if padded else 0.0
-        mean_delay = float(np.mean(tp_delays)) if tp_delays else None
-        points.append(GridPoint(delta, tau, fp, fn, mean_delay, objective))
+        points.append(GridPoint(delta, tau, suite.false_positives, suite.false_negatives,
+                                suite.mean_delay, objective))
     feasible = [p for p in points if p.false_positives == 0]
     best = min(feasible, key=lambda p: (p.false_negatives, p.objective)) if feasible else None
     return best, points

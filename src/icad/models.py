@@ -155,11 +155,11 @@ def mean_reconstruction(model: VaeModel, z: Array) -> Array:
 def sample_reconstructions(
     model: VaeModel, z: Array, count: int, rng: np.random.Generator
 ) -> Array:
-    """Decode ``count`` independent posterior samples of ``z``, one per row.
+    """Decode ``count`` independent posterior samples of each example:
+    ``(count, D)`` for one example ``(D,)``, ``(B, count, D)`` for a block.
 
-    The noise is drawn as one ``(count, latent_dim)`` block, which takes the
-    numbers of ``count`` successive ``standard_normal(latent_dim)`` draws,
-    and all samples are decoded in one decoder pass.
+    The noise is one ``(..., count, latent_dim)`` draw, which holds the numbers
+    of the per-example draws in the same order; all samples decode in one pass.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -167,8 +167,10 @@ def sample_reconstructions(
     mu, logvar = model.encode(z)
     if not np.all(np.isfinite(logvar)):
         raise ValueError("encoder produced non-finite log-variance")
-    noise = rng.standard_normal((count, model.latent_dim))
-    return infer(model.decoder, mu + np.exp(0.5 * logvar) * noise)
+    x = rng.standard_normal((*mu.shape[:-1], count, model.latent_dim))
+    x *= np.exp(0.5 * logvar)[..., None, :]
+    x += mu[..., None, :]
+    return infer(model.decoder, x.reshape(-1, model.latent_dim)).reshape(*x.shape[:-1], -1)
 
 
 class SvddModel:

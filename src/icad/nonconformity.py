@@ -7,8 +7,9 @@ finite nonnegative score for finite input, and carries an 8-byte fingerprint
 that binds calibration files to the exact scorer that produced them.
 
 Scoring follows ``neural.forward``'s shape convention: one example ``(D,)``
-gives a float, a block ``(B, D)`` gives ``(B,)`` scores. A block is checked
-once, here, and goes through each network in one ``neural.infer`` pass.
+gives a float, a block ``(B, D)`` gives ``(B,)`` scores; ``count`` sampled
+scores (``VaeScorer.score_many``) are a list or ``(B, count)``. A block is
+checked once, here, and goes through each network in one ``neural.infer`` pass.
 """
 
 from __future__ import annotations
@@ -77,15 +78,6 @@ def vae_score(z: Array, reconstruction: Array) -> float | Array:
             f"dimension mismatch: input {z.shape} vs reconstruction {reconstruction.shape}"
         )
     diff = z - reconstruction
-    return _per_frame(z, (diff * diff).sum(axis=-1))
-
-
-def svdd_score(model: SvddModel, z: Array) -> float | Array:
-    """Squared distance of each mapped example from the frozen center."""
-    if model.center is None:
-        raise RuntimeError("SVDD center is not initialized")
-    z = _check_frames(z, model.input_dim)
-    diff = model.represent(z) - model.center
     return _per_frame(z, (diff * diff).sum(axis=-1))
 
 
@@ -161,7 +153,7 @@ class VaeScorer:
     """Reconstruction-error scorer.
 
     ``score`` uses the noise-free mean reconstruction (one score per example,
-    used for calibration); ``score_many`` draws fresh posterior samples of one
+    used for calibration); ``score_many`` draws fresh posterior samples of each
     example and returns one score per reconstruction (used at detection time).
     """
 
@@ -175,15 +167,15 @@ class VaeScorer:
         diff = z - mean_reconstruction(self.model, z)
         return _per_frame(z, (diff * diff).sum(axis=-1))
 
-    def score_many(self, z: Array, count: int, rng: np.random.Generator) -> list[float]:
-        """One ``vae_score`` per sampled reconstruction, computed row-wise."""
+    def score_many(self, z: Array, count: int, rng: np.random.Generator) -> list[float] | Array:
+        """One ``vae_score`` per sampled reconstruction: a list of ``count``
+        scores for one example, ``(B, count)`` scores for a block."""
         z = _check_frames(z, self.model.input_dim)
-        if z.ndim != 1:
-            raise ValueError(f"score_many takes one example, got shape {z.shape}")
         diff = sample_reconstructions(self.model, z, count, rng)
-        np.subtract(z, diff, out=diff)
+        np.subtract(z[..., None, :], diff, out=diff)
         diff *= diff
-        return diff.sum(axis=1).tolist()
+        scores = diff.sum(axis=-1)
+        return scores.tolist() if z.ndim == 1 else scores
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(
@@ -203,7 +195,10 @@ class SvddScorer:
         self.model = model
 
     def score(self, z: Array) -> float | Array:
-        return svdd_score(self.model, z)
+        """Squared distance of each mapped example from the frozen center."""
+        z = _check_frames(z, self.model.input_dim)
+        diff = self.model.represent(z) - self.model.center
+        return _per_frame(z, (diff * diff).sum(axis=-1))
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(

@@ -225,8 +225,8 @@ def save_calibration(path: str | Path, cal: CalibrationSet) -> None:
     _atomic_write(path, parts)
 
 
-def load_calibration(path: str | Path, scorer=None) -> CalibrationSet:
-    """Read a calibration file; if a scorer is given, enforce the binding."""
+def load_calibration(path: str | Path) -> CalibrationSet:
+    """Read a calibration file; the pipeline built on it checks the binding."""
     reader = _Reader(Path(path).read_bytes(), f"calibration file {path}")
     if reader.take(8) != MAGIC_CALIBRATION:
         raise BadMagicError(f"{path} is not a calibration file")
@@ -242,10 +242,7 @@ def load_calibration(path: str | Path, scorer=None) -> CalibrationSet:
     reader.done()
     if np.any(np.diff(scores) < 0):
         raise UnsortedScoresError(f"{path}: calibration scores are not sorted")
-    cal = CalibrationSet(scores, SCORER_NAMES[code], fingerprint)
-    if scorer is not None:
-        cal.check_scorer(scorer)
-    return cal
+    return CalibrationSet(scores, SCORER_NAMES[code], fingerprint)
 
 
 def save_dataset(path: str | Path, examples: Array, r_values: Array | None = None) -> None:

@@ -3,12 +3,13 @@ reproducibility. Everything runs in-process through main(argv)."""
 
 import csv
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from icad.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, main
-from icad.persistence import load_calibration, load_dataset, save_config, save_dataset
+from icad.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, _sim_params, main
+from icad.persistence import load_calibration, load_config, load_dataset, save_config, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +266,16 @@ def _sim_config(work, path, method, tau):
     })
 
 
+def test_readme_sim_config_reads_as_printed(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("read a plain `key=value` config file:\n\n```\n", 1)[1]
+    path = tmp_path / "sim.txt"
+    path.write_text(block.split("```", 1)[0])
+    cfg = load_config(path)
+    assert (cfg["model"], cfg["cal"]) == ("svdd.icad", "svdd_cal.icad")
+    assert _sim_params(cfg, "svdd", None) == (10, 6.0, 10.0, 150, 0.5, 5.0, 500)
+
+
 def test_simulate_smoke_one_episode(work, tmp_path):
     import time
 
@@ -380,6 +391,15 @@ _ERROR_CASES = {
                            "--split-m", "150", "--out", "{out}/c.icad"], "--split-m must be in"),
     "split-m-zero": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
                       "--split-m", "0", "--out", "{out}/c.icad"], "--split-m must be in"),
+    "split-m-with-cal-data": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
+                               "--split-m", "100", "--cal-data", "{cal_data}",
+                               "--out", "{out}/c.icad"], "--split-m and --cal-data"),
+    "svdd-with-train-data": (["calibrate", "--scorer", "svdd", "--model", "{svdd}",
+                              "--train-data", "{train}", "--cal-data", "{cal_data}",
+                              "--out", "{out}/c.icad"], "takes no --train-data or --split-m"),
+    "svdd-with-split-m": (["calibrate", "--scorer", "svdd", "--model", "{svdd}",
+                           "--split-m", "100", "--cal-data", "{cal_data}",
+                           "--out", "{out}/c.icad"], "takes no --train-data or --split-m"),
     "vae-without-model": (["calibrate", "--scorer", "vae", "--cal-data", "{cal_data}",
                            "--out", "{out}/c.icad"], "needs --model"),
     "knn-without-cal-data": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
@@ -393,6 +413,10 @@ _ERROR_CASES = {
     "negative-cal-samples": (["calibrate", "--scorer", "vae", "--model", "{vae}",
                               "--cal-data", "{cal_data}", "--cal-samples", "-1",
                               "--out", "{out}/c.icad"], "samples must be >= 0"),
+    "detect-other-models-calibration": (["detect", "--method", "vae", "--model", "{vae}",
+                                         "--cal", "{svdd_cal}", "--input", "{in_stream}",
+                                         "--out", "{out}/d.csv"],
+                                        "calibration was built with the 'svdd' scorer"),
     "sim-config-without-cal": (["simulate", "--episodes", "2", "--method", "svdd",
                                 "--config", "{cfg_no_cal}", "--out", "{out}/sim"],
                                "missing 'cal'"),

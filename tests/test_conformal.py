@@ -102,6 +102,15 @@ def test_calibration_blocks_equal_per_row_scores(kind):
     np.testing.assert_allclose(cal.scores, expected, rtol=rtol, atol=0.0)
 
 
+def test_sampled_calibration_blocks_equal_per_example_scores():
+    scorer = untrained_scorers(16)["vae"]
+    examples = np.random.default_rng(6).normal(size=(2 * BLOCK_ROWS + 7, 16))
+    cal = calibration_scores(scorer, examples, samples=3, seed=2)
+    rng = np.random.default_rng(2)
+    expected = np.sort([s for z in examples for s in scorer.score_many(z, 3, rng)])
+    np.testing.assert_allclose(cal.scores, expected, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("kind", ["vae", "svdd"])
 def test_calibration_rejects_non_finite_row_past_first_block(kind):
     examples = np.random.default_rng(5).normal(size=(2 * BLOCK_ROWS, 16))

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from icad.models import SvddModel, VaeModel, sample_reconstructions
-from icad.neural import DenseLayer, Mlp, forward
+from icad.neural import DenseLayer, Mlp, forward, infer
 from icad.nonconformity import (
     KdeScorer,
     KnnScorer,
     SvddScorer,
     VaeScorer,
     silverman_bandwidth,
-    svdd_score,
     vae_score,
 )
 
@@ -126,19 +125,19 @@ def test_vae_score_dimension_mismatch():
 def test_svdd_score_identity_mapper():
     model = SvddModel(Mlp([DenseLayer(np.eye(2), None, "identity")]), weight_decay=0.0)
     model.center = np.array([0.0, 0.0])
-    assert svdd_score(model, np.array([3.0, 4.0])) == pytest.approx(25.0)
+    assert SvddScorer(model).score(np.array([3.0, 4.0])) == pytest.approx(25.0)
 
 
 def test_svdd_score_zero_at_center_preimage():
     model = SvddModel(Mlp([DenseLayer(np.eye(2), None, "identity")]), weight_decay=0.0)
     model.center = np.array([1.0, -2.0])
-    assert svdd_score(model, np.array([1.0, -2.0])) == 0.0
+    assert SvddScorer(model).score(np.array([1.0, -2.0])) == 0.0
 
 
 def test_svdd_score_requires_center():
     model = SvddModel.build(2, output_dim=2, hidden=(4,), seed=0)
-    with pytest.raises(RuntimeError):
-        svdd_score(model, np.zeros(2))
+    with pytest.raises(RuntimeError, match="center is not initialized"):
+        SvddScorer(model)
 
 
 def test_svdd_score_matches_reimplemented_forward(toy_svdd):
@@ -157,7 +156,7 @@ def test_svdd_score_matches_reimplemented_forward(toy_svdd):
         else:
             raise AssertionError(layer.activation)
     expected = float(((h - model.center) ** 2).sum())
-    assert abs(svdd_score(model, z) - expected) < 1e-9
+    assert abs(SvddScorer(model).score(z) - expected) < 1e-9
 
 
 # ---------------------------------------------------------------- shared invariants
@@ -278,9 +277,29 @@ def test_scorers_reject_malformed_blocks(kind):
         scorer.score(block)
 
 
-def test_vae_score_many_rejects_a_block(toy_vae):
-    with pytest.raises(ValueError, match="one example"):
-        VaeScorer(toy_vae[0]).score_many(np.zeros((3, 2)), 5, np.random.default_rng(0))
+@pytest.mark.parametrize("count", [1, 5, 20])
+def test_vae_score_many_block_equals_per_row_calls(count):
+    # a block draws the noise of its rows in row order and decodes it in one
+    # gemm, where a row decoded its samples alone, so scores move in the last bits
+    model = VaeModel.build(12, latent_dim=3, hidden=(10,), seed=count)
+    block = np.random.default_rng(count).normal(size=(9, 12))
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = VaeScorer(model).score_many(block, count, rng)
+    rows = [VaeScorer(model).score_many(z, count, ref_rng) for z in block]
+    assert isinstance(got, np.ndarray) and got.shape == (9, count)
+    np.testing.assert_allclose(got, rows, rtol=1e-14, atol=0.0)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_vae_score_many_frame_keeps_its_arithmetic():
+    # one example: a (count, latent) draw, mu + sigma * noise, one decode, row sums
+    model = VaeModel.build(64, latent_dim=4, hidden=(16,), seed=3)
+    scorer = VaeScorer(model)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for z in np.random.default_rng(8).random((100, 64)):
+        mu, logvar = model.encode(z)
+        diff = z - infer(model.decoder, mu + np.exp(0.5 * logvar) * ref_rng.standard_normal((10, 4)))
+        assert scorer.score_many(z, 10, rng) == (diff * diff).sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("count", [1, 7, 20])

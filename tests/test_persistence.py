@@ -167,10 +167,10 @@ def test_fingerprint_enforced_against_scorer(tmp_path):
     cal = CalibrationSet(np.array([0.5, 1.5]), "svdd", scorer.fingerprint())
     path = tmp_path / "cal.icad"
     save_calibration(path, cal)
-    assert load_calibration(path, scorer=scorer) is not None
-    other = SvddScorer(_random_svdd(8))
+    loaded = load_calibration(path)
+    loaded.check_scorer(scorer)
     with pytest.raises(FingerprintMismatchError):
-        load_calibration(path, scorer=other)
+        loaded.check_scorer(SvddScorer(_random_svdd(8)))
 
 
 def test_save_rejects_uninitialized_svdd(tmp_path):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -61,12 +63,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _write_run_config(target: Path, args: argparse.Namespace) -> None:
-    record = {"command": args.command}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "command"):
-            continue
-        record[key] = _fmt(value)
-    persistence.save_config(target, record)
+    persistence.save_config(target, {k: _fmt(v) for k, v in vars(args).items() if k != "func"})
 
 
 def _config_sidecar(out: Path) -> Path:
@@ -151,12 +148,7 @@ def _cmd_train_svdd(args) -> int:
     )
     cfg = _train_config(args)
     if args.pretrain:
-        pre_cfg = models.TrainConfig(
-            epochs=(args.pre_epochs, args.pre_epochs2),
-            learning_rates=(args.lr, args.lr2),
-            batch_size=args.batch,
-            seed=args.seed,
-        )
+        pre_cfg = dataclasses.replace(cfg, epochs=(args.pre_epochs, args.pre_epochs2))
         models.pretrain_with_autoencoder(model, data, pre_cfg)
     else:
         models.svdd_init_center(model, data)
@@ -180,48 +172,47 @@ def _load_model(path: str, method: str):
     return model
 
 
-def _build_scorer(args):
+def _calibration(args) -> conformal.CalibrationSet:
+    """The calibration set the flags describe: a model scorer, or a knn/kde
+    scorer built from --train-data, scores --cal-data; --split-m hands one
+    training file to ``conformal.calibrate`` instead."""
     kind = args.scorer
     if kind in ("knn", "kde"):
+        if args.model:
+            raise CliError(f"the {kind} scorer takes no --model")
         if not args.train_data:
             raise CliError(f"the {kind} scorer needs --train-data")
         if args.split_m is not None and args.cal_data:
             raise CliError("--split-m and --cal-data both name the calibration set; give one")
+        if kind == "knn":
+            build = functools.partial(nonconformity.KnnScorer, k=args.k)
+        else:
+            build = functools.partial(nonconformity.KdeScorer, bandwidth=args.bandwidth)
         train, _ = persistence.load_dataset(args.train_data)
         if args.split_m is not None:
             if not 0 < args.split_m < train.shape[0]:
                 raise CliError(f"--split-m must be in (0, {train.shape[0]})")
-            proper, cal_part = train[: args.split_m], train[args.split_m :]
-        else:
-            proper, cal_part = train, None
-        if kind == "knn":
-            scorer = nonconformity.KnnScorer(proper, k=args.k)
-        else:
-            scorer = nonconformity.KdeScorer(proper, bandwidth=args.bandwidth)
-        return scorer, cal_part
-    if args.train_data or args.split_m is not None:
-        raise CliError(f"the {kind} scorer takes no --train-data or --split-m")
-    if not args.model:
-        raise CliError(f"the {kind} scorer needs --model")
-    scorer_cls = nonconformity.VaeScorer if kind == "vae" else nonconformity.SvddScorer
-    return scorer_cls(_load_model(args.model, kind)), None
+            return conformal.calibrate(train, args.split_m, build, args.cal_samples, args.seed)
+        scorer = build(train)
+    else:
+        if args.train_data or args.split_m is not None:
+            raise CliError(f"the {kind} scorer takes no --train-data or --split-m")
+        if not args.model:
+            raise CliError(f"the {kind} scorer needs --model")
+        scorer_cls = nonconformity.VaeScorer if kind == "vae" else nonconformity.SvddScorer
+        scorer = scorer_cls(_load_model(args.model, kind))
+    if not args.cal_data:
+        raise CliError("need --cal-data (or --train-data with --split-m)")
+    cal_examples, _ = persistence.load_dataset(args.cal_data)
+    return conformal.calibration_scores(scorer, cal_examples, args.cal_samples, args.seed)
 
 
 def _cmd_calibrate(args) -> int:
     out = Path(args.out)
-    scorer, split_cal = _build_scorer(args)
-    if args.cal_data:
-        cal_examples, _ = persistence.load_dataset(args.cal_data)
-    elif split_cal is not None:
-        cal_examples = split_cal
-    else:
-        raise CliError("need --cal-data (or --train-data with --split-m)")
-    cal = conformal.calibration_scores(
-        scorer, cal_examples, samples=args.cal_samples, seed=args.seed
-    )
+    cal = _calibration(args)
     persistence.save_calibration(out, cal)
     _write_run_config(_config_sidecar(out), args)
-    print(f"calibrated {len(cal)} scores with the {scorer.kind} scorer; saved to {out}")
+    print(f"calibrated {len(cal)} scores with the {cal.scorer_kind} scorer; saved to {out}")
     return EXIT_OK
 
 
@@ -231,18 +222,22 @@ def _default_tau(method: str, tau: float | None) -> float:
     return 156.0 if method == "vae" else 14.0
 
 
-def _make_pipeline(method, model, cal, n, delta, tau, seed):
+def _pipelines(method, model_path, cal_path, delta, tau, seed):
+    """The ``method`` model at ``model_path``, and ``make(n)``, which builds a
+    fresh pipeline over it and the calibration at ``cal_path`` with N samples
+    (vae) or an N-frame window (svdd)."""
+    model = _load_model(model_path, method)
+    cal = persistence.load_calibration(cal_path)
+    tau = _default_tau(method, tau)
     if method == "vae":
-        return conformal.VaePipeline(model, cal, n_samples=n, delta=delta, tau=tau, seed=seed)
-    return conformal.SvddPipeline(model, cal, window=n, tau=tau, seed=seed)
+        return model, lambda n: conformal.VaePipeline(model, cal, n, delta, tau, seed)
+    return model, lambda n: conformal.SvddPipeline(model, cal, n, tau, seed)
 
 
 def _cmd_detect(args) -> int:
     out = Path(args.out)
-    model = _load_model(args.model, args.method)
-    cal = persistence.load_calibration(args.cal)
-    tau = _default_tau(args.method, args.tau)
-    pipeline = _make_pipeline(args.method, model, cal, args.N, args.delta, tau, args.seed)
+    _, make = _pipelines(args.method, args.model, args.cal, args.delta, args.tau, args.seed)
+    pipeline = make(args.N)  # before the input is read: a binding error comes first
     stream, _ = persistence.load_dataset(args.input)
     p_cols = [f"p_{k + 1}" for k in range(args.N)] if args.method == "vae" else ["p"]
     alarmed = False
@@ -257,8 +252,14 @@ def _cmd_detect(args) -> int:
     return EXIT_ALARM if alarmed else EXIT_OK
 
 
+_SIM_KEYS = ("model", "cal", "n", "delta", "tau", "max_steps", "ood_fraction", "ood_margin", "seed")
+
+
 def _read_sim_config(path: str) -> dict[str, str]:
     cfg = persistence.load_config(path)
+    unknown = [key for key in cfg if key not in _SIM_KEYS]
+    if unknown:
+        raise CliError(f"simulation config {path} has unknown keys: {', '.join(unknown)}")
     for key in ("model", "cal"):
         if key not in cfg:
             raise CliError(f"simulation config {path} is missing {key!r}")
@@ -278,18 +279,13 @@ def _sim_params(cfg: dict[str, str], method: str, seed_override: int | None):
 
 def _sim_setup(args):
     cfg = _read_sim_config(args.config)
-    model = _load_model(cfg["model"], args.method)
-    cal = persistence.load_calibration(cfg["cal"])
     n, delta, tau, max_steps, ood_fraction, ood_margin, seed = _sim_params(
         cfg, args.method, args.seed
     )
+    model, make = _pipelines(args.method, cfg["model"], cfg["cal"], delta, tau, seed)
     gen = _scene(model.input_dim, seed)
     schedules = episodes.make_suite_schedules(args.episodes, ood_fraction, seed, ood_margin)
-
-    def factory():
-        return _make_pipeline(args.method, model, cal, n, delta, tau, seed)
-
-    return gen, factory, schedules, (n, delta, tau), max_steps, seed
+    return gen, lambda: make(n), schedules, (n, delta, tau), max_steps, seed
 
 
 def _cmd_simulate(args) -> int:
@@ -392,15 +388,9 @@ def _cmd_tune(args) -> int:
 
 def _cmd_bench(args) -> int:
     out = Path(args.out)
-    model = _load_model(args.model, args.method)
-    cal = persistence.load_calibration(args.cal)
+    model, make = _pipelines(args.method, args.model, args.cal, args.delta, args.tau, args.seed)
     gen = _scene(model.input_dim, args.seed)
-    tau = _default_tau(args.method, args.tau)
-
-    def factory(n: int):
-        return _make_pipeline(args.method, model, cal, n, args.delta, tau, args.seed)
-
-    rows = episodes.benchmark_timing(factory, gen, args.N_list, steps=args.steps, seed=args.seed)
+    rows = episodes.benchmark_timing(make, gen, args.N_list, steps=args.steps, seed=args.seed)
     _write_csv(
         out,
         ["method", "n", "min", "q1", "q2", "q3", "max"],
@@ -518,11 +508,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"icad: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (persistence.PersistenceError, conformal.FingerprintMismatchError,
-            models.TrainingDivergedError, ValueError, RuntimeError, OSError) as exc:
+    except (CliError, persistence.PersistenceError, ValueError, RuntimeError, OSError) as exc:
         print(f"icad: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

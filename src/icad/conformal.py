@@ -332,15 +332,8 @@ class VaePipeline:
 
     method = "vae"
 
-    def __init__(
-        self,
-        model: VaeModel,
-        cal: CalibrationSet,
-        n_samples: int = 10,
-        delta: float = 6.0,
-        tau: float = 156.0,
-        seed: int = 0,
-    ):
+    def __init__(self, model: VaeModel, cal: CalibrationSet, n_samples: int, delta: float,
+                 tau: float, seed: int):
         if n_samples < 1:
             raise ValueError("need at least one reconstruction sample per step")
         self.scorer = VaeScorer(model)
@@ -361,14 +354,7 @@ class SvddPipeline:
 
     method = "svdd"
 
-    def __init__(
-        self,
-        model: SvddModel,
-        cal: CalibrationSet,
-        window: int = 10,
-        tau: float = 14.0,
-        seed: int = 0,
-    ):
+    def __init__(self, model: SvddModel, cal: CalibrationSet, window: int, tau: float, seed: int):
         self.scorer = SvddScorer(model)
         cal.check_scorer(self.scorer)
         self.cal = cal

@@ -329,6 +329,23 @@ def test_tune_reports_feasible_point(work, tmp_path, capsys):
     assert degenerate[2] == "0" and int(degenerate[3]) > 0
 
 
+def test_tune_without_feasible_point_exits_one_and_keeps_the_grid(work, tmp_path, capsys):
+    # a threshold far below zero alarms on the first step of every episode
+    cfg = tmp_path / "sim.txt"
+    _sim_config(work, cfg, "svdd", tau=10.0)
+    out = tmp_path / "grid.csv"
+    code = main(["tune", "--method", "svdd", "--config", str(cfg),
+                 "--grid", "tau=-1000,-999", "--episodes", "4", "--out", str(out)])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "no grid point achieved zero false positives" in captured.err
+    assert "best:" not in captured.out
+    rows = _rows(out)
+    assert [row[1] for row in rows[1:]] == ["-1000", "-999"]
+    assert all(int(row[2]) > 0 for row in rows[1:])
+    assert "command=tune" in out.with_name(out.name + ".config.txt").read_text()
+
+
 def test_tune_requires_delta_for_vae(work, tmp_path, capsys):
     cfg = tmp_path / "sim.txt"
     _sim_config(work, cfg, "vae", tau=156.0)
@@ -402,6 +419,9 @@ _ERROR_CASES = {
                            "--out", "{out}/c.icad"], "takes no --train-data or --split-m"),
     "vae-without-model": (["calibrate", "--scorer", "vae", "--cal-data", "{cal_data}",
                            "--out", "{out}/c.icad"], "needs --model"),
+    "knn-with-model": (["calibrate", "--scorer", "knn", "--model", "{root}/nonexistent.icad",
+                        "--train-data", "{train}", "--cal-data", "{cal_data}",
+                        "--out", "{out}/c.icad"], "the knn scorer takes no --model"),
     "knn-without-cal-data": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
                               "--out", "{out}/c.icad"], "need --cal-data"),
     "k-above-training-size": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
@@ -423,6 +443,9 @@ _ERROR_CASES = {
     "sim-max-steps-zero": (["simulate", "--episodes", "2", "--method", "svdd",
                             "--config", "{cfg_zero_steps}", "--out", "{out}/sim"],
                            "max_steps must be >= 1"),
+    "sim-config-unknown-keys": (["simulate", "--episodes", "2", "--method", "svdd",
+                                 "--config", "{cfg_typo}", "--out", "{out}/sim"],
+                                "has unknown keys: max_step, tua"),
     "grid-without-tau": (["tune", "--method", "vae", "--config", "{cfg_vae}",
                           "--grid", "delta=6", "--episodes", "2", "--out", "{out}/g.csv"],
                          "grid must include tau"),
@@ -438,6 +461,9 @@ _ERROR_CASES = {
     "bench-empty-n-list": (["bench", "--method", "svdd", "--model", "{svdd}",
                             "--cal", "{svdd_cal}", "--N-list", "", "--steps", "5",
                             "--out", "{out}/b.csv"], "expected at least one integer"),
+    "bench-bad-n-list": (["bench", "--method", "svdd", "--model", "{svdd}",
+                          "--cal", "{svdd_cal}", "--N-list", "5,x", "--steps", "5",
+                          "--out", "{out}/b.csv"], "expected comma-separated integers"),
 }
 
 
@@ -451,10 +477,12 @@ def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, messag
     save_config(cfg_dir / "no_cal.txt", {"model": work["svdd"]})
     save_config(cfg_dir / "zero_steps.txt",
                 {"model": work["svdd"], "cal": work["svdd_cal"], "max_steps": 0})
+    save_config(cfg_dir / "typo.txt",
+                {"model": work["svdd"], "cal": work["svdd_cal"], "tua": 3, "max_step": 20})
     paths = {name: str(path) for name, path in work.items()}
     paths.update(out=str(out_dir), cfg_svdd=str(cfg_dir / "svdd.txt"),
                  cfg_vae=str(cfg_dir / "vae.txt"), cfg_no_cal=str(cfg_dir / "no_cal.txt"),
-                 cfg_zero_steps=str(cfg_dir / "zero_steps.txt"))
+                 cfg_zero_steps=str(cfg_dir / "zero_steps.txt"), cfg_typo=str(cfg_dir / "typo.txt"))
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == EXIT_ERROR

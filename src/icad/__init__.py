@@ -42,18 +42,10 @@ from .models import (
     pretrain_with_autoencoder,
     sample_reconstructions,
     svdd_init_center,
-    svdd_loss,
     train_svdd,
     train_vae,
-    vae_loss,
 )
-from .neural import AdamState, DenseLayer, Mlp, adam_step, backward, forward, grad_check, infer
-from .nonconformity import (
-    KdeScorer,
-    KnnScorer,
-    SvddScorer,
-    VaeScorer,
-    vae_score,
-)
+from .neural import AdamState, DenseLayer, Mlp, adam_step, backward, forward, infer
+from .nonconformity import KdeScorer, KnnScorer, SvddScorer, VaeScorer
 
 __version__ = "0.1.0"

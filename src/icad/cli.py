@@ -216,10 +216,12 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _default_tau(method: str, tau: float | None) -> float:
-    if tau is not None:
-        return tau
-    return 156.0 if method == "vae" else 14.0
+def _tau(method: str, tau: float | None) -> float:
+    if tau is None:
+        return 156.0 if method == "vae" else 14.0
+    if not math.isfinite(tau):  # the detectors read inf as "never alarm"; no command asks that
+        raise CliError(f"tau must be finite, got {tau}")
+    return tau
 
 
 def _pipelines(method, model_path, cal_path, delta, tau, seed):
@@ -228,7 +230,7 @@ def _pipelines(method, model_path, cal_path, delta, tau, seed):
     (vae) or an N-frame window (svdd)."""
     model = _load_model(model_path, method)
     cal = persistence.load_calibration(cal_path)
-    tau = _default_tau(method, tau)
+    tau = _tau(method, tau)
     if method == "vae":
         return model, lambda n: conformal.VaePipeline(model, cal, n, delta, tau, seed)
     return model, lambda n: conformal.SvddPipeline(model, cal, n, tau, seed)
@@ -269,7 +271,7 @@ def _read_sim_config(path: str) -> dict[str, str]:
 def _sim_params(cfg: dict[str, str], method: str, seed_override: int | None):
     n = int(cfg.get("n", 10))
     delta = float(cfg.get("delta", 6.0))
-    tau = float(cfg["tau"]) if "tau" in cfg else _default_tau(method, None)
+    tau = float(cfg["tau"]) if "tau" in cfg else _tau(method, None)
     max_steps = int(cfg.get("max_steps", 150))
     ood_fraction = float(cfg.get("ood_fraction", 0.5))
     ood_margin = float(cfg.get("ood_margin", 5.0))
@@ -349,7 +351,7 @@ def _parse_grid(text: str, method: str) -> tuple[list[float] | None, list[float]
         if name.strip() == "delta":
             deltas = parsed
         elif name.strip() == "tau":
-            taus = parsed
+            taus = [_tau(method, tau) for tau in parsed]
         else:
             raise CliError(f"unknown grid dimension {name.strip()!r}")
     if taus is None:

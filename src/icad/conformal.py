@@ -236,6 +236,13 @@ class MartingaleState:
         return mixture_martingale_log(self.log_p_sum, len(self.window))
 
 
+def _finite(name: str, value: float, inf_ok: bool = False) -> float:
+    """``value`` unless NaN or infinite (never alarms); ``inf_ok`` admits ``tau = inf`` on purpose."""
+    if not (math.isfinite(value) or (inf_ok and value == math.inf)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 class CusumDetector:
     """CUSUM accumulator over the log-martingale, with a one-step lag.
 
@@ -245,8 +252,8 @@ class CusumDetector:
     """
 
     def __init__(self, tau: float, delta: float):
-        self.tau = tau
-        self.delta = delta
+        self.tau = _finite("tau", tau, inf_ok=True)
+        self.delta = _finite("delta", delta)
         self.s = 0.0
         self._prev_m_log: float | None = None
 
@@ -267,7 +274,7 @@ class ThresholdDetector:
     """Alarm iff the current log-martingale value exceeds ``tau``."""
 
     def __init__(self, tau: float):
-        self.tau = tau
+        self.tau = _finite("tau", tau, inf_ok=True)
 
     def update(self, m_log: float) -> tuple[bool, float]:
         """Returns ``(alarm, m_log)``; the detector keeps no state."""

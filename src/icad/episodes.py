@@ -140,21 +140,16 @@ class SceneGenerator:
     def dim(self) -> int:
         return self.side * self.side
 
-    def example(self, r: float, rng: np.random.Generator, out: Array | None = None) -> Array:
+    def example(self, r: float, rng: np.random.Generator) -> Array:
         """Render one frame at corruption level ``r`` and flatten it.
 
         Streak count is ``floor(rate*r)`` plus a Bernoulli on the fractional
         part, so the expected count is exactly ``rate*r`` (zero at r=0).
-        With ``out`` (a float64 vector of length ``dim``) the frame is
-        rendered into it and ``out`` is returned.
         """
         if r < 0.0:
             raise ValueError("corruption level must be nonnegative")
         side = self.side
-        if out is None:
-            out = np.empty(self.dim)
-        elif out.shape != (self.dim,) or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a contiguous float64 vector of length {self.dim}")
+        out = np.empty(self.dim)
         img = out.reshape(side, side)
         img.fill(BACKGROUND)
         rad = rng.uniform(0.2 * side, 0.3 * side)
@@ -182,7 +177,7 @@ class SceneGenerator:
         """One frame per level, rendered in order into one preallocated array."""
         out = np.empty((len(r_values), self.dim))
         for row, r in zip(out, r_values):
-            self.example(r, rng, out=row)
+            row[:] = self.example(r, rng)
         return out
 
 

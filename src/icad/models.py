@@ -3,8 +3,8 @@
 A variational autoencoder scores inputs by reconstruction error; a one-class
 deep SVDD scores them by squared distance of the learned representation to a
 fixed center. Both train with the same two-phase Adam schedule. The SVDD
-mapper is constrained at construction: no bias terms, no bounded (sigmoid)
-activations, and the center is frozen the moment it is initialized.
+mapper is constrained at construction: no bias terms, and the center is
+frozen the moment it is initialized.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from .neural import AdamState, Array, Mlp, adam_step, backward, forward, infer, 
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training loss becomes non-finite."""
-
-    def __init__(self, epoch: int, message: str):
-        super().__init__(f"{message} at epoch {epoch}")
-        self.epoch = epoch
 
 
 @dataclass(frozen=True)
@@ -116,34 +112,12 @@ def _vae_batch_loss_grads(model: VaeModel, batch: Array, noise: Array):
     return loss, enc_grads + dec_grads, parts
 
 
-def vae_loss(model: VaeModel, z: Array, noise: Array) -> tuple[float, float, float]:
-    """Loss for one example with an explicit latent noise draw.
-
-    Returns ``(loss, reconstruction, kl)``.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if z.shape != (model.input_dim,):
-        raise ValueError(f"example shape {z.shape} does not match input dim {model.input_dim}")
-    if noise.shape != (model.latent_dim,):
-        raise ValueError("noise must be one standard-normal draw in latent space")
-    loss, _, (recon, kl) = _vae_batch_loss_grads(model, z[None, :], noise[None, :])
-    return loss, recon, kl
-
-
 def vae_loss_grads(model: VaeModel, z: Array, noise: Array):
     """Single-example loss plus gradients aligned with encoder+decoder parameters."""
     z = np.asarray(z, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     loss, grads, _ = _vae_batch_loss_grads(model, z[None, :], noise[None, :])
     return loss, grads
-
-
-def kl_standard_normal(mu: Array, logvar: Array) -> float:
-    """Closed-form KL(N(mu, diag(exp(logvar))) || N(0, I))."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    return float(0.5 * np.sum(mu * mu + np.exp(logvar) - 1.0 - logvar))
 
 
 def mean_reconstruction(model: VaeModel, z: Array) -> Array:
@@ -180,8 +154,6 @@ class SvddModel:
         for i, layer in enumerate(mapper.layers):
             if layer.bias is not None:
                 raise ValueError(f"SVDD mapper layer {i} has a bias term")
-            if layer.activation == "sigmoid":
-                raise ValueError(f"SVDD mapper layer {i} uses a bounded activation")
         if weight_decay < 0.0:
             raise ValueError("weight decay must be nonnegative")
         self.mapper = mapper
@@ -254,12 +226,6 @@ def _svdd_batch_loss_grads(model: SvddModel, batch: Array):
     return data_term + reg, grads, data_term
 
 
-def svdd_loss(model: SvddModel, batch: Array) -> float:
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    loss, _, _ = _svdd_batch_loss_grads(model, batch)
-    return loss
-
-
 def svdd_loss_grads(model: SvddModel, batch: Array):
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     loss, grads, _ = _svdd_batch_loss_grads(model, batch)
@@ -292,7 +258,7 @@ def _train_two_phase(
                 batch = data[perm[start : start + cfg.batch_size]]
                 loss, grads, aux = batch_fn(batch, rng)
                 if not np.isfinite(loss):
-                    raise TrainingDivergedError(epoch, f"{what} training loss diverged")
+                    raise TrainingDivergedError(f"{what} training loss diverged at epoch {epoch}")
                 adam_step(state, nets, grads)
                 losses.append(loss)
                 auxes.append(aux)

@@ -12,6 +12,7 @@ taken before the step.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -19,7 +20,8 @@ import numpy as np
 
 Array = np.ndarray
 
-ACTIVATIONS = ("identity", "relu", "elu", "sigmoid")
+# A model file stores an activation as its index here: append, never reorder.
+ACTIVATIONS = ("identity", "relu", "elu")
 
 # Rows per block wherever a dataset would otherwise be held whole or fed a
 # row at a time (512 frames of 16x16 are 1 MB in float64).
@@ -33,13 +35,6 @@ def _activate(name: str, z: Array) -> Array:
         return np.maximum(z, 0.0)
     if name == "elu":
         return np.where(z >= 0.0, z, np.expm1(z))
-    if name == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0.0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -51,8 +46,6 @@ def _activate_prime(name: str, z: Array, post: Array) -> Array:
         return (z > 0.0).astype(z.dtype)
     if name == "elu":
         return np.where(z >= 0.0, 1.0, post + 1.0)
-    if name == "sigmoid":
-        return post * (1.0 - post)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -84,6 +77,18 @@ class DenseLayer:
     @property
     def out_dim(self) -> int:
         return self.weights.shape[0]
+
+
+def layer_descriptor(layer: DenseLayer) -> bytes:
+    """In-dim and out-dim (u32), activation code and bias flag (u8), little-endian."""
+    code = ACTIVATIONS.index(layer.activation)
+    return struct.pack("<IIBB", layer.in_dim, layer.out_dim, code, layer.bias is not None)
+
+
+def layer_payload(layer: DenseLayer) -> list[Array]:
+    """The weights, row-major, then the bias (if any), as little-endian f32."""
+    params = [layer.weights] if layer.bias is None else [layer.weights, layer.bias]
+    return [np.ascontiguousarray(p, dtype="<f4") for p in params]
 
 
 class Mlp:
@@ -356,24 +361,3 @@ def grad_check_params(
     numeric = finite_difference_grads(params, loss_fn, step=step)
     err, idx = max_relative_error(analytic, numeric)
     return GradCheckReport(err, tolerance, err < tolerance, names[idx])
-
-
-def grad_check(
-    net: Mlp,
-    x: Array,
-    loss: Callable[[Array], tuple[float, Array]],
-    tolerance: float = 1e-4,
-    step: float = 1e-5,
-) -> GradCheckReport:
-    """Gradient check for an Mlp under ``loss(output) -> (value, dvalue/doutput)``."""
-    y, cache = forward(net, x)
-    _, gy = loss(y)
-    analytic, _ = backward(net, cache, gy)
-
-    def loss_value() -> float:
-        out, _ = forward(net, x)
-        return loss(out)[0]
-
-    return grad_check_params(
-        net.parameters(), net.parameter_names(), loss_value, analytic, tolerance, step
-    )

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .models import SvddModel, VaeModel, mean_reconstruction, sample_reconstructions
-from .neural import ACTIVATIONS, Array, Mlp
+from .neural import Array, Mlp, layer_descriptor, layer_payload
 
 SCORER_KINDS = ("knn", "kde", "vae", "svdd")
 
@@ -69,18 +69,6 @@ def silverman_bandwidth(train: Array) -> float:
     return spread * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
 
 
-def vae_score(z: Array, reconstruction: Array) -> float | Array:
-    """Squared error between each input and its generated reconstruction."""
-    z = _check_frames(z)
-    reconstruction = np.asarray(reconstruction, dtype=np.float64)
-    if reconstruction.shape != z.shape:
-        raise ValueError(
-            f"dimension mismatch: input {z.shape} vs reconstruction {reconstruction.shape}"
-        )
-    diff = z - reconstruction
-    return _per_frame(z, (diff * diff).sum(axis=-1))
-
-
 def _hash_chunks(*chunks: bytes) -> bytes:
     h = hashlib.sha256()
     for chunk in chunks:
@@ -91,14 +79,7 @@ def _hash_chunks(*chunks: bytes) -> bytes:
 def _mlp_signature(net: Mlp) -> bytes:
     parts = [struct.pack("<I", len(net.layers))]
     for layer in net.layers:
-        parts.append(
-            struct.pack("<IIBB", layer.in_dim, layer.out_dim,
-                        ACTIVATIONS.index(layer.activation),
-                        1 if layer.bias is not None else 0)
-        )
-        parts.append(layer.weights.astype("<f4").tobytes())
-        if layer.bias is not None:
-            parts.append(layer.bias.astype("<f4").tobytes())
+        parts += [layer_descriptor(layer), *layer_payload(layer)]
     return b"".join(parts)
 
 
@@ -168,7 +149,7 @@ class VaeScorer:
         return _per_frame(z, (diff * diff).sum(axis=-1))
 
     def score_many(self, z: Array, count: int, rng: np.random.Generator) -> list[float] | Array:
-        """One ``vae_score`` per sampled reconstruction: a list of ``count``
+        """One squared error per sampled reconstruction: a list of ``count``
         scores for one example, ``(B, count)`` scores for a block."""
         z = _check_frames(z, self.model.input_dim)
         diff = sample_reconstructions(self.model, z, count, rng)

@@ -40,7 +40,8 @@ import numpy as np
 
 from .conformal import CalibrationSet
 from .models import SvddModel, VaeModel
-from .neural import ACTIVATIONS, BLOCK_ROWS, Array, DenseLayer, Mlp
+from .neural import ACTIVATIONS, BLOCK_ROWS, Array, DenseLayer, Mlp, layer_descriptor, layer_payload
+from .nonconformity import SCORER_KINDS
 
 MAGIC_MODEL = b"ICADMDL1"
 MAGIC_CALIBRATION = b"ICADCAL1"
@@ -50,7 +51,7 @@ FORMAT_VERSION = 1
 MODEL_KIND_VAE = 1
 MODEL_KIND_SVDD = 2
 
-SCORER_CODES = {"knn": 1, "kde": 2, "vae": 3, "svdd": 4}
+SCORER_CODES = {kind: code for code, kind in enumerate(SCORER_KINDS, start=1)}
 SCORER_NAMES = {v: k for k, v in SCORER_CODES.items()}
 
 
@@ -123,23 +124,6 @@ class _Reader:
             raise FormatError(f"{self.what}: {len(self.data) - self.pos} bytes of trailing data")
 
 
-def _layer_descriptor(layer: DenseLayer) -> bytes:
-    return struct.pack(
-        "<IIBB",
-        layer.in_dim,
-        layer.out_dim,
-        ACTIVATIONS.index(layer.activation),
-        1 if layer.bias is not None else 0,
-    )
-
-
-def _layer_payload(layer: DenseLayer) -> list[Array]:
-    out = [np.ascontiguousarray(layer.weights, dtype="<f4")]
-    if layer.bias is not None:
-        out.append(np.ascontiguousarray(layer.bias, dtype="<f4"))
-    return out
-
-
 def _read_layers(reader: _Reader, descriptors: list[tuple[int, int, int, int]]) -> list[DenseLayer]:
     layers = []
     for in_dim, out_dim, act_code, bias_flag in descriptors:
@@ -169,13 +153,10 @@ def save_model(path: str | Path, model: VaeModel | SvddModel) -> None:
     else:
         raise FormatError(f"unsupported model type {type(model).__name__}")
     layers = [layer for net in nets for layer in net.layers]
-    if not layers:
-        raise FormatError("model has no layers")
     parts = [MAGIC_MODEL, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(layers))]
-    parts.extend(_layer_descriptor(layer) for layer in layers)
-    parts.append(struct.pack("<B", kind))
-    parts.append(extras)
-    parts.extend(part for layer in layers for part in _layer_payload(layer))
+    parts.extend(layer_descriptor(layer) for layer in layers)
+    parts += [struct.pack("<B", kind), extras]
+    parts.extend(part for layer in layers for part in layer_payload(layer))
     _atomic_write(path, parts)
 
 
@@ -343,12 +324,16 @@ def save_config(path: str | Path, config: Mapping[str, object]) -> None:
 
 def load_config(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise FormatError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = value
     return out

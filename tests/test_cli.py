@@ -446,6 +446,24 @@ _ERROR_CASES = {
     "sim-config-unknown-keys": (["simulate", "--episodes", "2", "--method", "svdd",
                                  "--config", "{cfg_typo}", "--out", "{out}/sim"],
                                 "has unknown keys: max_step, tua"),
+    "sim-config-repeated-key": (["simulate", "--episodes", "2", "--method", "svdd",
+                                 "--config", "{cfg_repeat}", "--out", "{out}/sim"],
+                                "repeat.txt:4: key 'tau' repeats line 2"),
+    "detect-tau-nan": (["detect", "--method", "svdd", "--model", "{svdd}", "--cal", "{svdd_cal}",
+                        "--input", "{ood_stream}", "--tau", "nan", "--out", "{out}/d.csv"],
+                       "tau must be finite, got nan"),
+    "detect-tau-inf": (["detect", "--method", "svdd", "--model", "{svdd}", "--cal", "{svdd_cal}",
+                        "--input", "{ood_stream}", "--tau", "inf", "--out", "{out}/d.csv"],
+                       "tau must be finite, got inf"),
+    "detect-delta-nan": (["detect", "--method", "vae", "--model", "{vae}", "--cal", "{vae_cal}",
+                          "--input", "{ood_stream}", "--delta", "nan", "--out", "{out}/d.csv"],
+                         "delta must be finite, got nan"),
+    "sim-config-tau-nan": (["simulate", "--episodes", "2", "--method", "svdd",
+                            "--config", "{cfg_tau_nan}", "--out", "{out}/sim"],
+                           "tau must be finite, got nan"),
+    "grid-tau-nan": (["tune", "--method", "svdd", "--config", "{cfg_svdd}",
+                      "--grid", "tau=10,nan", "--episodes", "2", "--out", "{out}/g.csv"],
+                     "tau must be finite, got nan"),
     "grid-without-tau": (["tune", "--method", "vae", "--config", "{cfg_vae}",
                           "--grid", "delta=6", "--episodes", "2", "--out", "{out}/g.csv"],
                          "grid must include tau"),
@@ -479,10 +497,14 @@ def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, messag
                 {"model": work["svdd"], "cal": work["svdd_cal"], "max_steps": 0})
     save_config(cfg_dir / "typo.txt",
                 {"model": work["svdd"], "cal": work["svdd_cal"], "tua": 3, "max_step": 20})
+    (cfg_dir / "repeat.txt").write_text(f"model={work['svdd']}\ntau=3\ncal={work['svdd_cal']}\n"
+                                        "tau=10\n")
+    _sim_config(work, cfg_dir / "tau_nan.txt", "svdd", tau=float("nan"))
     paths = {name: str(path) for name, path in work.items()}
     paths.update(out=str(out_dir), cfg_svdd=str(cfg_dir / "svdd.txt"),
                  cfg_vae=str(cfg_dir / "vae.txt"), cfg_no_cal=str(cfg_dir / "no_cal.txt"),
-                 cfg_zero_steps=str(cfg_dir / "zero_steps.txt"), cfg_typo=str(cfg_dir / "typo.txt"))
+                 cfg_zero_steps=str(cfg_dir / "zero_steps.txt"), cfg_typo=str(cfg_dir / "typo.txt"),
+                 cfg_repeat=str(cfg_dir / "repeat.txt"), cfg_tau_nan=str(cfg_dir / "tau_nan.txt"))
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == EXIT_ERROR

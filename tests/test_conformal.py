@@ -422,6 +422,33 @@ def test_stateless_threshold_is_strict():
     assert det.update(12.1) == (True, 12.1)
 
 
+@given(_finite, _finite, st.floats(1e-3, 1e6))
+def test_finite_thresholds_alarm_above_tau_plus_delta(tau, delta, excess):
+    assert ThresholdDetector(tau).update(tau + excess)[0]
+    cusum = CusumDetector(tau, delta)
+    assert not cusum.update(tau + delta + excess)[0]  # the one-step lag
+    assert cusum.update(tau + delta + excess)[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_detectors_reject_non_finite_thresholds(bad):
+    # a NaN tau or any non-finite delta would switch alarms off or make them
+    # meaningless; tau = inf alone is kept, as the detector that never alarms
+    if bad != math.inf:
+        with pytest.raises(ValueError, match=f"tau must be finite, got {bad}"):
+            ThresholdDetector(bad)
+        with pytest.raises(ValueError, match=f"tau must be finite, got {bad}"):
+            CusumDetector(bad, 1.0)
+    with pytest.raises(ValueError, match=f"delta must be finite, got {bad}"):
+        CusumDetector(1.0, bad)
+
+
+def test_infinite_tau_never_alarms():
+    threshold, cusum = ThresholdDetector(math.inf), CusumDetector(math.inf, 0.0)
+    for _ in range(3):
+        assert not threshold.update(1e300)[0] and not cusum.update(1e300)[0]
+
+
 def test_stateless_never_alarms_on_all_ones_window():
     det = ThresholdDetector(tau=0.0)
     for n in range(1, 20):

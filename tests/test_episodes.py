@@ -107,16 +107,6 @@ def test_examples_equal_stacked_single_frames():
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-def test_example_renders_into_out():
-    gen = SceneGenerator(side=8, seed=3)
-    out = np.full(gen.dim, np.nan)
-    assert gen.example(12.0, np.random.default_rng(1), out=out) is out
-    assert np.array_equal(out, gen.example(12.0, np.random.default_rng(1)))
-    for bad in (np.empty(gen.dim + 1), np.empty((2, gen.dim))[:, 0], np.empty(gen.dim, np.float32)):
-        with pytest.raises(ValueError):
-            gen.example(1.0, np.random.default_rng(1), out=bad)
-
-
 def test_iter_dataset_blocks_concatenate_to_generate_dataset():
     gen = SceneGenerator(side=8, seed=5)
     count = 2 * BLOCK_ROWS + 7

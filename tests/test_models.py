@@ -8,20 +8,18 @@ from icad.models import (
     TrainConfig,
     TrainingDivergedError,
     VaeModel,
-    kl_standard_normal,
+    _vae_batch_loss_grads,
     mean_reconstruction,
     pretrain_with_autoencoder,
     sample_reconstructions,
     svdd_init_center,
-    svdd_loss,
     svdd_loss_grads,
     train_svdd,
     train_vae,
-    vae_loss,
     vae_loss_grads,
 )
 from icad.neural import DenseLayer, Mlp, grad_check_params
-from icad.nonconformity import vae_score
+from icad.nonconformity import VaeScorer
 
 
 def _identity_mapper(dim):
@@ -30,13 +28,24 @@ def _identity_mapper(dim):
 
 # ---------------------------------------------------------------- VAE loss
 
+def _training_kl(mu, logvar):
+    """The KL part of the training loss for an encoder that outputs
+    ``(mu, logvar)`` whatever its input: zero weights, the pair as bias."""
+    d = len(mu)
+    encoder = Mlp([DenseLayer(np.zeros((2 * d, 1)), np.concatenate([mu, logvar]), "identity")])
+    decoder = Mlp([DenseLayer(np.zeros((1, d)), np.zeros(1), "identity")])
+    _, _, (_, kl) = _vae_batch_loss_grads(VaeModel(encoder, decoder, d), np.zeros((1, 1)),
+                                          np.zeros((1, d)))
+    return kl
+
+
 def test_kl_zero_at_standard_normal_posterior():
-    assert kl_standard_normal(np.zeros(5), np.zeros(5)) == 0.0
+    assert _training_kl(np.zeros(5), np.zeros(5)) == 0.0
 
 
 def test_kl_closed_form_unit_mean():
     # d=1, mu=1, logvar=0: 0.5*(mu^2 + sigma^2 - 1 - ln sigma^2) = 0.5
-    assert kl_standard_normal(np.array([1.0]), np.array([0.0])) == pytest.approx(0.5)
+    assert _training_kl(np.array([1.0]), np.array([0.0])) == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -44,8 +53,8 @@ def test_kl_nonnegative_and_zero_only_at_origin(seed):
     rng = np.random.default_rng(seed)
     mu = rng.normal(size=4)
     logvar = rng.normal(size=4)
-    assert kl_standard_normal(mu, logvar) > 0.0
-    assert kl_standard_normal(np.zeros(4), np.zeros(4)) == 0.0
+    assert _training_kl(mu, logvar) > 0.0
+    assert _training_kl(np.zeros(4), np.zeros(4)) == 0.0
 
 
 def test_kl_matches_monte_carlo_estimate():
@@ -62,7 +71,7 @@ def test_kl_matches_monte_carlo_estimate():
     samples = log_q - log_p
     estimate = samples.mean()
     stderr = samples.std(ddof=1) / np.sqrt(n)
-    closed = kl_standard_normal(mu, logvar)
+    closed = _training_kl(mu, logvar)
     print(f"KL closed={closed:.6f} mc={estimate:.6f} +- {stderr:.2g}")
     assert abs(closed - estimate) < 3 * stderr
 
@@ -70,19 +79,11 @@ def test_kl_matches_monte_carlo_estimate():
 def test_vae_loss_parts_and_reparameterization():
     model = VaeModel.build(4, latent_dim=2, hidden=(6,), seed=0)
     z = np.array([0.1, -0.2, 0.3, 0.0])
-    loss, recon, kl = vae_loss(model, z, np.zeros(2))
+    loss, _, (recon, kl) = _vae_batch_loss_grads(model, z[None, :], np.zeros((1, 2)))
     assert loss == pytest.approx(recon + kl)
     assert recon >= 0.0 and kl >= 0.0
     # with zero noise the reconstruction term is the mean-reconstruction error
-    assert recon == pytest.approx(vae_score(z, mean_reconstruction(model, z)))
-
-
-def test_vae_loss_rejects_bad_shapes():
-    model = VaeModel.build(4, latent_dim=2, hidden=(6,), seed=0)
-    with pytest.raises(ValueError):
-        vae_loss(model, np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        vae_loss(model, np.zeros(4), np.zeros(3))
+    assert recon == pytest.approx(VaeScorer(model).score(z))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -127,11 +128,8 @@ def test_memorizing_vae_scores_below_calibration_q3():
     model = VaeModel.build(2, latent_dim=1, hidden=(16, 8), seed=1)
     train_vae(model, point, TrainConfig(epochs=(300, 100), learning_rates=(1e-2, 1e-3),
                                         batch_size=32, seed=2))
-    cal_scores = [
-        vae_score(z, mean_reconstruction(model, z))
-        for z in point[0] + rng.normal(0.0, 0.3, size=(60, 2))
-    ]
-    own = vae_score(point[0], mean_reconstruction(model, point[0]))
+    cal_scores = VaeScorer(model).score(point[0] + rng.normal(0.0, 0.3, size=(60, 2)))
+    own = VaeScorer(model).score(point[0])
     assert own < np.percentile(cal_scores, 75)
 
 
@@ -139,7 +137,7 @@ def test_train_vae_improves_and_stays_finite(toy_vae, toy_blob):
     model, curve = toy_vae
     assert np.all(np.isfinite(curve))
     assert curve[-1] < curve[0]
-    recon = np.mean([vae_score(z, mean_reconstruction(model, z)) for z in toy_blob])
+    recon = np.mean(VaeScorer(model).score(toy_blob))
     total_variance = toy_blob.var(axis=0).sum()
     print(f"toy VAE recon {recon:.4f} vs variance {total_variance:.4f}")
     assert recon < 0.25 * total_variance
@@ -150,7 +148,7 @@ def test_train_vae_memorizes_single_point():
     model = VaeModel.build(2, latent_dim=1, hidden=(16, 8), seed=1)
     train_vae(model, point, TrainConfig(epochs=(300, 100), learning_rates=(1e-2, 1e-3),
                                         batch_size=32, seed=2))
-    assert vae_score(point[0], mean_reconstruction(model, point[0])) < 1e-3
+    assert VaeScorer(model).score(point[0]) < 1e-3
 
 
 def test_train_config_validation():
@@ -214,14 +212,14 @@ def test_svdd_center_frozen_through_training(two_blobs):
 def test_svdd_loss_hand_case():
     model = SvddModel(_identity_mapper(2), weight_decay=0.0)
     model.center = np.array([0.0, 0.0])
-    assert svdd_loss(model, np.array([[3.0, 4.0]])) == pytest.approx(25.0)
+    assert svdd_loss_grads(model, np.array([[3.0, 4.0]]))[0] == pytest.approx(25.0)
 
 
 def test_svdd_loss_zero_at_center():
     model = SvddModel(_identity_mapper(2), weight_decay=0.0)
     model.center = np.array([1.0, -1.0])
     batch = np.tile([1.0, -1.0], (4, 1))
-    assert svdd_loss(model, batch) == pytest.approx(0.0)
+    assert svdd_loss_grads(model, batch)[0] == pytest.approx(0.0)
 
 
 def test_svdd_loss_regularizer_only_for_zero_distance_batch():
@@ -230,13 +228,13 @@ def test_svdd_loss_regularizer_only_for_zero_distance_batch():
     z = np.array([0.5, -0.25])
     model.center = (w @ z).copy()
     expected = 0.5 * 0.3 * float((w * w).sum())
-    assert svdd_loss(model, z[None, :]) == pytest.approx(expected)
+    assert svdd_loss_grads(model, z[None, :])[0] == pytest.approx(expected)
 
 
 def test_svdd_loss_requires_center():
     model = SvddModel.build(2, output_dim=2, hidden=(4,), seed=0)
     with pytest.raises(RuntimeError, match="center"):
-        svdd_loss(model, np.zeros((1, 2)))
+        svdd_loss_grads(model, np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -258,9 +256,9 @@ def test_svdd_rejects_bias_and_bounded_activation():
     biased = Mlp([DenseLayer(rng.normal(size=(2, 2)), np.zeros(2), "elu")])
     with pytest.raises(ValueError, match="bias"):
         SvddModel(biased)
-    bounded = Mlp([DenseLayer(rng.normal(size=(2, 2)), None, "sigmoid")])
-    with pytest.raises(ValueError, match="bounded"):
-        SvddModel(bounded)
+    # a bounded activation cannot even be built: the activation set has none
+    with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
+        DenseLayer(rng.normal(size=(2, 2)), None, "sigmoid")
 
 
 def test_train_svdd_collapses_identical_data():
@@ -279,8 +277,8 @@ def test_train_svdd_contract_and_separation(toy_svdd, two_blobs):
     assert losses[-1] < losses[0]
     assert dists[-1] <= 0.5 * dists[0]
     held_in = blob_in[200:]
-    in_q3 = np.percentile([svdd_loss(model, z[None, :]) for z in held_in], 75)
-    out_mean = np.mean([svdd_loss(model, z[None, :]) for z in blob_out])
+    in_q3 = np.percentile([svdd_loss_grads(model, z[None, :])[0] for z in held_in], 75)
+    out_mean = np.mean([svdd_loss_grads(model, z[None, :])[0] for z in blob_out])
     print(f"toy SVDD held-out OOD mean {out_mean:.4f} vs in-dist Q3 {in_q3:.4f}")
     assert out_mean > in_q3
 
@@ -296,7 +294,7 @@ def test_train_svdd_requires_center(two_blobs):
 def test_training_divergence_raises_with_epoch():
     model = VaeModel.build(2, latent_dim=1, hidden=(8,), seed=0)
     data = np.random.default_rng(0).normal(size=(32, 2))
-    with pytest.raises(TrainingDivergedError):
+    with pytest.raises(TrainingDivergedError, match=r"^VAE training loss diverged at epoch \d+$"):
         # an absurd learning rate blows the loss up to non-finite values
         train_vae(model, data, TrainConfig(epochs=(50, 0), learning_rates=(1e6, 1e6),
                                            batch_size=32, seed=1))
@@ -327,7 +325,7 @@ def test_both_initialization_paths_produce_valid_models(toy_blob):
     for model in (pre, raw):
         losses, _ = train_svdd(model, toy_blob, cfg)
         assert np.all(np.isfinite(losses))
-        assert np.isfinite(svdd_loss(model, toy_blob[:4]))
+        assert np.isfinite(svdd_loss_grads(model, toy_blob[:4])[0])
 
 
 @pytest.mark.xfail(

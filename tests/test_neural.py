@@ -11,7 +11,6 @@ from icad.neural import (
     backward,
     finite_difference_grads,
     forward,
-    grad_check,
     infer,
     grad_check_params,
     init_mlp,
@@ -21,6 +20,14 @@ from icad.neural import (
 
 def _random_net(seed, dims=(4, 6, 5, 3), acts=("elu", "relu", "identity"), bias=True):
     return init_mlp(dims, list(acts), bias, np.random.default_rng(seed))
+
+
+def _grad_check(net, x, loss, tolerance=1e-4):
+    """Backprop against finite differences under ``loss(y) -> (value, dvalue/dy)``."""
+    y, cache = forward(net, x)
+    analytic, _ = backward(net, cache, loss(y)[1])
+    return grad_check_params(net.parameters(), net.parameter_names(),
+                             lambda: loss(forward(net, x)[0])[0], analytic, tolerance)
 
 
 def test_forward_identity_layer():
@@ -87,14 +94,14 @@ def test_backward_zero_input_bias_free_gives_zero_weight_grads():
 @pytest.mark.parametrize("seed", range(5))
 def test_backward_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    net = _random_net(seed, acts=("elu", "sigmoid", "identity"))
+    net = _random_net(seed, acts=("elu", "elu", "identity"))
     x = rng.normal(size=4)
     target = rng.normal(size=3)
 
     def loss(y):
         return float(np.sum((y - target) ** 2)), 2.0 * (y - target)
 
-    report = grad_check(net, x, loss)
+    report = _grad_check(net, x, loss)
     assert report.passed, report
 
 
@@ -113,7 +120,7 @@ def test_grad_check_identity_quadratic_is_tight():
     def loss(y):
         return float(np.sum((y - target) ** 2)), 2.0 * (y - target)
 
-    report = grad_check(net, x, loss, tolerance=1e-8)
+    report = _grad_check(net, x, loss, tolerance=1e-8)
     assert report.passed, report
 
 
@@ -263,7 +270,7 @@ def test_batched_forward_matches_per_example():
 
 
 @pytest.mark.parametrize("bias", [True, False])
-@pytest.mark.parametrize("activation", ["identity", "relu", "elu", "sigmoid"])
+@pytest.mark.parametrize("activation", ["identity", "relu", "elu"])
 def test_infer_equals_forward_bitwise(activation, bias):
     rng = np.random.default_rng(23)
     net = init_mlp((16, 32, 8), [activation, activation], bias, rng)

@@ -1,6 +1,8 @@
 """Scorer correctness against brute-force oracles, plus the shared invariants:
 nonnegativity, finiteness, permutation invariance, and statistical separation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from icad.nonconformity import (
     SvddScorer,
     VaeScorer,
     silverman_bandwidth,
-    vae_score,
 )
+from icad.persistence import save_model
 
 from conftest import untrained_scorers
 
@@ -102,24 +104,35 @@ def test_silverman_bandwidth_positive_and_scale_aware():
 
 # ---------------------------------------------------------------- vae / svdd
 
+def _affine_vae(encoder_weights, decoder_weights, decoder_bias):
+    # one identity layer each way, so the mean reconstruction is known in closed form
+    dim, d = decoder_weights.shape
+    encoder = Mlp([DenseLayer(np.vstack([encoder_weights, np.zeros((d, dim))]),
+                              np.zeros(2 * d), "identity")])
+    decoder = Mlp([DenseLayer(decoder_weights, decoder_bias, "identity")])
+    return VaeScorer(VaeModel(encoder, decoder, d))
+
+
 def test_vae_score_identical_is_zero():
-    z = np.array([0.1, 0.2])
-    assert vae_score(z, z) == 0.0
+    scorer = _affine_vae(np.eye(2), np.eye(2), np.zeros(2))
+    assert scorer.score(np.array([0.1, 0.2])) == 0.0
 
 
 def test_vae_score_hand_case():
-    assert vae_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(2.0)
+    scorer = _affine_vae(np.zeros((1, 2)), np.zeros((2, 1)), np.array([0.0, 1.0]))
+    assert scorer.score(np.array([1.0, 0.0])) == pytest.approx(2.0)
 
 
 def test_vae_score_elementwise_oracle():
     rng = np.random.default_rng(5)
     z, w = rng.normal(size=4), rng.normal(size=4)
-    assert vae_score(z, w) == sum((a - b) ** 2 for a, b in zip(z, w))
+    scorer = _affine_vae(np.zeros((1, 4)), np.zeros((4, 1)), w)
+    assert scorer.score(z) == sum((a - b) ** 2 for a, b in zip(z, w))
 
 
 def test_vae_score_dimension_mismatch():
-    with pytest.raises(ValueError):
-        vae_score(np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="dimension 3, expected 4"):
+        _affine_vae(np.eye(4), np.eye(4), np.zeros(4)).score(np.zeros(3))
 
 
 def test_svdd_score_identity_mapper():
@@ -140,23 +153,39 @@ def test_svdd_score_requires_center():
         SvddScorer(model)
 
 
-def test_svdd_score_matches_reimplemented_forward(toy_svdd):
-    model, _, _ = toy_svdd
-    rng = np.random.default_rng(6)
-    z = rng.normal(size=2)
-
+def _loop_forward(net, h):
     # independent forward pass written with explicit loops
-    h = z
-    for layer in model.mapper.layers:
+    for layer in net.layers:
         pre = np.array([float(np.dot(row, h)) for row in layer.weights])
+        if layer.bias is not None:
+            pre = pre + layer.bias
         if layer.activation == "elu":
             h = np.array([v if v >= 0 else np.expm1(v) for v in pre])
         elif layer.activation == "identity":
             h = pre
         else:
             raise AssertionError(layer.activation)
-    expected = float(((h - model.center) ** 2).sum())
+    return h
+
+
+def _squared_error(z, reconstruction):
+    diff = z - reconstruction
+    return float((diff * diff).sum())
+
+
+def test_svdd_score_matches_reimplemented_forward(toy_svdd):
+    model, _, _ = toy_svdd
+    z = np.random.default_rng(6).normal(size=2)
+    expected = float(((_loop_forward(model.mapper, z) - model.center) ** 2).sum())
     assert abs(SvddScorer(model).score(z) - expected) < 1e-9
+
+
+def test_vae_score_matches_reimplemented_forward(toy_vae):
+    model, _ = toy_vae
+    z = np.random.default_rng(6).normal(size=2)
+    mu = _loop_forward(model.encoder, z)[: model.latent_dim]
+    expected = _squared_error(z, _loop_forward(model.decoder, mu))
+    assert abs(VaeScorer(model).score(z) - expected) < 1e-9
 
 
 # ---------------------------------------------------------------- shared invariants
@@ -222,7 +251,7 @@ def test_fingerprints_distinguish_scorers(toy_vae, toy_svdd):
     assert KnnScorer(train, k=3).fingerprint() == KnnScorer(train, k=3).fingerprint()
 
 
-def test_model_fingerprints_are_pinned():
+def test_model_fingerprints_are_pinned(tmp_path):
     # calibration files store these digests, so their bytes must not drift;
     # the SVDD center is set by hand so no matrix product enters the digest
     vae = VaeModel.build(16, latent_dim=2, hidden=(8,), seed=5)
@@ -230,6 +259,14 @@ def test_model_fingerprints_are_pinned():
     svdd = SvddModel.build(16, output_dim=3, hidden=(8,), seed=5)
     svdd.center = np.array([0.5, -0.25, 1.0])
     assert SvddScorer(svdd).fingerprint().hex() == "1e27dd5e4950ad05"
+    # the model files are written by the same layer encoder
+    file_digests = (
+        (vae, "167900b1206fe0d768e7807b384a38e6a752b8eff805da6ad4b33d4d7d1942ee"),
+        (svdd, "68e657607027c5973911964800c71f612280c50ef716b969c9914321bebe4368"),
+    )
+    for model, digest in file_digests:
+        save_model(tmp_path / "m.icad", model)
+        assert hashlib.sha256((tmp_path / "m.icad").read_bytes()).hexdigest() == digest
 
 
 def test_vae_scorer_score_many_is_seeded(toy_vae):
@@ -243,11 +280,11 @@ def test_vae_scorer_score_many_is_seeded(toy_vae):
 
 @pytest.mark.parametrize("dim", [2, 7, 64, 256, 300])
 def test_vae_score_many_equals_vae_score_per_reconstruction(dim):
-    # row-wise scoring must give the bits of one vae_score call per sample
+    # row-wise scoring must give the bits of one squared error per sample
     model = VaeModel.build(dim, latent_dim=3, hidden=(16,), seed=dim)
     z = np.random.default_rng(dim).random(dim)
     samples = sample_reconstructions(model, z, 20, np.random.default_rng(9))
-    expected = [vae_score(z, r) for r in samples]
+    expected = [_squared_error(z, r) for r in samples]
     assert VaeScorer(model).score_many(z, 20, np.random.default_rng(9)) == expected
 
 

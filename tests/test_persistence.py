@@ -196,6 +196,10 @@ def test_config_round_trip(tmp_path):
     path.write_text("no separator here\n")
     with pytest.raises(FormatError):
         load_config(path)
+    # a repeated key is as likely a slip as an unknown one, so neither copy wins
+    path.write_text("tau=3\n# comment\n tau = 10\n")
+    with pytest.raises(FormatError, match=r"run.txt:3: key 'tau' repeats line 1"):
+        load_config(path)
 
 
 def test_atomic_write_replaces_existing(tmp_path):
@@ -283,6 +287,9 @@ _MALFORMED = {
     "model-without-layers": ("vae_model", lambda raw: _set(raw, 12, "<I", 0), "no layers"),
     "unknown-activation": ("vae_model", lambda raw: _set(raw, _LAYERS_AT + 8, "<B", 200),
                            "unknown activation code 200"),
+    # the first code past neural.ACTIVATIONS
+    "former-sigmoid-activation": ("vae_model", lambda raw: _set(raw, _LAYERS_AT + 8, "<B", 3),
+                                  "unknown activation code 3"),
     "vae-encoder-without-layers": ("vae_model",
                                    lambda raw: _set(raw, _model_kind_at(raw) + 1, "<I", 0),
                                    "bad encoder layer count 0"),

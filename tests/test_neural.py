@@ -284,3 +284,75 @@ def test_infer_equals_forward_bitwise(activation, bias):
         assert out.shape == y.shape
         assert out.tobytes() == y.tobytes()
 
+
+
+class _SignedZeroProducts(np.ndarray):
+    """Weights whose products give every other exact zero as -0.0. A BLAS sum
+    starts from +0.0, so a plain product is never -0.0; these let the
+    derivative rules meet both signed zeros."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        if ufunc is np.matmul:
+            out.flat[np.flatnonzero(out == 0.0)[::2]] = -0.0
+        return out
+
+
+def _backward_at_pre_activations(net, x, loss_grad):
+    """Backprop that keeps each pre-activation and differentiates there."""
+    a = np.atleast_2d(x)
+    inputs, pre = [], []
+    for layer in net.layers:
+        inputs.append(a)
+        z = a @ layer.weights.T
+        if layer.bias is not None:
+            z = z + layer.bias
+        pre.append(z)
+        if layer.activation == "relu":
+            a = np.maximum(z, 0.0)
+        elif layer.activation == "elu":
+            a = np.where(z >= 0.0, z, np.expm1(z))
+        else:
+            a = z
+    grads = []
+    delta = np.atleast_2d(loss_grad)
+    for layer, a_prev, z in reversed(list(zip(net.layers, inputs, pre))):
+        if layer.activation == "relu":
+            delta = delta * (z > 0.0).astype(z.dtype)
+        elif layer.activation == "elu":
+            delta = delta * np.where(z >= 0.0, 1.0, np.expm1(z) + 1.0)
+        else:
+            delta = delta * np.ones_like(z)
+        layer_grads = [delta.T @ a_prev]
+        if layer.bias is not None:
+            layer_grads.append(delta.sum(axis=0))
+        grads = layer_grads + grads
+        delta = delta @ layer.weights
+    return grads, delta[0] if np.ndim(x) == 1 else delta, pre
+
+
+@pytest.mark.parametrize("rows", [None, 1, 6])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_backward_equals_pre_activation_oracle_bitwise(seed, bias, rows):
+    rng = np.random.default_rng(seed)
+    acts = [*rng.permutation(["elu", "relu", "identity"]), rng.choice(["elu", "relu"])]
+    net = init_mlp((5, 7, 6, 4, 3), acts, bias, rng)
+    for layer in net.layers:
+        layer.weights[::3] = 0.0  # these units' pre-activations are exactly +-0
+        layer.weights = layer.weights.view(_SignedZeroProducts)
+        if bias:
+            layer.bias[:] = rng.normal(size=layer.out_dim)
+            layer.bias[::3] = -0.0  # keeps the sign of a zero product
+    x = 2.0 * rng.normal(size=5 if rows is None else (rows, 5))
+    if rows == 6:
+        x[-1] = 0.0
+    y, cache = forward(net, x)
+    g = rng.normal(size=y.shape)
+    want_grads, want_input, pre = _backward_at_pre_activations(net, x, g)
+    signs = np.concatenate([np.signbit(z[z == 0.0]) for z in pre])
+    assert signs.any() and not signs.all()
+    grads, input_grad = backward(net, cache, g)
+    assert len(grads) == len(want_grads)
+    assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads))
+    assert np.array_equal(input_grad, want_input)

@@ -31,8 +31,8 @@ import numpy as np
 from scipy.special import gammainc, logsumexp
 
 from .models import SvddModel, VaeModel
-from .neural import BLOCK_ROWS, Array
-from .nonconformity import SvddScorer, VaeScorer, _check_examples
+from .neural import BLOCK_ROWS, Array, check_examples
+from .nonconformity import SvddScorer, VaeScorer
 
 # Below this the regularized incomplete gamma is subnormal or zero and has
 # lost relative precision; the series takes over.
@@ -96,7 +96,7 @@ def calibrate(train: Array, m: int, build_scorer, samples: int = 0, seed: int = 
     the noise-free mean reconstruction; ``samples > 0`` pools that many
     sampled-reconstruction scores per example instead.
     """
-    train = _check_examples(train, "training set")
+    train = check_examples(train, "training set")
     l = train.shape[0]
     if not 0 < m < l:
         raise ValueError(f"proper-train size m={m} must satisfy 0 < m < {l}")
@@ -108,7 +108,7 @@ def calibration_scores(scorer, cal_examples: Array, samples: int = 0, seed: int 
     """Score the calibration examples in blocks, one network pass per block of
     at most ``BLOCK_ROWS`` rows (examples times ``samples``), and return the
     sorted result."""
-    cal_examples = _check_examples(cal_examples, "calibration set")
+    cal_examples = check_examples(cal_examples, "calibration set")
     if samples < 0:
         raise ValueError("samples must be >= 0")
     if samples > 0 and not hasattr(scorer, "score_many"):

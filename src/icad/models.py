@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .neural import AdamState, Array, Mlp, adam_step, backward, forward, infer, init_mlp
+from .neural import AdamState, Array, Mlp, adam_step, backward, check_examples, forward, infer, init_mlp
 
 
 class TrainingDivergedError(RuntimeError):
@@ -191,9 +191,7 @@ def svdd_init_center(model: SvddModel, data: Array) -> Array:
     """
     if model.center is not None:
         raise RuntimeError("center is already initialized and frozen")
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("need a nonempty 2-D data array")
+    data = check_examples(data, "training set")
     c = infer(model.mapper, data).mean(axis=0)
     if np.linalg.norm(c) < 1e-6:
         offset = np.zeros_like(c)
@@ -240,9 +238,7 @@ def _train_two_phase(
     what: str,
 ) -> tuple[list[float], list[float]]:
     """Shared minibatch loop. ``batch_fn`` returns (loss, grads, aux)."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("need a nonempty 2-D training array")
+    data = check_examples(data, "training set")
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(learning_rate=cfg.learning_rates[0])
     curve: list[float] = []

@@ -2,12 +2,12 @@
 
 Deliberately small: affine layers with a fixed set of activations, batched
 forward/backward passes, an Adam optimizer, and a finite-difference gradient
-checker. All math is float64. ``forward`` keeps each layer's arrays for
-``backward`` and serves training only; scoring runs ``infer``, the same
-arithmetic without the cache. Only training changes a network: ``adam_step``
-is the one function that writes a network's weights and biases, in place,
-and it bumps the network's version so ``backward`` rejects a forward cache
-taken before the step.
+checker. All math is float64. ``forward`` and ``infer`` run the same layer
+step; ``forward`` also keeps each layer's output for ``backward`` and serves
+training only, and scoring runs ``infer``. Only training changes a network:
+``adam_step`` is the one function that writes a network's weights and biases,
+in place, and it bumps the network's version so ``backward`` rejects a
+forward cache taken before the step.
 """
 
 from __future__ import annotations
@@ -38,15 +38,11 @@ def _activate(name: str, z: Array) -> Array:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activate_prime(name: str, z: Array, post: Array) -> Array:
-    # evaluated at the pre-activation; `post` is reused where it helps
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if name == "elu":
-        return np.where(z >= 0.0, 1.0, post + 1.0)
-    raise ValueError(f"unknown activation {name!r}")
+def _activate_prime(name: str, a: Array) -> Array:
+    # relu's or elu's derivative from its output `a`, exactly: elu's output is
+    # negative iff its input is (-0.0 maps to -0.0), relu's positive iff its
+    # input is, and NaN compares false either way; identity has no factor
+    return a > 0.0 if name == "relu" else np.where(a >= 0.0, 1.0, a + 1.0)
 
 
 @dataclass
@@ -71,6 +67,11 @@ class DenseLayer:
                 )
 
     @property
+    def params(self) -> list[Array]:
+        """The weights, then the bias if there is one: the one parameter order."""
+        return [self.weights] if self.bias is None else [self.weights, self.bias]
+
+    @property
     def in_dim(self) -> int:
         return self.weights.shape[1]
 
@@ -87,8 +88,7 @@ def layer_descriptor(layer: DenseLayer) -> bytes:
 
 def layer_payload(layer: DenseLayer) -> list[Array]:
     """The weights, row-major, then the bias (if any), as little-endian f32."""
-    params = [layer.weights] if layer.bias is None else [layer.weights, layer.bias]
-    return [np.ascontiguousarray(p, dtype="<f4") for p in params]
+    return [np.ascontiguousarray(p, dtype="<f4") for p in layer.params]
 
 
 class Mlp:
@@ -119,20 +119,11 @@ class Mlp:
         return self._version
 
     def parameters(self) -> list[Array]:
-        params: list[Array] = []
-        for layer in self.layers:
-            params.append(layer.weights)
-            if layer.bias is not None:
-                params.append(layer.bias)
-        return params
+        return [p for layer in self.layers for p in layer.params]
 
     def parameter_names(self) -> list[str]:
-        names: list[str] = []
-        for i, layer in enumerate(self.layers):
-            names.append(f"layer{i}.weights")
-            if layer.bias is not None:
-                names.append(f"layer{i}.bias")
-        return names
+        return [f"layer{i}.{name}" for i, layer in enumerate(self.layers)
+                for name in ("weights", "bias")[: len(layer.params)]]
 
 
 def init_mlp(
@@ -157,18 +148,35 @@ def init_mlp(
     return Mlp(layers)
 
 
+def check_examples(arr: Array, what: str) -> Array:
+    """``arr`` as a nonempty float64 ``(B, D)`` array of finite values."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1:
+        raise ValueError(f"{what} must be a nonempty 2-D array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite values")
+    return arr
+
+
+def _layer(layer: DenseLayer, a: Array) -> Array:
+    """The affine map, the bias added into the fresh product, the activation."""
+    z = a @ layer.weights.T
+    if layer.bias is not None:
+        z += layer.bias
+    return _activate(layer.activation, z)
+
+
 @dataclass
 class ForwardCache:
     net: Mlp
     version: int
-    x: Array
-    pre: list[Array]
-    post: list[Array]
+    outputs: list[Array]
     squeeze: bool
 
 
 def forward(net: Mlp, x: Array) -> tuple[Array, ForwardCache]:
-    """Run the network; the cache holds everything ``backward`` needs.
+    """Run the network; the cache's ``outputs`` are the 2-D input, then each
+    layer's output, which is all ``backward`` needs.
 
     Accepts a single example ``(D,)`` or a batch ``(B, D)``; the output shape
     matches the input convention.
@@ -180,18 +188,11 @@ def forward(net: Mlp, x: Array) -> tuple[Array, ForwardCache]:
         raise ValueError(
             f"input of shape {x_arr.shape} does not match network input dim {net.input_dim}"
         )
-    pre: list[Array] = []
-    post: list[Array] = []
-    a = x2
+    outputs = [x2]
     for layer in net.layers:
-        z = a @ layer.weights.T
-        if layer.bias is not None:
-            z = z + layer.bias
-        a = _activate(layer.activation, z)
-        pre.append(z)
-        post.append(a)
-    y = post[-1][0] if squeeze else post[-1]
-    return y, ForwardCache(net, net.version, x2, pre, post, squeeze)
+        outputs.append(_layer(layer, outputs[-1]))
+    y = outputs[-1][0] if squeeze else outputs[-1]
+    return y, ForwardCache(net, net.version, outputs, squeeze)
 
 
 def infer(net: Mlp, x: Array) -> Array:
@@ -199,10 +200,7 @@ def infer(net: Mlp, x: Array) -> Array:
     ``(D,)`` or ``(B, D)`` array that the caller has checked."""
     a = np.atleast_2d(x)
     for layer in net.layers:
-        z = a @ layer.weights.T
-        if layer.bias is not None:
-            z += layer.bias
-        a = _activate(layer.activation, z)
+        a = _layer(layer, a)
     return a[0] if x.ndim == 1 else a
 
 
@@ -215,27 +213,22 @@ def backward(net: Mlp, cache: ForwardCache, loss_grad: Array) -> tuple[list[Arra
     """
     if cache.net is not net or cache.version != net.version:
         raise ValueError("forward cache is stale or belongs to a different network")
-    g = np.atleast_2d(np.asarray(loss_grad, dtype=np.float64))
-    if g.shape != cache.post[-1].shape:
+    delta = np.atleast_2d(np.asarray(loss_grad, dtype=np.float64))
+    outputs = cache.outputs
+    if delta.shape != outputs[-1].shape:
         raise ValueError(
-            f"loss gradient shape {g.shape} does not match output shape {cache.post[-1].shape}"
+            f"loss gradient shape {delta.shape} does not match output shape {outputs[-1].shape}"
         )
-    per_layer: list[list[Array]] = []
-    delta = g
+    grads: list[Array] = []
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
-        delta = delta * _activate_prime(layer.activation, cache.pre[i], cache.post[i])
-        a_prev = cache.x if i == 0 else cache.post[i - 1]
-        grads = [delta.T @ a_prev]
-        if layer.bias is not None:
-            grads.append(delta.sum(axis=0))
-        per_layer.append(grads)
+        if layer.activation != "identity":
+            delta = delta * _activate_prime(layer.activation, outputs[i + 1])
+        weight_grad = delta.T @ outputs[i]
+        grads[:0] = [weight_grad] if layer.bias is None else [weight_grad, delta.sum(axis=0)]
         delta = delta @ layer.weights
-    flat: list[Array] = []
-    for grads in reversed(per_layer):
-        flat.extend(grads)
     input_grad = delta[0] if cache.squeeze else delta
-    return flat, input_grad
+    return grads, input_grad
 
 
 ADAM_BETA1 = 0.9

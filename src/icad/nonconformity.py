@@ -21,18 +21,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .models import SvddModel, VaeModel, mean_reconstruction, sample_reconstructions
-from .neural import Array, Mlp, layer_descriptor, layer_payload
+from .neural import Array, Mlp, check_examples, layer_descriptor, layer_payload
 
 SCORER_KINDS = ("knn", "kde", "vae", "svdd")
-
-
-def _check_examples(arr: Array, what: str) -> Array:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError(f"{what} must be a nonempty 2-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
-    return arr
 
 
 def _check_frames(z: Array, dim: int | None = None) -> Array:
@@ -61,7 +52,7 @@ def _sq_dists(train: Array, z: Array) -> Array:
 
 def silverman_bandwidth(train: Array) -> float:
     """Silverman's rule-of-thumb bandwidth, averaged over dimensions."""
-    train = _check_examples(train, "training set")
+    train = check_examples(train, "training set")
     n, d = train.shape
     spread = float(np.mean(np.std(train, axis=0, ddof=1))) if n > 1 else 0.0
     if spread <= 0.0:
@@ -87,7 +78,7 @@ class KnnScorer:
     kind = "knn"
 
     def __init__(self, train: Array, k: int = 10):
-        self.train = _check_examples(train, "training set").copy()
+        self.train = check_examples(train, "training set").copy()
         self.train.setflags(write=False)
         if not 1 <= k <= self.train.shape[0]:
             raise ValueError(f"k={k} out of range for training set of size {self.train.shape[0]}")
@@ -107,7 +98,7 @@ class KdeScorer:
     kind = "kde"
 
     def __init__(self, train: Array, bandwidth: float | None = None):
-        self.train = _check_examples(train, "training set").copy()
+        self.train = check_examples(train, "training set").copy()
         self.train.setflags(write=False)
         self.bandwidth = float(bandwidth) if bandwidth is not None else silverman_bandwidth(self.train)
         if self.bandwidth <= 0.0:

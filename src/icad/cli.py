@@ -62,6 +62,15 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _resolve_flag(args, name: str, read: bool, default, reader: str) -> None:
+    """A flag that defaults to None is set to ``default`` on a path that reads
+    it; given on any other path, it is a usage error naming its ``reader``."""
+    if not read and getattr(args, name) is not None:
+        raise CliError(f"--{name.replace('_', '-')} is read only {reader}")
+    if read and getattr(args, name) is None:
+        setattr(args, name, default)
+
+
 def _write_run_config(target: Path, args: argparse.Namespace) -> None:
     persistence.save_config(target, {k: _fmt(v) for k, v in vars(args).items() if k != "func"})
 
@@ -138,6 +147,8 @@ def _cmd_train_vae(args) -> int:
 
 def _cmd_train_svdd(args) -> int:
     out = Path(args.out)
+    _resolve_flag(args, "pre_epochs", args.pretrain, 60, "with --pretrain")
+    _resolve_flag(args, "pre_epochs2", args.pretrain, 20, "with --pretrain")
     data, _ = persistence.load_dataset(args.data)
     model = models.SvddModel.build(
         data.shape[1],
@@ -177,6 +188,8 @@ def _calibration(args) -> conformal.CalibrationSet:
     scorer built from --train-data, scores --cal-data; --split-m hands one
     training file to ``conformal.calibrate`` instead."""
     kind = args.scorer
+    _resolve_flag(args, "k", kind == "knn", 10, "by the knn scorer")
+    _resolve_flag(args, "bandwidth", kind == "kde", None, "by the kde scorer")
     if kind in ("knn", "kde"):
         if args.model:
             raise CliError(f"the {kind} scorer takes no --model")
@@ -238,6 +251,7 @@ def _pipelines(method, model_path, cal_path, delta, tau, seed):
 
 def _cmd_detect(args) -> int:
     out = Path(args.out)
+    _resolve_flag(args, "delta", args.method == "vae", 6.0, "by the vae method")
     _, make = _pipelines(args.method, args.model, args.cal, args.delta, args.tau, args.seed)
     pipeline = make(args.N)  # before the input is read: a binding error comes first
     stream, _ = persistence.load_dataset(args.input)
@@ -390,6 +404,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_bench(args) -> int:
     out = Path(args.out)
+    _resolve_flag(args, "delta", args.method == "vae", 6.0, "by the vae method")
     model, make = _pipelines(args.method, args.model, args.cal, args.delta, args.tau, args.seed)
     gen = _scene(model.input_dim, args.seed)
     rows = episodes.benchmark_timing(make, gen, args.N_list, steps=args.steps, seed=args.seed)
@@ -440,8 +455,8 @@ def build_parser() -> _Parser:
     p.add_argument("--weight-decay", type=float, default=1e-4)
     p.add_argument("--pretrain", action="store_true",
                    help="initialize the mapper from a trained autoencoder")
-    p.add_argument("--pre-epochs", type=_positive_int, default=60)
-    p.add_argument("--pre-epochs2", type=int, default=20)
+    p.add_argument("--pre-epochs", type=_positive_int, help="with --pretrain; default 60")
+    p.add_argument("--pre-epochs2", type=int, help="with --pretrain; default 20")
     p.set_defaults(func=_cmd_train_svdd)
 
     p = sub.add_parser("calibrate", help="compute sorted calibration scores")
@@ -452,8 +467,8 @@ def build_parser() -> _Parser:
     p.add_argument("--cal-data", help="calibration DatasetFile")
     p.add_argument("--split-m", type=int, default=None,
                    help="split --train-data: first M proper, rest calibration")
-    p.add_argument("--k", type=_positive_int, default=10)
-    p.add_argument("--bandwidth", type=float, default=None)
+    p.add_argument("--k", type=_positive_int, help="knn only; default 10")
+    p.add_argument("--bandwidth", type=float, help="kde only; default Silverman's rule")
     p.add_argument("--cal-samples", type=int, default=0,
                    help="vae only: pool this many sampled-reconstruction scores per example")
     p.add_argument("--seed", type=int, default=0)
@@ -466,7 +481,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--N", type=_positive_int, default=10,
                    help="reconstruction samples (vae) or window size (svdd)")
-    p.add_argument("--delta", type=float, default=6.0)
+    p.add_argument("--delta", type=float, help="vae only: CUSUM drift; default 6")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="per-step diagnostics CSV")
@@ -496,7 +511,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cal", required=True)
     p.add_argument("--N-list", dest="N_list", type=_int_list, default=[5, 10, 20])
     p.add_argument("--steps", type=_positive_int, default=1000)
-    p.add_argument("--delta", type=float, default=6.0)
+    p.add_argument("--delta", type=float, help="vae only: CUSUM drift; default 6")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -131,10 +131,8 @@ class SceneGenerator:
     seed: int = 0
 
     def __post_init__(self):
-        if self.side < 4:
-            raise ValueError("image side must be at least 4")
-        if self.side < STREAK_LENGTH:
-            raise ValueError("streak length exceeds the image side")
+        if self.side < max(4, STREAK_LENGTH):
+            raise ValueError(f"image side must be at least {max(4, STREAK_LENGTH)}")
 
     @property
     def dim(self) -> int:

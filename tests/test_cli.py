@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icad.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, _sim_params, main
+from icad.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, _parse_grid, _sim_params, main
 from icad.persistence import load_calibration, load_config, load_dataset, save_config, save_dataset
 
 
@@ -476,6 +476,24 @@ _ERROR_CASES = {
     "grid-without-equals": (["tune", "--method", "svdd", "--config", "{cfg_svdd}",
                              "--grid", "tau", "--episodes", "2", "--out", "{out}/g.csv"],
                             "bad grid component 'tau'"),
+    "detect-svdd-delta": (["detect", "--method", "svdd", "--model", "{svdd}", "--cal", "{svdd_cal}",
+                           "--input", "{in_stream}", "--delta", "99", "--out", "{out}/d.csv"],
+                          "--delta is read only by the vae method"),
+    "bench-svdd-delta": (["bench", "--method", "svdd", "--model", "{svdd}", "--cal", "{svdd_cal}",
+                          "--delta", "nan", "--steps", "5", "--out", "{out}/b.csv"],
+                         "--delta is read only by the vae method"),
+    "svdd-with-k": (["calibrate", "--scorer", "svdd", "--model", "{svdd}", "--cal-data",
+                     "{cal_data}", "--k", "3", "--out", "{out}/c.icad"],
+                    "--k is read only by the knn scorer"),
+    "svdd-with-bandwidth": (["calibrate", "--scorer", "svdd", "--model", "{svdd}", "--cal-data",
+                             "{cal_data}", "--bandwidth", "-5", "--out", "{out}/c.icad"],
+                            "--bandwidth is read only by the kde scorer"),
+    "pre-epochs-without-pretrain": (["train-svdd", "--data", "{train}", "--out", "{out}/m.icad",
+                                     "--pre-epochs", "5"],
+                                    "--pre-epochs is read only with --pretrain"),
+    "pre-epochs2-without-pretrain": (["train-svdd", "--data", "{train}", "--out", "{out}/m.icad",
+                                      "--pre-epochs2", "5"],
+                                     "--pre-epochs2 is read only with --pretrain"),
     "bench-empty-n-list": (["bench", "--method", "svdd", "--model", "{svdd}",
                             "--cal", "{svdd_cal}", "--N-list", "", "--steps", "5",
                             "--out", "{out}/b.csv"], "expected at least one integer"),
@@ -512,3 +530,15 @@ def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, messag
     assert len(errors) == 1 and message in errors[0], captured.err
     assert captured.out == ""
     assert not list(out_dir.iterdir())
+
+
+def test_grid_skips_empty_parts():
+    assert _parse_grid(";delta=2,6;; tau=10 ;", "vae") == ([2.0, 6.0], [10.0])
+
+
+@pytest.mark.parametrize("method,delta", [("vae", "6"), ("svdd", "")])
+def test_detect_sidecar_records_delta_only_where_read(work, tmp_path, method, delta):
+    out = tmp_path / "d.csv"
+    main(["detect", "--method", method, "--model", str(work[method]), "--cal",
+          str(work[f"{method}_cal"]), "--input", str(work["in_stream"]), "--out", str(out)])
+    assert load_config(out.with_name(out.name + ".config.txt"))["delta"] == delta

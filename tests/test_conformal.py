@@ -610,3 +610,18 @@ def test_steps_reject_non_finite_score_from_finite_frame(two_blob_setup, monkeyp
     for pipe in (vae_pipe, svdd_pipe):
         with pytest.raises(ValueError, match="score must be finite"):
             pipe.step(blob_in[0])
+
+
+_ERRORS = {
+    "vae-zero-samples": (lambda: VaePipeline(untrained_scorers(4)["vae"].model, None, 0, 6.0,
+                                             10.0, 0),
+                         "need at least one reconstruction sample per step"),
+    "power-factor-epsilon-zero": (lambda: integrate_power_factor(0.0),
+                                  r"epsilon must be in \(0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("call,message", _ERRORS.values(), ids=list(_ERRORS))
+def test_invalid_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

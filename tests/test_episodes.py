@@ -25,6 +25,7 @@ from icad.episodes import (
     SceneGenerator,
     Trace,
     alarm_step_from_trace,
+    benchmark_timing,
     collect_traces,
     generate_dataset,
     iter_dataset,
@@ -354,7 +355,6 @@ def test_quartiles_median_definition():
 
 def test_benchmark_timing_smoke(scene_gen, scene_svdd, scene_svdd_cal):
     from icad.conformal import SvddPipeline
-    from icad.episodes import benchmark_timing
 
     rows = benchmark_timing(
         lambda n: SvddPipeline(scene_svdd, scene_svdd_cal, window=n, tau=np.inf, seed=0),
@@ -364,3 +364,27 @@ def test_benchmark_timing_smoke(scene_gen, scene_svdd, scene_svdd_cal):
     for row in rows:
         assert row.min_ms <= row.q1_ms <= row.q2_ms <= row.q3_ms <= row.max_ms
         assert row.method == "svdd"
+
+
+def test_onset_is_step_zero_when_the_stream_starts_out_of_distribution():
+    assert DriftSchedule(r0=25.0, t0=10, t1=20, beta=0.0).onset_step() == 0
+
+
+_ERRORS = {
+    "side-below-4": (lambda: SceneGenerator(side=3), "image side must be at least 4"),
+    "negative-r": (lambda: SceneGenerator(side=8).example(-1.0, np.random.default_rng(0)),
+                   "corruption level must be nonnegative"),
+    "negative-step": (lambda: DriftSchedule(r0=1.0, t0=1, t1=2, beta=0.1).value(-1),
+                      "time step must be >= 0"),
+    "zero-schedules": (lambda: make_suite_schedules(0, 0.5, 0), "count must be >= 1"),
+    "ood-fraction-above-1": (lambda: make_suite_schedules(4, 1.5, 0),
+                             r"ood fraction must be in \[0, 1\]"),
+    "zero-bench-steps": (lambda: benchmark_timing(None, SceneGenerator(side=8), [5], steps=0),
+                         "steps must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call,message", _ERRORS.values(), ids=list(_ERRORS))
+def test_invalid_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

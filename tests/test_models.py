@@ -18,7 +18,7 @@ from icad.models import (
     train_vae,
     vae_loss_grads,
 )
-from icad.neural import DenseLayer, Mlp, grad_check_params
+from icad.neural import DenseLayer, Mlp, grad_check_params, init_mlp
 from icad.nonconformity import VaeScorer
 
 
@@ -350,3 +350,54 @@ def test_pretraining_reaches_lower_final_loss(toy_blob):
         wins += pre_losses[-1] < raw_losses[-1]
     print(f"pretraining wins {wins}/20")
     assert wins >= 14
+
+
+def _nets(*dims):
+    rng = np.random.default_rng(0)
+    return [init_mlp(d, ["identity"], True, rng) for d in dims]
+
+
+def _vae():
+    return VaeModel.build(3, latent_dim=1, hidden=(4,))
+
+
+def _svdd(centered=False):
+    model = SvddModel.build(3, output_dim=2, hidden=(4,))
+    if centered:
+        svdd_init_center(model, np.ones((5, 3)))
+    return model
+
+
+_ONE_EPOCH = TrainConfig(epochs=(1, 0), batch_size=4)
+_NAN_DATA = np.where(np.eye(5, 3) > 0, np.nan, 1.0)
+_ERRORS = {
+    "vae-latent-zero": (lambda: VaeModel(*_nets((3, 2), (1, 3)), 0),
+                        "latent dimension must be positive"),
+    "vae-encoder-output": (lambda: VaeModel(*_nets((3, 3), (1, 3)), 1),
+                           r"encoder output dim 3 must be 2\*latent_dim=2"),
+    "vae-decoder-input": (lambda: VaeModel(*_nets((3, 2), (2, 3)), 1),
+                          "decoder input dim must equal the latent dimension"),
+    "vae-decoder-output": (lambda: VaeModel(*_nets((3, 2), (1, 4)), 1),
+                           "decoder output dim must equal the encoder input dim"),
+    "svdd-negative-weight-decay": (lambda: SvddModel.build(3, weight_decay=-1e-4),
+                                   "weight decay must be nonnegative"),
+    "zero-reconstructions": (lambda: sample_reconstructions(_vae(), np.zeros(3), 0,
+                                                            np.random.default_rng(0)),
+                             "count must be >= 1"),
+    "train-vae-non-finite": (lambda: train_vae(_vae(), _NAN_DATA, _ONE_EPOCH),
+                             "training set contains non-finite values"),
+    "train-svdd-non-finite": (lambda: train_svdd(_svdd(centered=True), _NAN_DATA, _ONE_EPOCH),
+                              "training set contains non-finite values"),
+    "svdd-center-non-finite": (lambda: svdd_init_center(_svdd(), _NAN_DATA),
+                               "training set contains non-finite values"),
+    "pretrain-non-finite": (lambda: pretrain_with_autoencoder(_svdd(), _NAN_DATA, _ONE_EPOCH),
+                            "training set contains non-finite values"),
+    "train-vae-one-example-1d": (lambda: train_vae(_vae(), np.ones(3), _ONE_EPOCH),
+                                 "training set must be a nonempty 2-D array"),
+}
+
+
+@pytest.mark.parametrize("call,message", _ERRORS.values(), ids=list(_ERRORS))
+def test_invalid_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

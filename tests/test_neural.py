@@ -356,3 +356,35 @@ def test_backward_equals_pre_activation_oracle_bitwise(seed, bias, rows):
     assert len(grads) == len(want_grads)
     assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads))
     assert np.array_equal(input_grad, want_input)
+
+
+def _adam_on(net, grads):
+    adam_step(AdamState(learning_rate=0.1), [net], grads)
+
+
+_NET = _random_net(0)
+_ERRORS = {
+    "weights-not-a-matrix": (lambda: DenseLayer(np.zeros(3), None, "identity"),
+                             "weights must be a matrix"),
+    "bias-shape": (lambda: DenseLayer(np.zeros((2, 3)), np.zeros(3), "identity"),
+                   r"bias shape \(3,\) does not match output size 2"),
+    "empty-mlp": (lambda: Mlp([]), "at least one layer"),
+    "init-one-dim": (lambda: init_mlp((4,), [], True, np.random.default_rng(0)),
+                     "an input and an output dimension"),
+    "init-activation-count": (lambda: init_mlp((4, 3), ["elu", "elu"], True,
+                                               np.random.default_rng(0)),
+                              "expected 1 activations, got 2"),
+    "backward-gradient-shape": (lambda: backward(_NET, forward(_NET, np.zeros(4))[1], np.zeros(2)),
+                                r"gradient shape \(1, 2\) does not match output shape \(1, 3\)"),
+    "adam-zero-learning-rate": (lambda: AdamState(learning_rate=0.0),
+                                "learning rate must be positive"),
+    "adam-gradient-count": (lambda: _adam_on(_NET, []), "length mismatch"),
+    "adam-gradient-shape": (lambda: _adam_on(_NET, [np.zeros(1)] * len(_NET.parameters())),
+                            "shape mismatch at parameter 0"),
+}
+
+
+@pytest.mark.parametrize("call,message", _ERRORS.values(), ids=list(_ERRORS))
+def test_invalid_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

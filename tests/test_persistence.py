@@ -315,3 +315,20 @@ def test_malformed_header_raises_format_error(tmp_path, kind, edit, message):
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(FormatError, match=message):
         loader(path)
+
+
+_SAVE_ERRORS = {
+    "model-of-unknown-type": (lambda path: save_model(path, object()),
+                              "unsupported model type object"),
+    "calibration-of-unknown-kind": (lambda path: save_calibration(
+        path, CalibrationSet(np.ones(2), "lof", bytes(8))), "unknown scorer kind 'lof'"),
+    "dataset-of-zero-rows": (lambda path: save_dataset_blocks(path, [], 0, 4),
+                             "dataset must be a nonempty 2-D array"),
+}
+
+
+@pytest.mark.parametrize("save,message", _SAVE_ERRORS.values(), ids=list(_SAVE_ERRORS))
+def test_save_rejects_what_it_cannot_write(tmp_path, save, message):
+    with pytest.raises(FormatError, match=message):
+        save(tmp_path / "f.icad")
+    assert not list(tmp_path.iterdir())

@@ -67,10 +67,15 @@ def test_gen_data_deterministic_bytes(tmp_path):
      "ae35e879812c5f8eef0edc6111f495226d38c4d0edc822f1d4683e718d548dac"),
     (["--count", "3", "--dim", "16", "--r-min", "5", "--r-max", "30", "--seed", "0"],
      "bfb3abfb2b6d9e5c11de427c5d527b70d594bf5581698a4770df970f09c0b04f"),
+    # r in [30, 60]: 12 to 24 streaks a frame, overlapping and clipping
+    (["--count", "64", "--dim", "256", "--r-min", "30", "--r-max", "60", "--seed", "11"],
+     "810648e5e525b69c13a76fff33713474d727158d0009f766162a0f05d575b704"),
 ])
 def test_gen_data_file_bytes_are_pinned(tmp_path, args, sha256):
     # digests of files written when gen-data still stacked every frame and
-    # wrote the file in one piece; block-wise generation must not move a byte
+    # wrote the file in one piece, and (the r in [30, 60] row) when each
+    # streak still drew its own position; neither block-wise generation nor
+    # the array draws may move a byte
     out = tmp_path / "d.icad"
     assert main(["gen-data", "--out", str(out), *args]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

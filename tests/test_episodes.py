@@ -97,9 +97,44 @@ def test_generate_dataset_is_deterministic():
     assert np.array_equal(ra, rb)
 
 
+def _scalar_example(side, r, rng):
+    """The renderer as first written: scalar draws and one write per pixel."""
+    img = np.full((side, side), episodes.BACKGROUND)
+    rad = rng.uniform(0.2 * side, 0.3 * side)
+    cy = rng.uniform(rad, side - rad)
+    cx = rng.uniform(rad, side - rad)
+    yy, xx = np.ogrid[:side, :side]
+    img[(yy - cy) ** 2 + (xx - cx) ** 2 <= rad * rad] = episodes.DISK_VALUE
+    img += rng.normal(0.0, episodes.NOISE_SIGMA, size=(side, side))
+    haze = min(1.0, episodes.HAZE_RATE * r)
+    if haze > 0.0:
+        img += haze * episodes.HAZE_VALUE
+    expected = episodes.STREAK_RATE * r
+    n_streaks = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
+    for _ in range(n_streaks):
+        col = int(rng.integers(0, side))
+        row = int(rng.integers(0, side - episodes.STREAK_LENGTH + 1))
+        for i in range(episodes.STREAK_LENGTH):
+            img[row + i, min(side - 1, col + i // 2)] += episodes.STREAK_VALUE
+    np.clip(img, 0.0, 1.0, out=img)
+    return img.ravel()
+
+
+@pytest.mark.parametrize("side", [4, 5, 16, 17])
+def test_example_matches_scalar_renderer_bit_for_bit(side):
+    # r = 60 draws 24 streaks, so streaks overlap and clip at 1.0; 7.49 and
+    # 20.01 sit just off whole streak counts, 0.3 gives a Bernoulli streak
+    gen = SceneGenerator(side=side, seed=0)
+    for seed in range(6):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for r in (0.0, 0.3, 2.5, 7.49, 20.0, 20.01, 33.3, 60.0, 60.0, 0.0):
+            assert np.array_equal(gen.example(r, rng_a), _scalar_example(side, r, rng_b))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 def test_examples_equal_stacked_single_frames():
     gen = SceneGenerator(side=16, seed=3)
-    r_values = np.random.default_rng(8).uniform(0.0, 40.0, size=60)
+    r_values = np.random.default_rng(8).uniform(0.0, 60.0, size=60)
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
     batch = gen.examples(r_values, rng_a)
     single = np.stack([gen.example(r, rng_b) for r in r_values])

@@ -142,32 +142,32 @@ class SceneGenerator:
         """Render one frame at corruption level ``r`` and flatten it.
 
         Streak count is ``floor(rate*r)`` plus a Bernoulli on the fractional
-        part, so the expected count is exactly ``rate*r`` (zero at r=0).
+        part, so the expected count is exactly ``rate*r`` (zero at r=0). The
+        pinned dataset bytes rest on the draw order: three uniforms, side**2
+        normals, one Bernoulli uniform, then a ``(col, row)`` pair per streak.
         """
         if r < 0.0:
             raise ValueError("corruption level must be nonnegative")
         side = self.side
-        out = np.empty(self.dim)
+        out = np.full(self.dim, BACKGROUND)
         img = out.reshape(side, side)
-        img.fill(BACKGROUND)
-        rad = rng.uniform(0.2 * side, 0.3 * side)
-        cy = rng.uniform(rad, side - rad)
-        cx = rng.uniform(rad, side - rad)
-        yy, xx = np.ogrid[:side, :side]
-        img[(yy - cy) ** 2 + (xx - cx) ** 2 <= rad * rad] = DISK_VALUE
+        u_rad, u_cy, u_cx = rng.random(3).tolist()  # uniform(lo, hi) is lo + (hi - lo) * u
+        rad = 0.2 * side + (0.3 * side - 0.2 * side) * u_rad
+        span = (side - rad) - rad
+        axis = np.arange(side)
+        dist2 = ((axis - (rad + span * u_cy)) ** 2)[:, None] + (axis - (rad + span * u_cx)) ** 2
+        img[dist2 <= rad * rad] = DISK_VALUE
         img += rng.normal(0.0, NOISE_SIGMA, size=(side, side))
         haze = min(1.0, HAZE_RATE * r)
         if haze > 0.0:
             img += haze * HAZE_VALUE
         expected = STREAK_RATE * r
         n_streaks = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
-        for _ in range(n_streaks):
-            col = int(rng.integers(0, side))
-            row = int(rng.integers(0, side - STREAK_LENGTH + 1))
-            for i in range(STREAK_LENGTH):
-                rr = row + i
-                cc = min(side - 1, col + i // 2)
-                img[rr, cc] += STREAK_VALUE
+        if n_streaks:
+            col, row = rng.integers(0, (side, side - STREAK_LENGTH + 1), size=(n_streaks, 2)).T
+            i = np.arange(STREAK_LENGTH)
+            cells = (row[:, None] + i, np.minimum(side - 1, col[:, None] + i // 2))
+            np.add.at(img, cells, STREAK_VALUE)
         np.clip(img, 0.0, 1.0, out=img)
         return out
 

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from icad.episodes import SceneGenerator
 from icad.models import SvddModel, VaeModel, sample_reconstructions
 from icad.neural import DenseLayer, Mlp, forward, infer
 from icad.nonconformity import (
@@ -312,6 +313,45 @@ def test_scorers_reject_malformed_blocks(kind):
     block[2, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         scorer.score(block)
+
+
+def _frame_cases(toy_blob, toy_vae, toy_svdd, two_blob_vae):
+    """(kind, scorer, frames): untrained scorers on 256-dim scene frames, and
+    the trained toy scorers on toy frames."""
+    gen = SceneGenerator(side=16, seed=5)
+    rng = np.random.default_rng(6)
+    scene = [gen.example(r, rng) for r in (0.0, 3.5, 12.0, 40.0)]
+    toy = list(np.random.default_rng(7).normal(scale=2.0, size=(5, 2)))
+    cases = [(kind, scorer, scene) for kind, scorer in untrained_scorers(256).items()]
+    return cases + [
+        ("knn", KnnScorer(toy_blob, k=5), toy),
+        ("kde", KdeScorer(toy_blob), toy),
+        ("vae", VaeScorer(toy_vae[0]), toy),
+        ("vae", VaeScorer(two_blob_vae), toy),
+        ("svdd", SvddScorer(toy_svdd[0]), toy),
+    ]
+
+
+def test_frame_score_is_the_float_of_its_one_row_block(toy_blob, toy_vae, toy_svdd, two_blob_vae):
+    for kind, scorer, frames in _frame_cases(toy_blob, toy_vae, toy_svdd, two_blob_vae):
+        for z in frames:
+            got = scorer.score(z)
+            assert type(got) is float, kind
+            assert got == scorer.score(z[None])[0], kind
+
+
+def test_frame_score_many_is_row_zero_of_its_one_row_block(toy_blob, toy_vae, toy_svdd,
+                                                           two_blob_vae):
+    for kind, scorer, frames in _frame_cases(toy_blob, toy_vae, toy_svdd, two_blob_vae):
+        if kind != "vae":
+            continue
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for z in frames:
+            for count in (1, 5, 20):
+                got = scorer.score_many(z, count, rng)
+                assert type(got) is list and all(type(s) is float for s in got)
+                assert got == scorer.score_many(z[None], count, ref_rng)[0].tolist()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("count", [1, 5, 20])

@@ -81,7 +81,7 @@ class VaeModel:
     def encode(self, z: Array) -> tuple[Array, Array]:
         out = infer(self.encoder, z)
         d = self.latent_dim
-        return out[..., :d], out[..., d:]
+        return out[:, :d], out[:, d:]
 
 
 def _vae_batch_loss_grads(model: VaeModel, batch: Array, noise: Array):
@@ -129,11 +129,11 @@ def mean_reconstruction(model: VaeModel, z: Array) -> Array:
 def sample_reconstructions(
     model: VaeModel, z: Array, count: int, rng: np.random.Generator
 ) -> Array:
-    """Decode ``count`` independent posterior samples of each example:
-    ``(count, D)`` for one example ``(D,)``, ``(B, count, D)`` for a block.
+    """Decode ``count`` independent posterior samples of each row of a block
+    ``(B, D)``, as ``(B, count, D)``.
 
-    The noise is one ``(..., count, latent_dim)`` draw, which holds the numbers
-    of the per-example draws in the same order; all samples decode in one pass.
+    The noise is one ``(B, count, latent_dim)`` draw, which holds the numbers
+    of the per-row draws in the same order; all samples decode in one pass.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -141,10 +141,10 @@ def sample_reconstructions(
     mu, logvar = model.encode(z)
     if not np.all(np.isfinite(logvar)):
         raise ValueError("encoder produced non-finite log-variance")
-    x = rng.standard_normal((*mu.shape[:-1], count, model.latent_dim))
-    x *= np.exp(0.5 * logvar)[..., None, :]
-    x += mu[..., None, :]
-    return infer(model.decoder, x.reshape(-1, model.latent_dim)).reshape(*x.shape[:-1], -1)
+    x = rng.standard_normal((z.shape[0], count, model.latent_dim))
+    x *= np.exp(0.5 * logvar)[:, None, :]
+    x += mu[:, None, :]
+    return infer(model.decoder, x.reshape(-1, model.latent_dim)).reshape(z.shape[0], count, -1)
 
 
 class SvddModel:
@@ -225,8 +225,7 @@ def _svdd_batch_loss_grads(model: SvddModel, batch: Array):
 
 
 def svdd_loss_grads(model: SvddModel, batch: Array):
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    loss, grads, _ = _svdd_batch_loss_grads(model, batch)
+    loss, grads, _ = _svdd_batch_loss_grads(model, np.asarray(batch, dtype=np.float64))
     return loss, grads
 
 

@@ -2,12 +2,13 @@
 
 Deliberately small: affine layers with a fixed set of activations, batched
 forward/backward passes, an Adam optimizer, and a finite-difference gradient
-checker. All math is float64. ``forward`` and ``infer`` run the same layer
-step; ``forward`` also keeps each layer's output for ``backward`` and serves
-training only, and scoring runs ``infer``. Only training changes a network:
-``adam_step`` is the one function that writes a network's weights and biases,
-in place, and it bumps the network's version so ``backward`` rejects a
-forward cache taken before the step.
+checker. All math is float64. Every pass takes a batch ``(B, D)``; a caller
+with one example hands over a one-row batch. ``forward`` and ``infer`` run
+the same layer step; ``forward`` also keeps each layer's output for
+``backward`` and serves training only, and scoring runs ``infer``. Only
+training changes a network: ``adam_step`` is the one function that writes a
+network's weights and biases, in place, and it bumps the network's version
+so ``backward`` rejects a forward cache taken before the step.
 """
 
 from __future__ import annotations
@@ -171,41 +172,31 @@ class ForwardCache:
     net: Mlp
     version: int
     outputs: list[Array]
-    squeeze: bool
 
 
 def forward(net: Mlp, x: Array) -> tuple[Array, ForwardCache]:
-    """Run the network; the cache's ``outputs`` are the 2-D input, then each
-    layer's output, which is all ``backward`` needs.
-
-    Accepts a single example ``(D,)`` or a batch ``(B, D)``; the output shape
-    matches the input convention.
-    """
-    x_arr = np.asarray(x, dtype=np.float64)
-    squeeze = x_arr.ndim == 1
-    x2 = np.atleast_2d(x_arr)
-    if x2.ndim != 2 or x2.shape[1] != net.input_dim:
-        raise ValueError(
-            f"input of shape {x_arr.shape} does not match network input dim {net.input_dim}"
-        )
-    outputs = [x2]
+    """Run the network on a batch ``(B, D)``; the cache's ``outputs`` are the
+    input, then each layer's output, which is all ``backward`` needs."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ValueError(f"input must be a batch (B, {net.input_dim}), got shape {x.shape}")
+    outputs = [x]
     for layer in net.layers:
         outputs.append(_layer(layer, outputs[-1]))
-    y = outputs[-1][0] if squeeze else outputs[-1]
-    return y, ForwardCache(net, net.version, outputs, squeeze)
+    return outputs[-1], ForwardCache(net, net.version, outputs)
 
 
 def infer(net: Mlp, x: Array) -> Array:
     """``forward``'s output without its cache, for scoring. ``x`` is a float64
-    ``(D,)`` or ``(B, D)`` array that the caller has checked."""
-    a = np.atleast_2d(x)
+    ``(B, D)`` batch that the caller has checked."""
     for layer in net.layers:
-        a = _layer(layer, a)
-    return a[0] if x.ndim == 1 else a
+        x = _layer(layer, x)
+    return x
 
 
 def backward(net: Mlp, cache: ForwardCache, loss_grad: Array) -> tuple[list[Array], Array]:
-    """Backpropagate ``dLoss/dOutput`` through the cached forward pass.
+    """Backpropagate ``dLoss/dOutput``, a ``(B, out_dim)`` batch, through the
+    cached forward pass.
 
     Returns ``(param_grads, input_grad)`` with ``param_grads`` aligned to
     ``net.parameters()``. Gradients over a batch are summed, so scale
@@ -213,7 +204,7 @@ def backward(net: Mlp, cache: ForwardCache, loss_grad: Array) -> tuple[list[Arra
     """
     if cache.net is not net or cache.version != net.version:
         raise ValueError("forward cache is stale or belongs to a different network")
-    delta = np.atleast_2d(np.asarray(loss_grad, dtype=np.float64))
+    delta = np.asarray(loss_grad, dtype=np.float64)
     outputs = cache.outputs
     if delta.shape != outputs[-1].shape:
         raise ValueError(
@@ -227,8 +218,7 @@ def backward(net: Mlp, cache: ForwardCache, loss_grad: Array) -> tuple[list[Arra
         weight_grad = delta.T @ outputs[i]
         grads[:0] = [weight_grad] if layer.bias is None else [weight_grad, delta.sum(axis=0)]
         delta = delta @ layer.weights
-    input_grad = delta[0] if cache.squeeze else delta
-    return grads, input_grad
+    return grads, delta
 
 
 ADAM_BETA1 = 0.9

@@ -6,16 +6,17 @@ distance-to-center. Every scorer is immutable after construction, returns a
 finite nonnegative score for finite input, and carries an 8-byte fingerprint
 that binds calibration files to the exact scorer that produced them.
 
-Scoring follows ``neural.forward``'s shape convention: one example ``(D,)``
-gives a float, a block ``(B, D)`` gives ``(B,)`` scores; ``count`` sampled
-scores (``VaeScorer.score_many``) are a list or ``(B, count)``. A block is
-checked once, here, and goes through each network in one ``neural.infer`` pass.
+A scorer takes a frame ``(D,)`` or a block ``(B, D)``: a frame scores as a
+float (``score_many``: a list), a block as ``(B,)`` (``(B, count)``). Only
+``_check_frames`` tells them apart; every scorer body gets a block, a frame
+as its one-row block, and runs each network once on it via ``neural.infer``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -26,28 +27,26 @@ from .neural import Array, Mlp, check_examples, layer_descriptor, layer_payload
 SCORER_KINDS = ("knn", "kde", "vae", "svdd")
 
 
-def _check_frames(z: Array, dim: int | None = None) -> Array:
-    """One example ``(D,)`` or a nonempty block ``(B, D)``."""
+def _check_frames(z: Array, dim: int) -> tuple[Array, Callable]:
+    """Check a frame ``(D,)`` or a nonempty block ``(B, D)``. Return it as a
+    block (a frame as its one-row block) and the way back from the block's
+    scores: a frame gets row 0 as a float or a list, a block gets them as is."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim not in (1, 2) or z.size == 0:
         raise ValueError(f"expected an example (D,) or a block (B, D), got shape {z.shape}")
-    if dim is not None and z.shape[-1] != dim:
+    if z.shape[-1] != dim:
         raise ValueError(f"example has dimension {z.shape[-1]}, expected {dim}")
     if not np.all(np.isfinite(z)):
         raise ValueError("example contains non-finite values")
-    return z
-
-
-def _per_frame(z: Array, scores: Array) -> float | Array:
-    """A float for one example, the ``(B,)`` scores for a block."""
-    return float(scores) if z.ndim == 1 else scores
+    if z.ndim == 2:
+        return z, lambda scores: scores
+    return z[None], lambda scores: scores[0].tolist()
 
 
 def _sq_dists(train: Array, z: Array) -> Array:
-    """Squared distances to every training point, ``(n,)`` or ``(B, n)``; a
-    block is done a row at a time, so it never holds ``B x n x D`` differences."""
-    rows = [((train - row) ** 2).sum(axis=1) for row in np.atleast_2d(z)]
-    return rows[0] if z.ndim == 1 else np.stack(rows)
+    """Squared distances from each row of ``z`` to every training point,
+    ``(B, n)``, a row at a time so it never holds ``B x n x D`` differences."""
+    return np.stack([((train - row) ** 2).sum(axis=1) for row in z])
 
 
 def silverman_bandwidth(train: Array) -> float:
@@ -86,9 +85,9 @@ class KnnScorer:
 
     def score(self, z: Array) -> float | Array:
         """Mean Euclidean distance from ``z`` to its ``k`` nearest training points."""
-        z = _check_frames(z, self.train.shape[1])
+        z, back = _check_frames(z, self.train.shape[1])
         d = np.sqrt(_sq_dists(self.train, z))
-        return _per_frame(z, np.sort(d, axis=-1)[..., : self.k].mean(axis=-1))
+        return back(np.sort(d, axis=1)[:, : self.k].mean(axis=1))
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(b"knn", struct.pack("<I", self.k), self.train.astype("<f4").tobytes())
@@ -112,10 +111,10 @@ class KdeScorer:
         With the normalization constants cancelled this reduces to
         ``log n - logsumexp(-||z - z_i||^2 / (2 h^2))``.
         """
-        z = _check_frames(z, self.train.shape[1])
+        z, back = _check_frames(z, self.train.shape[1])
         sq = _sq_dists(self.train, z)
-        log_density = logsumexp(-sq / (2.0 * self.bandwidth * self.bandwidth), axis=-1)
-        return _per_frame(z, np.log(self.train.shape[0]) - log_density)
+        log_density = logsumexp(-sq / (2.0 * self.bandwidth * self.bandwidth), axis=1)
+        return back(np.log(self.train.shape[0]) - log_density)
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(b"kde", struct.pack("<d", self.bandwidth), self.train.astype("<f4").tobytes())
@@ -135,19 +134,18 @@ class VaeScorer:
         self.model = model
 
     def score(self, z: Array) -> float | Array:
-        z = _check_frames(z, self.model.input_dim)
+        z, back = _check_frames(z, self.model.input_dim)
         diff = z - mean_reconstruction(self.model, z)
-        return _per_frame(z, (diff * diff).sum(axis=-1))
+        return back((diff * diff).sum(axis=1))
 
     def score_many(self, z: Array, count: int, rng: np.random.Generator) -> list[float] | Array:
         """One squared error per sampled reconstruction: a list of ``count``
         scores for one example, ``(B, count)`` scores for a block."""
-        z = _check_frames(z, self.model.input_dim)
+        z, back = _check_frames(z, self.model.input_dim)
         diff = sample_reconstructions(self.model, z, count, rng)
-        np.subtract(z[..., None, :], diff, out=diff)
+        np.subtract(z[:, None, :], diff, out=diff)
         diff *= diff
-        scores = diff.sum(axis=-1)
-        return scores.tolist() if z.ndim == 1 else scores
+        return back(diff.sum(axis=2))
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(
@@ -168,9 +166,9 @@ class SvddScorer:
 
     def score(self, z: Array) -> float | Array:
         """Squared distance of each mapped example from the frozen center."""
-        z = _check_frames(z, self.model.input_dim)
+        z, back = _check_frames(z, self.model.input_dim)
         diff = self.model.represent(z) - self.model.center
-        return _per_frame(z, (diff * diff).sum(axis=-1))
+        return back((diff * diff).sum(axis=1))
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(

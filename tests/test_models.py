@@ -101,7 +101,7 @@ def test_vae_gradients_match_finite_differences(seed):
 
 def test_sample_reconstructions_zero_noise_equals_mean():
     model = VaeModel.build(4, latent_dim=2, hidden=(6,), seed=1)
-    z = np.array([0.3, 0.1, -0.4, 0.2])
+    z = np.array([[0.3, 0.1, -0.4, 0.2]])
     mu, _ = model.encode(z)
     # a fresh generator that returns zero noise reduces to the mean decode
     class _ZeroRng:
@@ -109,12 +109,12 @@ def test_sample_reconstructions_zero_noise_equals_mean():
             return np.zeros(n)
 
     recon = sample_reconstructions(model, z, 1, _ZeroRng())
-    assert np.allclose(recon[0], mean_reconstruction(model, z))
+    assert np.allclose(recon[:, 0], mean_reconstruction(model, z))
 
 
 def test_sample_reconstructions_deterministic_per_seed():
     model = VaeModel.build(4, latent_dim=2, hidden=(6,), seed=1)
-    z = np.array([0.3, 0.1, -0.4, 0.2])
+    z = np.array([[0.3, 0.1, -0.4, 0.2]])
     a = sample_reconstructions(model, z, 10, np.random.default_rng(99))
     b = sample_reconstructions(model, z, 10, np.random.default_rng(99))
     assert np.array_equal(a, b)
@@ -172,7 +172,7 @@ def test_svdd_center_single_point_is_its_representation():
     model = SvddModel.build(3, output_dim=2, hidden=(5,), seed=2)
     z = np.array([[0.4, -0.2, 0.9]])
     c = svdd_init_center(model, z)
-    assert np.allclose(c, model.represent(z[0]))
+    assert np.allclose(c, model.represent(z)[0])
 
 
 def test_svdd_center_matches_mean_of_forward_passes_oracle():
@@ -180,7 +180,7 @@ def test_svdd_center_matches_mean_of_forward_passes_oracle():
     model = SvddModel.build(4, output_dim=3, hidden=(6,), seed=5)
     data = rng.normal(size=(20, 4))
     c = svdd_init_center(model, data)
-    oracle = np.mean([model.represent(z) for z in data], axis=0)
+    oracle = np.mean([model.represent(z[None])[0] for z in data], axis=0)
     assert np.max(np.abs(c - oracle)) < 1e-12
 
 
@@ -311,7 +311,7 @@ def test_pretrain_copies_encoder_weights(toy_blob):
     assert model.center is not None
     # mapper forward equals an encoder rebuilt from the copied weights
     clone = Mlp([DenseLayer(l.weights.copy(), None, l.activation) for l in model.mapper.layers])
-    z = toy_blob[3]
+    z = toy_blob[3:4]
     assert np.array_equal(model.represent(z),
                           SvddModel(clone, 0.0).represent(z))
 
@@ -381,7 +381,7 @@ _ERRORS = {
                            "decoder output dim must equal the encoder input dim"),
     "svdd-negative-weight-decay": (lambda: SvddModel.build(3, weight_decay=-1e-4),
                                    "weight decay must be nonnegative"),
-    "zero-reconstructions": (lambda: sample_reconstructions(_vae(), np.zeros(3), 0,
+    "zero-reconstructions": (lambda: sample_reconstructions(_vae(), np.zeros((1, 3)), 0,
                                                             np.random.default_rng(0)),
                              "count must be >= 1"),
     "train-vae-non-finite": (lambda: train_vae(_vae(), _NAN_DATA, _ONE_EPOCH),

@@ -32,21 +32,21 @@ def _grad_check(net, x, loss, tolerance=1e-4):
 
 def test_forward_identity_layer():
     net = Mlp([DenseLayer(np.eye(2), None, "identity")])
-    y, _ = forward(net, np.array([1.0, 2.0]))
-    assert np.array_equal(y, [1.0, 2.0])
+    y, _ = forward(net, np.array([[1.0, 2.0]]))
+    assert np.array_equal(y, [[1.0, 2.0]])
 
 
 def test_forward_relu_hand_case():
     net = Mlp([DenseLayer(np.array([[2.0, 0.0], [0.0, 3.0]]), None, "relu")])
-    y, _ = forward(net, np.array([1.0, -1.0]))
-    assert np.array_equal(y, [2.0, 0.0])
+    y, _ = forward(net, np.array([[1.0, -1.0]]))
+    assert np.array_equal(y, [[2.0, 0.0]])
 
 
 def test_forward_matches_matrix_product_oracle():
     rng = np.random.default_rng(3)
     net = _random_net(3)
     x = rng.normal(size=4)
-    y, _ = forward(net, x)
+    y, _ = forward(net, x[None])
 
     # independent re-evaluation with explicit loops
     def elu(v):
@@ -55,12 +55,12 @@ def test_forward_matches_matrix_product_oracle():
     h = elu(net.layers[0].weights @ x + net.layers[0].bias)
     h = np.maximum(net.layers[1].weights @ h + net.layers[1].bias, 0.0)
     h = net.layers[2].weights @ h + net.layers[2].bias
-    assert np.max(np.abs(y - h)) < 1e-12
+    assert np.max(np.abs(y[0] - h)) < 1e-12
 
 
 def test_forward_determinism_bitwise():
     net = _random_net(9)
-    x = np.random.default_rng(1).normal(size=4)
+    x = np.random.default_rng(1).normal(size=(1, 4))
     y1, _ = forward(net, x)
     y2, _ = forward(net, x)
     assert np.array_equal(y1, y2)
@@ -69,7 +69,7 @@ def test_forward_determinism_bitwise():
 def test_forward_dimension_mismatch():
     net = _random_net(0)
     with pytest.raises(ValueError, match="input"):
-        forward(net, np.zeros(5))
+        forward(net, np.zeros((1, 5)))
 
 
 def test_backward_linear_squared_loss_closed_form():
@@ -78,7 +78,7 @@ def test_backward_linear_squared_loss_closed_form():
     net = Mlp([DenseLayer(w, None, "identity")])
     x = rng.normal(size=4)
     target = rng.normal(size=3)
-    y, cache = forward(net, x)
+    y, cache = forward(net, x[None])
     grads, _ = backward(net, cache, 2.0 * (y - target))
     expected = 2.0 * np.outer(w @ x - target, x)
     assert np.max(np.abs(grads[0] - expected)) < 1e-12
@@ -86,8 +86,8 @@ def test_backward_linear_squared_loss_closed_form():
 
 def test_backward_zero_input_bias_free_gives_zero_weight_grads():
     net = init_mlp((3, 2), ["identity"], False, np.random.default_rng(5))
-    y, cache = forward(net, np.zeros(3))
-    grads, _ = backward(net, cache, np.ones(2))
+    y, cache = forward(net, np.zeros((1, 3)))
+    grads, _ = backward(net, cache, np.ones((1, 2)))
     assert np.array_equal(grads[0], np.zeros((2, 3)))
 
 
@@ -95,7 +95,7 @@ def test_backward_zero_input_bias_free_gives_zero_weight_grads():
 def test_backward_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     net = _random_net(seed, acts=("elu", "elu", "identity"))
-    x = rng.normal(size=4)
+    x = rng.normal(size=(1, 4))
     target = rng.normal(size=3)
 
     def loss(y):
@@ -107,15 +107,15 @@ def test_backward_matches_finite_differences(seed):
 
 def test_backward_rejects_mismatched_network():
     net_a, net_b = _random_net(2), _random_net(2)
-    _, cache = forward(net_a, np.zeros(4))
+    _, cache = forward(net_a, np.zeros((1, 4)))
     with pytest.raises(ValueError, match="different network"):
-        backward(net_b, cache, np.zeros(3))
+        backward(net_b, cache, np.zeros((1, 3)))
 
 
 def test_grad_check_identity_quadratic_is_tight():
     net = Mlp([DenseLayer(np.eye(3), None, "identity")])
     target = np.array([0.7, -1.2, 0.4])
-    x = np.array([1.3, 0.8, -0.9])
+    x = np.array([[1.3, 0.8, -0.9]])
 
     def loss(y):
         return float(np.sum((y - target) ** 2)), 2.0 * (y - target)
@@ -127,7 +127,7 @@ def test_grad_check_identity_quadratic_is_tight():
 def test_grad_check_detects_corrupted_gradient():
     rng = np.random.default_rng(8)
     net = _random_net(8)
-    x = rng.normal(size=4)
+    x = rng.normal(size=(1, 4))
     target = rng.normal(size=3)
 
     def loss(y):
@@ -146,7 +146,7 @@ def test_grad_check_detects_corrupted_gradient():
 def test_finite_differences_restore_parameters():
     net = _random_net(4)
     before = [p.copy() for p in net.parameters()]
-    finite_difference_grads(net.parameters(), lambda: float(forward(net, np.ones(4))[0].sum()))
+    finite_difference_grads(net.parameters(), lambda: float(forward(net, np.ones((1, 4)))[0].sum()))
     for old, new in zip(before, net.parameters()):
         assert np.array_equal(old, new)
 
@@ -203,7 +203,7 @@ def test_bias_free_net_stays_bias_free_through_training():
     rng = np.random.default_rng(13)
     net = init_mlp((3, 4, 2), ["elu", "identity"], False, rng)
     state = AdamState(learning_rate=1e-2)
-    x = rng.normal(size=3)
+    x = rng.normal(size=(1, 3))
     for _ in range(25):
         y, cache = forward(net, x)
         grads, _ = backward(net, cache, 2.0 * y)
@@ -235,10 +235,10 @@ def test_adam_in_place_matches_out_of_place_reference_bitwise():
 
 def test_backward_rejects_cache_taken_before_adam_step():
     net = _random_net(2)
-    _, cache = forward(net, np.zeros(4))
+    _, cache = forward(net, np.zeros((1, 4)))
     adam_step(AdamState(learning_rate=0.1), [net], [np.ones_like(p) for p in net.parameters()])
     with pytest.raises(ValueError, match="stale"):
-        backward(net, cache, np.zeros(3))
+        backward(net, cache, np.zeros((1, 3)))
 
 
 def test_init_respects_uniform_bound():
@@ -264,9 +264,9 @@ def test_batched_forward_matches_per_example():
     net = _random_net(17)
     batch = rng.normal(size=(6, 4))
     y_batch, _ = forward(net, batch)
-    for i, x in enumerate(batch):
-        y, _ = forward(net, x)
-        assert np.max(np.abs(y_batch[i] - y)) < 1e-12
+    for i in range(len(batch)):
+        y, _ = forward(net, batch[i : i + 1])
+        assert np.max(np.abs(y_batch[i] - y[0])) < 1e-12
 
 
 @pytest.mark.parametrize("bias", [True, False])
@@ -278,7 +278,7 @@ def test_infer_equals_forward_bitwise(activation, bias):
         if bias:
             layer.bias[:] = rng.normal(size=layer.out_dim)
     # scale so that every activation sees both signs and its saturated ends
-    for x in (4.0 * rng.normal(size=16), 4.0 * rng.normal(size=(512, 16))):
+    for x in (4.0 * rng.normal(size=(1, 16)), 4.0 * rng.normal(size=(512, 16))):
         y, _ = forward(net, x)
         out = infer(net, x)
         assert out.shape == y.shape
@@ -300,7 +300,7 @@ class _SignedZeroProducts(np.ndarray):
 
 def _backward_at_pre_activations(net, x, loss_grad):
     """Backprop that keeps each pre-activation and differentiates there."""
-    a = np.atleast_2d(x)
+    a = x
     inputs, pre = [], []
     for layer in net.layers:
         inputs.append(a)
@@ -315,7 +315,7 @@ def _backward_at_pre_activations(net, x, loss_grad):
         else:
             a = z
     grads = []
-    delta = np.atleast_2d(loss_grad)
+    delta = loss_grad
     for layer, a_prev, z in reversed(list(zip(net.layers, inputs, pre))):
         if layer.activation == "relu":
             delta = delta * (z > 0.0).astype(z.dtype)
@@ -328,7 +328,7 @@ def _backward_at_pre_activations(net, x, loss_grad):
             layer_grads.append(delta.sum(axis=0))
         grads = layer_grads + grads
         delta = delta @ layer.weights
-    return grads, delta[0] if np.ndim(x) == 1 else delta, pre
+    return grads, delta, pre
 
 
 @pytest.mark.parametrize("rows", [None, 1, 6])
@@ -344,7 +344,11 @@ def test_backward_equals_pre_activation_oracle_bitwise(seed, bias, rows):
         if bias:
             layer.bias[:] = rng.normal(size=layer.out_dim)
             layer.bias[::3] = -0.0  # keeps the sign of a zero product
+    # rows=None: one frame, handed over as its one-row view x[None], the form
+    # in which the scorers pass a frame on
     x = 2.0 * rng.normal(size=5 if rows is None else (rows, 5))
+    if rows is None:
+        x = x[None]
     if rows == 6:
         x[-1] = 0.0
     y, cache = forward(net, x)
@@ -374,7 +378,13 @@ _ERRORS = {
     "init-activation-count": (lambda: init_mlp((4, 3), ["elu", "elu"], True,
                                                np.random.default_rng(0)),
                               "expected 1 activations, got 2"),
-    "backward-gradient-shape": (lambda: backward(_NET, forward(_NET, np.zeros(4))[1], np.zeros(2)),
+    "forward-single-example": (lambda: forward(_NET, np.zeros(4)),
+                               r"input must be a batch \(B, 4\), got shape \(4,\)"),
+    "backward-single-example": (lambda: backward(_NET, forward(_NET, np.zeros((1, 4)))[1],
+                                                 np.zeros(3)),
+                                r"gradient shape \(3,\) does not match output shape \(1, 3\)"),
+    "backward-gradient-shape": (lambda: backward(_NET, forward(_NET, np.zeros((1, 4)))[1],
+                                                 np.zeros((1, 2))),
                                 r"gradient shape \(1, 2\) does not match output shape \(1, 3\)"),
     "adam-zero-learning-rate": (lambda: AdamState(learning_rate=0.0),
                                 "learning rate must be positive"),

@@ -284,7 +284,7 @@ def test_vae_score_many_equals_vae_score_per_reconstruction(dim):
     # row-wise scoring must give the bits of one squared error per sample
     model = VaeModel.build(dim, latent_dim=3, hidden=(16,), seed=dim)
     z = np.random.default_rng(dim).random(dim)
-    samples = sample_reconstructions(model, z, 20, np.random.default_rng(9))
+    samples = sample_reconstructions(model, z[None], 20, np.random.default_rng(9))[0]
     expected = [_squared_error(z, r) for r in samples]
     assert VaeScorer(model).score_many(z, 20, np.random.default_rng(9)) == expected
 
@@ -374,7 +374,7 @@ def test_vae_score_many_frame_keeps_its_arithmetic():
     scorer = VaeScorer(model)
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     for z in np.random.default_rng(8).random((100, 64)):
-        mu, logvar = model.encode(z)
+        mu, logvar = model.encode(z[None])
         diff = z - infer(model.decoder, mu + np.exp(0.5 * logvar) * ref_rng.standard_normal((10, 4)))
         assert scorer.score_many(z, 10, rng) == (diff * diff).sum(axis=1).tolist()
 
@@ -384,12 +384,12 @@ def test_sample_reconstructions_draws_and_decodes_like_single_rows(count):
     model = VaeModel.build(12, latent_dim=3, hidden=(10,), seed=count)
     z = np.random.default_rng(count).normal(size=12)
     rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
-    got = sample_reconstructions(model, z, count, rng)
-    mu, logvar = model.encode(z)
-    for sample in got:
-        ref, _ = forward(model.decoder, mu + np.exp(0.5 * logvar) * ref_rng.standard_normal(3))
-        assert np.max(np.abs(sample - ref)) <= 1e-14 * np.max(np.abs(ref))
-    assert got.shape == (count, 12)
+    got = sample_reconstructions(model, z[None], count, rng)
+    mu, logvar = model.encode(z[None])
+    for sample in got[0]:
+        ref, _ = forward(model.decoder, mu + np.exp(0.5 * logvar) * ref_rng.standard_normal((1, 3)))
+        assert np.max(np.abs(sample - ref[0])) <= 1e-14 * np.max(np.abs(ref))
+    assert got.shape == (1, count, 12)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -306,10 +306,15 @@ def _sim_setup(args):
 
 def _cmd_simulate(args) -> int:
     gen, factory, schedules, (n, delta, tau), max_steps, seed = _sim_setup(args)
+    out_dir = Path(args.out)
+    ours = {f"episode_{i:03d}.csv" for i in range(args.episodes)}
+    stale = sorted(p.name for p in out_dir.glob("episode_*.csv") if p.name not in ours)
+    if stale:
+        raise CliError(f"{out_dir / stale[0]} is not from a {args.episodes}-episode run; "
+                       "remove it or use another --out")
     metrics, diagnostics = episodes.run_suite(
         gen, schedules, factory, max_steps=max_steps, seed=seed + 10000
     )
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "episodes.csv",

@@ -316,6 +316,29 @@ def test_simulate_rerun_is_byte_identical(work, tmp_path):
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel
 
 
+def test_simulate_refuses_a_directory_with_another_runs_episodes(work, tmp_path, capsys):
+    cfg = tmp_path / "sim.txt"
+    _sim_config(work, cfg, "svdd", tau=10.0)
+    out_dir = tmp_path / "sim_out"
+
+    def simulate(episodes):
+        return main(["simulate", "--episodes", str(episodes), "--method", "svdd",
+                     "--config", str(cfg), "--out", str(out_dir)])
+
+    assert simulate(4) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert "episode_003.csv" in before
+    capsys.readouterr()
+    assert simulate(2) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("icad: error: ") and err.count("\n") == 1
+    assert str(out_dir / "episode_002.csv") in err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    # the same count reruns in place
+    assert simulate(4) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 def test_tune_reports_feasible_point(work, tmp_path, capsys):
     cfg = tmp_path / "sim.txt"
     _sim_config(work, cfg, "svdd", tau=10.0)

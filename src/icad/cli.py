@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import math
 import sys
 from pathlib import Path
@@ -80,11 +81,12 @@ def _config_sidecar(out: Path) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    """Write the CSV whole or not at all, through the atomic writer."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    persistence._atomic_write(path, [text.getvalue().encode()])
 
 
 def _scene(dim: int, seed: int) -> episodes.SceneGenerator:

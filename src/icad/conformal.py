@@ -309,12 +309,9 @@ class StepResult:
         return p
 
 
-def vae_detect_step(pipeline: "VaePipeline", z: Array) -> StepResult:
-    """One detection step: sample reconstructions, score, test, accumulate.
-
-    The martingale is taken over the step's own batch of fresh p-values.
-    """
-    scores = tuple(pipeline.scorer.score_many(z, pipeline.n_samples, pipeline._rng))
+def _vae_test(pipeline: "VaePipeline", scores: tuple[float, ...]) -> StepResult:
+    """The arithmetic of one VAE step after scoring: the N p-values, the
+    martingale over them and the CUSUM update."""
     # one search per sample: one search for all N left so little cost per
     # sample that acceptance criterion 8 (cost linear in N) failed 1 run in 8
     ps = tuple(p_value(s, pipeline.cal) for s in scores)
@@ -324,14 +321,37 @@ def vae_detect_step(pipeline: "VaePipeline", z: Array) -> StepResult:
     return StepResult(alarm, scores, ps, m_log, s)
 
 
-def svdd_detect_step(pipeline: "SvddPipeline", z: Array) -> StepResult:
-    """One detection step: score, p-value, sliding-window martingale, threshold."""
-    score = pipeline.scorer.score(z)
+def _svdd_test(pipeline: "SvddPipeline", score: float) -> StepResult:
+    """The arithmetic of one SVDD step after scoring: the p-value, the
+    sliding-window martingale and the threshold."""
     (p,) = p_values((score,), pipeline.cal)
     pipeline.martingale.push(math.log(p))
     m_log = pipeline.martingale.mixture_log()
     alarm, _ = pipeline.detector.update(m_log)
     return StepResult(alarm, (score,), (p,), m_log, pipeline.martingale.log_p_sum)
+
+
+def vae_detect_step(pipeline: "VaePipeline", z: Array) -> StepResult:
+    """One detection step: sample reconstructions, score, test, accumulate.
+
+    The martingale is taken over the step's own batch of fresh p-values.
+    """
+    scores = pipeline.scorer.score_many(z, pipeline.n_samples, pipeline._rng)
+    return _vae_test(pipeline, tuple(scores))
+
+
+def svdd_detect_step(pipeline: "SvddPipeline", z: Array) -> StepResult:
+    """One detection step: score, p-value, sliding-window martingale, threshold."""
+    return _svdd_test(pipeline, pipeline.scorer.score(z))
+
+
+def _block(frames: Array) -> Array:
+    """``frames`` as a float array, which must be a block ``(B, D)``; the
+    scorer checks its width and values."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2:
+        raise ValueError(f"expected a block of frames (B, D), got shape {frames.shape}")
+    return frames
 
 
 class VaePipeline:
@@ -355,6 +375,14 @@ class VaePipeline:
         # wrapper installed on them (e.g. a profiler's) sees every step
         return vae_detect_step(self, z)
 
+    def steps(self, frames: Array) -> list[StepResult]:
+        """``step`` on each row of a block ``(B, D)`` in order, with one
+        ``score_many`` call for the block: its ``(B, N, latent)`` noise draw
+        holds the per-step draws in order, so the generator ends where B
+        steps leave it."""
+        scores = self.scorer.score_many(_block(frames), self.n_samples, self._rng)
+        return [_vae_test(self, tuple(row)) for row in scores.tolist()]
+
 
 class SvddPipeline:
     """Per-stream SVDD detection with a seeded warm-started sliding window."""
@@ -370,3 +398,8 @@ class SvddPipeline:
 
     def step(self, z: Array) -> StepResult:
         return svdd_detect_step(self, z)
+
+    def steps(self, frames: Array) -> list[StepResult]:
+        """``step`` on each row of a block ``(B, D)`` in order, with one
+        ``score`` call for the block."""
+        return [_svdd_test(self, score) for score in self.scorer.score(_block(frames)).tolist()]

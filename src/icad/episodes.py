@@ -243,14 +243,25 @@ def _ground_truth(schedule: DriftSchedule, max_steps: int) -> tuple[int | None, 
     return onset, OOD if onset is not None else IN_DIST
 
 
+# Frames rendered and scored per ``pipeline.steps`` call in an episode. A
+# block scores for less than its frames one by one, but the frames of the
+# alarm's chunk past the alarm are rendered and scored for nothing. Of 1, 8,
+# 16, 32 and 150, 16 ran the 50-episode README suites fastest for both
+# methods (see CHANGES.md); a constant, since tune and simulate must agree.
+EPISODE_CHUNK = 16
+
+
 def _steps(gen: SceneGenerator, schedule: DriftSchedule, pipeline, max_steps: int, seed: int):
-    """Feed an episode's frames to ``pipeline``; yields ``(t, r, step result)``."""
+    """Feed an episode's frames to ``pipeline`` in chunks of ``EPISODE_CHUNK``;
+    yields ``(t, r, step result)``. A live run and a replay see the same
+    chunks, so they score with the same block arithmetic."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     rng = np.random.default_rng(seed)
-    for t in range(max_steps):
-        r = schedule.value(t)
-        yield t, r, pipeline.step(gen.example(r, rng))
+    for start in range(0, max_steps, EPISODE_CHUNK):
+        ts = range(start, min(start + EPISODE_CHUNK, max_steps))
+        rs = [schedule.value(t) for t in ts]
+        yield from zip(ts, rs, pipeline.steps(gen.examples(rs, rng)))
 
 
 def run_episode(

@@ -31,8 +31,8 @@ run configuration.
 from __future__ import annotations
 
 import os
+import secrets
 import struct
-import tempfile
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -86,9 +86,13 @@ def _atomic_write(path: str | Path, parts: Iterable) -> None:
     """Write the parts (C-contiguous buffers) in order, then rename into place.
 
     ``parts`` may be a generator; if it raises, no file appears at ``path``.
+    The temporary file is ``path`` plus a random suffix, created with mode
+    0666 under the umask as ``open`` creates files (``tempfile.mkstemp``
+    would leave every output 0600).
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:

@@ -2,7 +2,9 @@
 reproducibility. Everything runs in-process through main(argv)."""
 
 import csv
+import errno
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +339,50 @@ def test_simulate_refuses_a_directory_with_another_runs_episodes(work, tmp_path,
     # the same count reruns in place
     assert simulate(4) == EXIT_OK
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("fail_at", [1, 3, 7])
+def test_simulate_write_error_leaves_only_whole_files(work, tmp_path, capsys, monkeypatch,
+                                                      fail_at):
+    # an earlier run fills the directory; a rerun with another seed fails to
+    # write its 1st (episodes.csv), 3rd (episode_000.csv) or last file
+    # (config.txt, the completion mark): each file is the rerun's whole or
+    # the earlier run's whole, and no temporary file is left
+    cfg = tmp_path / "sim.txt"
+    _sim_config(work, cfg, "svdd", tau=10.0)
+
+    def simulate(out_dir, seed):
+        return main(["simulate", "--episodes", "4", "--method", "svdd", "--config", str(cfg),
+                     "--seed", str(seed), "--out", str(out_dir)])
+
+    def files(out_dir):
+        return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    assert simulate(tmp_path / "rerun", 8) == EXIT_OK
+    assert simulate(tmp_path / "out", 7) == EXIT_OK
+    rerun, earlier = files(tmp_path / "rerun"), files(tmp_path / "out")
+    assert rerun["episode_000.csv"] != earlier["episode_000.csv"]
+    written = []
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        written.append(Path(dst).name)
+        if len(written) == fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    capsys.readouterr()
+    assert simulate(tmp_path / "out", 8) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "icad: error: [Errno 28] No space left on device\n"
+    order = ["episodes.csv", "summary.csv", *(f"episode_{i:03d}.csv" for i in range(4)),
+             "config.txt"]
+    assert written == order[:fail_at]
+    done = written[:-1]
+    assert files(tmp_path / "out") == {
+        name: rerun[name] if name in done else old for name, old in earlier.items()}
 
 
 def test_tune_reports_feasible_point(work, tmp_path, capsys):

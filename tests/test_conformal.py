@@ -612,6 +612,71 @@ def test_steps_reject_non_finite_score_from_finite_frame(two_blob_setup, monkeyp
             pipe.step(blob_in[0])
 
 
+# ---------------------------------------------------------------- block steps
+
+@pytest.fixture(scope="module")
+def scene_pipelines(scene_vae, scene_vae_cal, scene_svdd, scene_svdd_cal):
+    return {
+        "vae": lambda: VaePipeline(scene_vae, scene_vae_cal, n_samples=10, delta=6.0, tau=40.0,
+                                   seed=3),
+        "svdd": lambda: SvddPipeline(scene_svdd, scene_svdd_cal, window=10, tau=10.0, seed=3),
+    }
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_block_steps_equal_frame_steps(scene_pipelines, scene_gen, method):
+    # a ramp from in-distribution far past the training bound, so both
+    # pipelines alarm, in blocks of uneven sizes, the one-row block included
+    r_values = np.linspace(0.0, 60.0, 90)
+    frames = scene_gen.examples(r_values, np.random.default_rng(4))
+    by_block, by_frame = scene_pipelines[method](), scene_pipelines[method]()
+    cuts = [0, 1, 8, 9, 25, 57, 90]
+    block = [res for a, b in zip(cuts, cuts[1:]) for res in by_block.steps(frames[a:b])]
+    frame = [by_frame.step(z) for z in frames]
+    assert any(res.alarm for res in frame)
+    for got, want in zip(block, frame, strict=True):
+        # a block's rows are not bit-equal to one-row network passes; the
+        # rest of a step is a function of the p-values, which do not move
+        assert got.p_values == want.p_values and got.alarm == want.alarm
+        assert (got.m_log, got.s) == (want.m_log, want.s)
+        np.testing.assert_allclose(got.scores, want.scores, rtol=1e-13, atol=0.0)
+    if method == "vae":
+        assert by_block._rng.bit_generator.state == by_frame._rng.bit_generator.state
+
+
+# (a bad input made from a good four-row block, the row of it that step
+# refuses, the message both raise)
+_REFUSED = {
+    "frame": (lambda z: z[0], None, "expected a block"),
+    "non-finite": (lambda z: z * np.array([[1.0], [np.nan], [1.0], [1.0]]), 1,
+                   "example contains non-finite values"),
+    "wrong-width": (lambda z: z[:, :1], 0, "example has dimension 1, expected 2"),
+}
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+@pytest.mark.parametrize("bad,row,message", _REFUSED.values(), ids=list(_REFUSED))
+def test_block_steps_refuse_what_step_refuses(two_blob_setup, method, bad, row, message):
+    vae, svdd, vae_cal, svdd_cal, blob_in, _ = two_blob_setup
+    if method == "vae":
+        pipe = VaePipeline(vae, vae_cal, n_samples=5, delta=6.0, tau=156.0, seed=0)
+    else:
+        pipe = SvddPipeline(svdd, svdd_cal, window=10, tau=14.0, seed=0)
+    block = bad(blob_in[:4])
+    before = copy.deepcopy(pipe)
+    with pytest.raises(ValueError, match=message):
+        pipe.steps(block)
+    # a refused block changes nothing: no draw, no window push, no detector update
+    if method == "vae":
+        assert pipe._rng.bit_generator.state == before._rng.bit_generator.state
+        assert pipe.detector._prev_m_log is None
+    else:
+        assert list(pipe.martingale.window) == list(before.martingale.window)
+    if row is not None:
+        with pytest.raises(ValueError, match=message):
+            pipe.step(block[row])
+
+
 _ERRORS = {
     "vae-zero-samples": (lambda: VaePipeline(untrained_scorers(4)["vae"].model, None, 0, 6.0,
                                              10.0, 0),

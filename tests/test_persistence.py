@@ -1,5 +1,7 @@
 """Round-trip exactness and structured failure modes of the binary formats."""
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -209,6 +211,21 @@ def test_atomic_write_replaces_existing(tmp_path):
     x, _ = load_dataset(path)
     assert x.shape == (3, 2)
     assert not list(tmp_path.glob("d.icad.*"))  # no temp files left behind
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["022", "077", "002"])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        save_dataset(tmp_path / "d.icad", np.ones((2, 2)))
+        save_config(tmp_path / "run.txt", {"seed": 1})
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    for name in ("d.icad", "run.txt", "plain.txt"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
 def _write_small_file(kind, path):

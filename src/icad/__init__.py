@@ -17,8 +17,6 @@ from .conformal import (
     mixture_martingale_log,
     p_value,
     p_values,
-    svdd_detect_step,
-    vae_detect_step,
 )
 from .episodes import (
     DriftSchedule,

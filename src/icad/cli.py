@@ -99,8 +99,8 @@ def _scene(dim: int, seed: int) -> episodes.SceneGenerator:
 
 def _cmd_gen_data(args) -> int:
     out = Path(args.out)
-    if args.r_min < 0 or args.r_max < args.r_min:
-        raise CliError("need 0 <= r-min <= r-max")
+    if not 0 <= args.r_min <= args.r_max < math.inf:
+        raise CliError(f"need finite 0 <= r-min <= r-max, got {args.r_min} and {args.r_max}")
     gen = _scene(args.dim, args.seed)
     r_values, blocks = episodes.iter_dataset(gen, args.count, (args.r_min, args.r_max))
     persistence.save_dataset_blocks(out, blocks, args.count, args.dim, r_values)

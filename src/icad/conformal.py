@@ -309,42 +309,6 @@ class StepResult:
         return p
 
 
-def _vae_test(pipeline: "VaePipeline", scores: tuple[float, ...]) -> StepResult:
-    """The arithmetic of one VAE step after scoring: the N p-values, the
-    martingale over them and the CUSUM update."""
-    # one search per sample: one search for all N left so little cost per
-    # sample that acceptance criterion 8 (cost linear in N) failed 1 run in 8
-    ps = tuple(p_value(s, pipeline.cal) for s in scores)
-    # math.log in sample order: np.log differs in the last bit on some p-values
-    m_log = mixture_martingale_log(sum(math.log(p) for p in ps), len(ps))
-    alarm, s = pipeline.detector.update(m_log)
-    return StepResult(alarm, scores, ps, m_log, s)
-
-
-def _svdd_test(pipeline: "SvddPipeline", score: float) -> StepResult:
-    """The arithmetic of one SVDD step after scoring: the p-value, the
-    sliding-window martingale and the threshold."""
-    (p,) = p_values((score,), pipeline.cal)
-    pipeline.martingale.push(math.log(p))
-    m_log = pipeline.martingale.mixture_log()
-    alarm, _ = pipeline.detector.update(m_log)
-    return StepResult(alarm, (score,), (p,), m_log, pipeline.martingale.log_p_sum)
-
-
-def vae_detect_step(pipeline: "VaePipeline", z: Array) -> StepResult:
-    """One detection step: sample reconstructions, score, test, accumulate.
-
-    The martingale is taken over the step's own batch of fresh p-values.
-    """
-    scores = pipeline.scorer.score_many(z, pipeline.n_samples, pipeline._rng)
-    return _vae_test(pipeline, tuple(scores))
-
-
-def svdd_detect_step(pipeline: "SvddPipeline", z: Array) -> StepResult:
-    """One detection step: score, p-value, sliding-window martingale, threshold."""
-    return _svdd_test(pipeline, pipeline.scorer.score(z))
-
-
 def _block(frames: Array) -> Array:
     """``frames`` as a float array, which must be a block ``(B, D)``; the
     scorer checks its width and values."""
@@ -352,6 +316,40 @@ def _block(frames: Array) -> Array:
     if frames.ndim != 2:
         raise ValueError(f"expected a block of frames (B, D), got shape {frames.shape}")
     return frames
+
+
+def vae_detect_step(pipeline: "VaePipeline", frames: Array) -> list[StepResult]:
+    """Detection steps on a block ``(B, D)``, in frame order: one
+    ``score_many`` call samples and scores N reconstructions of every frame,
+    then each frame's N p-values, the martingale over them and the CUSUM
+    update.
+
+    The martingale is taken over the step's own batch of fresh p-values.
+    """
+    scores = pipeline.scorer.score_many(_block(frames), pipeline.n_samples, pipeline._rng)
+    results = []
+    for row in scores.tolist():
+        # one search per sample: one search for all N left so little cost per
+        # sample that acceptance criterion 8 (cost linear in N) failed 1 run in 8
+        ps = tuple(p_value(s, pipeline.cal) for s in row)
+        # math.log in sample order: np.log differs in the last bit on some p-values
+        m_log = mixture_martingale_log(sum(math.log(p) for p in ps), len(ps))
+        alarm, s = pipeline.detector.update(m_log)
+        results.append(StepResult(alarm, tuple(row), ps, m_log, s))
+    return results
+
+
+def svdd_detect_step(pipeline: "SvddPipeline", frames: Array) -> list[StepResult]:
+    """Detection steps on a block ``(B, D)``, in frame order: one ``score``
+    call, then each frame's p-value, sliding-window martingale and threshold."""
+    results = []
+    for score in pipeline.scorer.score(_block(frames)).tolist():
+        p = p_value(score, pipeline.cal)
+        pipeline.martingale.push(math.log(p))
+        m_log = pipeline.martingale.mixture_log()
+        alarm, _ = pipeline.detector.update(m_log)
+        results.append(StepResult(alarm, (score,), (p,), m_log, pipeline.martingale.log_p_sum))
+    return results
 
 
 class VaePipeline:
@@ -371,17 +369,17 @@ class VaePipeline:
         self._rng = np.random.default_rng(seed)
 
     def step(self, z: Array) -> StepResult:
+        """One detection step on a frame ``(D,)``: ``steps`` on its one-row block."""
         # the step functions are module globals looked up at call time, so a
-        # wrapper installed on them (e.g. a profiler's) sees every step
-        return vae_detect_step(self, z)
+        # wrapper installed on them (e.g. a profiler's) sees every step; the
+        # work done here, outside them, is kept to the one-row view
+        return vae_detect_step(self, np.asarray(z, dtype=np.float64)[None])[0]
 
     def steps(self, frames: Array) -> list[StepResult]:
-        """``step`` on each row of a block ``(B, D)`` in order, with one
-        ``score_many`` call for the block: its ``(B, N, latent)`` noise draw
-        holds the per-step draws in order, so the generator ends where B
-        steps leave it."""
-        scores = self.scorer.score_many(_block(frames), self.n_samples, self._rng)
-        return [_vae_test(self, tuple(row)) for row in scores.tolist()]
+        """One step per row of a block ``(B, D)``, in order. The block's
+        ``(B, N, latent)`` noise draw holds the per-step draws in order, so
+        the generator ends where B ``step`` calls leave it."""
+        return vae_detect_step(self, frames)
 
 
 class SvddPipeline:
@@ -397,9 +395,9 @@ class SvddPipeline:
         self.detector = ThresholdDetector(tau)
 
     def step(self, z: Array) -> StepResult:
-        return svdd_detect_step(self, z)
+        """One detection step on a frame ``(D,)``: ``steps`` on its one-row block."""
+        return svdd_detect_step(self, np.asarray(z, dtype=np.float64)[None])[0]
 
     def steps(self, frames: Array) -> list[StepResult]:
-        """``step`` on each row of a block ``(B, D)`` in order, with one
-        ``score`` call for the block."""
-        return [_svdd_test(self, score) for score in self.scorer.score(_block(frames)).tolist()]
+        """One step per row of a block ``(B, D)``, in order."""
+        return svdd_detect_step(self, frames)

@@ -35,8 +35,8 @@ class TrainConfig:
             raise ValueError("first-phase epochs must be >= 1 and second-phase >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
-        if min(self.learning_rates) <= 0.0:
-            raise ValueError("learning rates must be positive")
+        if not all(0.0 < lr < np.inf for lr in self.learning_rates):
+            raise ValueError(f"learning rates must be positive and finite, got {self.learning_rates}")
 
 
 class VaeModel:
@@ -154,8 +154,8 @@ class SvddModel:
         for i, layer in enumerate(mapper.layers):
             if layer.bias is not None:
                 raise ValueError(f"SVDD mapper layer {i} has a bias term")
-        if weight_decay < 0.0:
-            raise ValueError("weight decay must be nonnegative")
+        if not 0.0 <= weight_decay < np.inf:
+            raise ValueError(f"weight decay must be nonnegative and finite, got {weight_decay}")
         self.mapper = mapper
         self.weight_decay = weight_decay
         self.center: Array | None = None

@@ -236,8 +236,8 @@ class AdamState:
     v: list[Array] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
 
 
 def adam_step(state: AdamState, nets: Sequence[Mlp], grads: Sequence[Array]) -> None:

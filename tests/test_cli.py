@@ -473,6 +473,21 @@ def test_missing_file_is_reported_as_error(tmp_path, capsys):
 _ERROR_CASES = {
     "r-min-above-r-max": (["gen-data", "--out", "{out}/d.icad", "--count", "5", "--dim", "64",
                            "--r-min", "5", "--r-max", "1"], "r-min <= r-max"),
+    "r-max-inf": (["gen-data", "--out", "{out}/d.icad", "--count", "5", "--dim", "64",
+                   "--r-max", "inf"], "need finite 0 <= r-min <= r-max, got 0.0 and inf"),
+    "r-min-nan": (["gen-data", "--out", "{out}/d.icad", "--count", "5", "--dim", "64",
+                   "--r-min", "nan"], "need finite 0 <= r-min <= r-max, got nan and"),
+    # one batch per epoch: a non-finite rate would train and save without a step failing
+    "train-vae-lr-nan": (["train-vae", "--data", "{train}", "--out", "{out}/m.icad", "--lr", "nan",
+                          "--batch", "256", "--epochs", "1", "--epochs2", "0"],
+                         "learning rates must be positive and finite, got (nan, "),
+    "train-svdd-lr-inf": (["train-svdd", "--data", "{train}", "--out", "{out}/m.icad",
+                           "--lr", "inf", "--batch", "256", "--epochs", "1", "--epochs2", "0"],
+                          "learning rates must be positive and finite, got (inf, "),
+    "train-svdd-weight-decay-nan": (["train-svdd", "--data", "{train}", "--out", "{out}/m.icad",
+                                     "--weight-decay", "nan", "--batch", "256", "--epochs", "1",
+                                     "--epochs2", "0"],
+                                    "weight decay must be nonnegative and finite, got nan"),
     "empty-hidden": (["train-vae", "--data", "{train}", "--out", "{out}/m.icad",
                       "--hidden", ""], "bad hidden layer spec"),
     "vae-model-as-svdd": (["calibrate", "--scorer", "svdd", "--model", "{vae}",

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from icad import conformal
 from icad.conformal import (
     _REFRESH_INTERVAL,
     CalibrationSet,
@@ -578,7 +579,7 @@ def test_vae_step_takes_math_log_of_each_p_value(two_blob_vae, monkeypatch):
     cal = CalibrationSet(np.arange(1000.0), "vae", VaeScorer(two_blob_vae).fingerprint())
     scores = [32.0, 83.0, 194.0, 309.0, 338.0]
     pipe = VaePipeline(two_blob_vae, cal, n_samples=5, delta=6.0, tau=156.0, seed=0)
-    monkeypatch.setattr(pipe.scorer, "score_many", lambda z, count, rng: scores)
+    monkeypatch.setattr(pipe.scorer, "score_many", lambda z, count, rng: np.array([scores]))
     ps = [(1000.0 - s) / 1000.0 for s in scores]
     result = pipe.step(np.zeros(2))
     assert result.p_values == tuple(ps)
@@ -603,10 +604,11 @@ def test_svdd_step_equals_composition_of_public_pieces(two_blob_setup):
 def test_steps_reject_non_finite_score_from_finite_frame(two_blob_setup, monkeypatch, bad):
     vae, svdd, vae_cal, svdd_cal, blob_in, _ = two_blob_setup
     vae_pipe = VaePipeline(vae, vae_cal, n_samples=5, delta=6.0, tau=156.0, seed=0)
+    # the fakes score a one-row block, as the step hands its frame to the scorer
     monkeypatch.setattr(vae_pipe.scorer, "score_many",
-                        lambda z, count, rng: [1.0] * (count - 2) + [bad, 1.0])
+                        lambda z, count, rng: np.array([[1.0] * (count - 2) + [bad, 1.0]]))
     svdd_pipe = SvddPipeline(svdd, svdd_cal, window=10, tau=14.0, seed=0)
-    monkeypatch.setattr(svdd_pipe.scorer, "score", lambda z: bad)
+    monkeypatch.setattr(svdd_pipe.scorer, "score", lambda z: np.array([bad]))
     for pipe in (vae_pipe, svdd_pipe):
         with pytest.raises(ValueError, match="score must be finite"):
             pipe.step(blob_in[0])
@@ -644,6 +646,13 @@ def test_block_steps_equal_frame_steps(scene_pipelines, scene_gen, method):
         assert by_block._rng.bit_generator.state == by_frame._rng.bit_generator.state
 
 
+def _two_blob_pipeline(two_blob_setup, method):
+    vae, svdd, vae_cal, svdd_cal, _, _ = two_blob_setup
+    if method == "vae":
+        return VaePipeline(vae, vae_cal, n_samples=5, delta=6.0, tau=156.0, seed=0)
+    return SvddPipeline(svdd, svdd_cal, window=10, tau=14.0, seed=0)
+
+
 # (a bad input made from a good four-row block, the row of it that step
 # refuses, the message both raise)
 _REFUSED = {
@@ -657,12 +666,8 @@ _REFUSED = {
 @pytest.mark.parametrize("method", ["vae", "svdd"])
 @pytest.mark.parametrize("bad,row,message", _REFUSED.values(), ids=list(_REFUSED))
 def test_block_steps_refuse_what_step_refuses(two_blob_setup, method, bad, row, message):
-    vae, svdd, vae_cal, svdd_cal, blob_in, _ = two_blob_setup
-    if method == "vae":
-        pipe = VaePipeline(vae, vae_cal, n_samples=5, delta=6.0, tau=156.0, seed=0)
-    else:
-        pipe = SvddPipeline(svdd, svdd_cal, window=10, tau=14.0, seed=0)
-    block = bad(blob_in[:4])
+    pipe = _two_blob_pipeline(two_blob_setup, method)
+    block = bad(two_blob_setup[4][:4])
     before = copy.deepcopy(pipe)
     with pytest.raises(ValueError, match=message):
         pipe.steps(block)
@@ -675,6 +680,44 @@ def test_block_steps_refuse_what_step_refuses(two_blob_setup, method, bad, row, 
     if row is not None:
         with pytest.raises(ValueError, match=message):
             pipe.step(block[row])
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_step_refuses_a_block_before_any_state_changes(two_blob_setup, method):
+    pipe = _two_blob_pipeline(two_blob_setup, method)
+    pipe.step(two_blob_setup[4][0])
+    before = copy.deepcopy(pipe)
+    with pytest.raises(ValueError, match="expected a block of frames"):
+        pipe.step(two_blob_setup[4][:3])
+    # no draw, no window push, no detector update
+    if method == "vae":
+        assert pipe._rng.bit_generator.state == before._rng.bit_generator.state
+        assert (pipe.detector.s, pipe.detector._prev_m_log) == (
+            before.detector.s, before.detector._prev_m_log)
+    else:
+        assert list(pipe.martingale.window) == list(before.martingale.window)
+        assert pipe.martingale.log_p_sum == before.martingale.log_p_sum
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_step_and_steps_run_through_the_module_step_function(two_blob_setup, method,
+                                                              monkeypatch):
+    # a tracer wraps these module globals; it must see every step and block
+    name = f"{method}_detect_step"
+    original = getattr(conformal, name)
+    seen = []
+
+    def wrapper(pipeline, frames):
+        seen.append(np.shape(frames))
+        return original(pipeline, frames)
+
+    monkeypatch.setattr(conformal, name, wrapper)
+    pipe = _two_blob_pipeline(two_blob_setup, method)
+    blob_in = two_blob_setup[4]
+    pipe.step(blob_in[0])
+    assert len(pipe.steps(blob_in[1:4])) == 3
+    pipe.step(blob_in[4])
+    assert seen == [(1, 2), (3, 2), (1, 2)]
 
 
 _ERRORS = {

@@ -158,6 +158,9 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rates=(0.0, 1e-4))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning rates must be positive and finite"):
+            TrainConfig(learning_rates=(1e-3, bad))
 
 
 # ---------------------------------------------------------------- SVDD
@@ -381,6 +384,10 @@ _ERRORS = {
                            "decoder output dim must equal the encoder input dim"),
     "svdd-negative-weight-decay": (lambda: SvddModel.build(3, weight_decay=-1e-4),
                                    "weight decay must be nonnegative"),
+    "svdd-nan-weight-decay": (lambda: SvddModel.build(3, weight_decay=np.nan),
+                              "weight decay must be nonnegative and finite, got nan"),
+    "svdd-inf-weight-decay": (lambda: SvddModel.build(3, weight_decay=np.inf),
+                              "weight decay must be nonnegative and finite, got inf"),
     "zero-reconstructions": (lambda: sample_reconstructions(_vae(), np.zeros((1, 3)), 0,
                                                             np.random.default_rng(0)),
                              "count must be >= 1"),

@@ -388,6 +388,8 @@ _ERRORS = {
                                 r"gradient shape \(1, 2\) does not match output shape \(1, 3\)"),
     "adam-zero-learning-rate": (lambda: AdamState(learning_rate=0.0),
                                 "learning rate must be positive"),
+    "adam-nan-learning-rate": (lambda: AdamState(learning_rate=np.nan),
+                               "learning rate must be positive and finite, got nan"),
     "adam-gradient-count": (lambda: _adam_on(_NET, []), "length mismatch"),
     "adam-gradient-shape": (lambda: _adam_on(_NET, [np.zeros(1)] * len(_NET.parameters())),
                             "shape mismatch at parameter 0"),

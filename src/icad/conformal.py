@@ -322,9 +322,7 @@ def vae_detect_step(pipeline: "VaePipeline", frames: Array) -> list[StepResult]:
     """Detection steps on a block ``(B, D)``, in frame order: one
     ``score_many`` call samples and scores N reconstructions of every frame,
     then each frame's N p-values, the martingale over them and the CUSUM
-    update.
-
-    The martingale is taken over the step's own batch of fresh p-values.
+    update. Each frame's martingale is taken over its own N fresh p-values.
     """
     scores = pipeline.scorer.score_many(_block(frames), pipeline.n_samples, pipeline._rng)
     results = []

@@ -684,11 +684,12 @@ def test_block_steps_refuse_what_step_refuses(two_blob_setup, method, bad, row, 
 
 @pytest.mark.parametrize("method", ["vae", "svdd"])
 def test_step_refuses_a_block_before_any_state_changes(two_blob_setup, method):
+    blob_in = two_blob_setup[4]
     pipe = _two_blob_pipeline(two_blob_setup, method)
-    pipe.step(two_blob_setup[4][0])
+    pipe.step(blob_in[0])
     before = copy.deepcopy(pipe)
-    with pytest.raises(ValueError, match="expected a block of frames"):
-        pipe.step(two_blob_setup[4][:3])
+    with pytest.raises(ValueError, match=r"got shape \(1, 3, 2\)"):
+        pipe.step(blob_in[:3])
     # no draw, no window push, no detector update
     if method == "vae":
         assert pipe._rng.bit_generator.state == before._rng.bit_generator.state

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import io
 import math
 import sys
@@ -23,6 +22,8 @@ from . import conformal, episodes, models, nonconformity, persistence
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ALARM = 2
+
+METHODS = ("vae", "svdd")
 
 
 class CliError(Exception):
@@ -185,46 +186,12 @@ def _load_model(path: str, method: str):
     return model
 
 
-def _calibration(args) -> conformal.CalibrationSet:
-    """The calibration set the flags describe: a model scorer, or a knn/kde
-    scorer built from --train-data, scores --cal-data; --split-m hands one
-    training file to ``conformal.calibrate`` instead."""
-    kind = args.scorer
-    _resolve_flag(args, "k", kind == "knn", 10, "by the knn scorer")
-    _resolve_flag(args, "bandwidth", kind == "kde", None, "by the kde scorer")
-    if kind in ("knn", "kde"):
-        if args.model:
-            raise CliError(f"the {kind} scorer takes no --model")
-        if not args.train_data:
-            raise CliError(f"the {kind} scorer needs --train-data")
-        if args.split_m is not None and args.cal_data:
-            raise CliError("--split-m and --cal-data both name the calibration set; give one")
-        if kind == "knn":
-            build = functools.partial(nonconformity.KnnScorer, k=args.k)
-        else:
-            build = functools.partial(nonconformity.KdeScorer, bandwidth=args.bandwidth)
-        train, _ = persistence.load_dataset(args.train_data)
-        if args.split_m is not None:
-            if not 0 < args.split_m < train.shape[0]:
-                raise CliError(f"--split-m must be in (0, {train.shape[0]})")
-            return conformal.calibrate(train, args.split_m, build, args.cal_samples, args.seed)
-        scorer = build(train)
-    else:
-        if args.train_data or args.split_m is not None:
-            raise CliError(f"the {kind} scorer takes no --train-data or --split-m")
-        if not args.model:
-            raise CliError(f"the {kind} scorer needs --model")
-        scorer_cls = nonconformity.VaeScorer if kind == "vae" else nonconformity.SvddScorer
-        scorer = scorer_cls(_load_model(args.model, kind))
-    if not args.cal_data:
-        raise CliError("need --cal-data (or --train-data with --split-m)")
-    cal_examples, _ = persistence.load_dataset(args.cal_data)
-    return conformal.calibration_scores(scorer, cal_examples, args.cal_samples, args.seed)
-
-
 def _cmd_calibrate(args) -> int:
     out = Path(args.out)
-    cal = _calibration(args)
+    scorer_cls = nonconformity.VaeScorer if args.scorer == "vae" else nonconformity.SvddScorer
+    scorer = scorer_cls(_load_model(args.model, args.scorer))
+    cal_examples, _ = persistence.load_dataset(args.cal_data)
+    cal = conformal.calibration_scores(scorer, cal_examples, args.cal_samples, args.seed)
     persistence.save_calibration(out, cal)
     _write_run_config(_config_sidecar(out), args)
     print(f"calibrated {len(cal)} scores with the {cal.scorer_kind} scorer; saved to {out}")
@@ -467,22 +434,17 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train_svdd)
 
     p = sub.add_parser("calibrate", help="compute sorted calibration scores")
-    p.add_argument("--scorer", choices=nonconformity.SCORER_KINDS, required=True)
+    p.add_argument("--scorer", choices=METHODS, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--model", help="ModelFile for the vae/svdd scorers")
-    p.add_argument("--train-data", help="proper training DatasetFile for knn/kde")
-    p.add_argument("--cal-data", help="calibration DatasetFile")
-    p.add_argument("--split-m", type=int, default=None,
-                   help="split --train-data: first M proper, rest calibration")
-    p.add_argument("--k", type=_positive_int, help="knn only; default 10")
-    p.add_argument("--bandwidth", type=float, help="kde only; default Silverman's rule")
+    p.add_argument("--model", required=True, help="ModelFile of the --scorer kind")
+    p.add_argument("--cal-data", required=True, help="calibration DatasetFile")
     p.add_argument("--cal-samples", type=int, default=0,
                    help="vae only: pool this many sampled-reconstruction scores per example")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("detect", help="stream a dataset through a detection pipeline")
-    p.add_argument("--method", choices=("vae", "svdd"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--cal", required=True)
     p.add_argument("--input", required=True)
@@ -496,14 +458,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run drift episodes and report metrics")
     p.add_argument("--episodes", type=_positive_int, required=True)
-    p.add_argument("--method", choices=("vae", "svdd"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--config", required=True, help="key=value run configuration")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("tune", help="grid-search detector thresholds on a tuning suite")
-    p.add_argument("--method", choices=("vae", "svdd"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--grid", required=True,
                    help='e.g. "delta=2,4,6;tau=40,80" (vae) or "tau=8,12,16" (svdd)')
@@ -513,7 +475,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("bench", help="per-step execution-time quartiles")
-    p.add_argument("--method", choices=("vae", "svdd"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--cal", required=True)
     p.add_argument("--N-list", dest="N_list", type=_int_list, default=[5, 10, 20])

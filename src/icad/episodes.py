@@ -337,6 +337,8 @@ def make_suite_schedules(
         raise ValueError("count must be >= 1")
     if not 0.0 <= ood_fraction <= 1.0:
         raise ValueError("ood fraction must be in [0, 1]")
+    if not 0.0 <= ood_margin < np.inf:
+        raise ValueError(f"ood margin must be finite and >= 0, got {ood_margin}")
     rng = np.random.default_rng(seed)
     n_ood = int(round(count * ood_fraction))
     flags = [True] * n_ood + [False] * (count - n_ood)

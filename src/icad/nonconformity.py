@@ -24,8 +24,6 @@ from scipy.special import logsumexp
 from .models import SvddModel, VaeModel, mean_reconstruction, sample_reconstructions
 from .neural import Array, Mlp, check_examples, layer_descriptor, layer_payload
 
-SCORER_KINDS = ("knn", "kde", "vae", "svdd")
-
 
 def _check_frames(z: Array, dim: int) -> tuple[Array, Callable]:
     """Check a frame ``(D,)`` or a nonempty block ``(B, D)``. Return it as a

@@ -41,7 +41,6 @@ import numpy as np
 from .conformal import CalibrationSet
 from .models import SvddModel, VaeModel
 from .neural import ACTIVATIONS, BLOCK_ROWS, Array, DenseLayer, Mlp, layer_descriptor, layer_payload
-from .nonconformity import SCORER_KINDS
 
 MAGIC_MODEL = b"ICADMDL1"
 MAGIC_CALIBRATION = b"ICADCAL1"
@@ -51,7 +50,7 @@ FORMAT_VERSION = 1
 MODEL_KIND_VAE = 1
 MODEL_KIND_SVDD = 2
 
-SCORER_CODES = {kind: code for code, kind in enumerate(SCORER_KINDS, start=1)}
+SCORER_CODES = {"knn": 1, "kde": 2, "vae": 3, "svdd": 4}
 SCORER_NAMES = {v: k for k, v in SCORER_CODES.items()}
 
 
@@ -187,6 +186,10 @@ def load_model(path: str | Path) -> VaeModel | SvddModel:
         return VaeModel(encoder, decoder, latent_dim)
     if kind == MODEL_KIND_SVDD:
         weight_decay, center_len = reader.unpack("<dI")
+        if center_len != descriptors[-1][1]:
+            raise FormatError(
+                f"{path}: SVDD center has {center_len} values, mapper outputs {descriptors[-1][1]}"
+            )
         center = np.frombuffer(reader.take(center_len * 8), dtype="<f8").astype(np.float64)
         layers = _read_layers(reader, descriptors)
         reader.done()

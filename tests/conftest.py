@@ -2,6 +2,8 @@
 scene models used by the separation and acceptance tests. Everything is
 seeded; session scope keeps the training cost paid once."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,15 @@ VAE_TRAIN = TrainConfig(epochs=(150, 50), learning_rates=(1e-3, 1e-4), batch_siz
 # long aggressive training collapses it together with the nuisance factors.
 SVDD_CFG = dict(output_dim=64, hidden=(512,), weight_decay=1e-3, seed=21)
 SVDD_TRAIN = TrainConfig(epochs=(30, 10), learning_rates=(5e-5, 1e-5), batch_size=64, seed=22)
+
+
+def one_value_center(raw: bytes) -> bytes:
+    """An SVDD model file's bytes with the center cut to its first value:
+    scoring would broadcast that value against every mapper output."""
+    (layers,) = struct.unpack_from("<I", raw, 12)
+    at = 16 + 10 * layers + 1 + 8  # after the layer descriptors, the model kind, the weight decay
+    (length,) = struct.unpack_from("<I", raw, at)
+    return raw[:at] + struct.pack("<I", 1) + raw[at + 4 : at + 12] + raw[at + 4 + 8 * length :]
 
 
 def untrained_scorers(dim):

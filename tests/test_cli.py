@@ -1,17 +1,22 @@
 """End-to-end CLI behavior on a miniature scene: exit codes, file contracts,
 reproducibility. Everything runs in-process through main(argv)."""
 
+import argparse
 import csv
 import errno
 import hashlib
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from icad.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, _parse_grid, _sim_params, main
+from icad.cli import (EXIT_ALARM, EXIT_ERROR, EXIT_OK, _parse_grid, _sim_params, build_parser,
+                      main)
 from icad.persistence import load_calibration, load_config, load_dataset, save_config, save_dataset
+
+from conftest import one_value_center
 
 
 @pytest.fixture(scope="module")
@@ -135,37 +140,6 @@ def test_train_svdd_pretrain_flag(work, tmp_path):
                  "--pre-epochs2", "0", "--hidden", "16", "--out-dim", "4",
                  "--seed", "1"]) == EXIT_OK
     assert out.exists()
-
-
-def test_calibrate_split_mode_matches_algorithm(work, tmp_path):
-    # one file of l=10 split at m=8 gives a sorted 2-score calibration set
-    data = tmp_path / "ten.icad"
-    assert main(["gen-data", "--out", str(data), "--count", "10", "--dim", "64",
-                 "--seed", "21"]) == EXIT_OK
-    out = tmp_path / "knn_cal.icad"
-    assert main(["calibrate", "--scorer", "knn", "--train-data", str(data),
-                 "--split-m", "8", "--k", "3", "--out", str(out)]) == EXIT_OK
-    cal = load_calibration(out)
-    assert len(cal) == 2
-    assert cal.scorer_kind == "knn"
-    assert np.all(np.diff(cal.scores) >= 0)
-
-
-def test_calibrate_kde_needs_train_data(work, tmp_path, capsys):
-    code = main(["calibrate", "--scorer", "kde", "--cal-data", str(work["cal_data"]),
-                 "--out", str(tmp_path / "c.icad")])
-    assert code == EXIT_ERROR
-    assert "train-data" in capsys.readouterr().err
-
-
-def test_calibrate_kde_with_explicit_bandwidth(work, tmp_path):
-    out = tmp_path / "kde_cal.icad"
-    assert main(["calibrate", "--scorer", "kde", "--train-data", str(work["train"]),
-                 "--cal-data", str(work["cal_data"]), "--bandwidth", "0.5",
-                 "--out", str(out)]) == EXIT_OK
-    cal = load_calibration(out)
-    assert cal.scorer_kind == "kde"
-    assert len(cal) == 120
 
 
 def test_calibrate_vae_sampled_scores(work, tmp_path):
@@ -493,32 +467,23 @@ _ERROR_CASES = {
     "vae-model-as-svdd": (["calibrate", "--scorer", "svdd", "--model", "{vae}",
                            "--cal-data", "{cal_data}", "--out", "{out}/c.icad"],
                           "holds a vae model, expected svdd"),
-    "split-m-too-large": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
-                           "--split-m", "150", "--out", "{out}/c.icad"], "--split-m must be in"),
-    "split-m-zero": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
-                      "--split-m", "0", "--out", "{out}/c.icad"], "--split-m must be in"),
-    "split-m-with-cal-data": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
-                               "--split-m", "100", "--cal-data", "{cal_data}",
-                               "--out", "{out}/c.icad"], "--split-m and --cal-data"),
     "svdd-with-train-data": (["calibrate", "--scorer", "svdd", "--model", "{svdd}",
                               "--train-data", "{train}", "--cal-data", "{cal_data}",
-                              "--out", "{out}/c.icad"], "takes no --train-data or --split-m"),
+                              "--out", "{out}/c.icad"], "unrecognized arguments: --train-data"),
     "svdd-with-split-m": (["calibrate", "--scorer", "svdd", "--model", "{svdd}",
                            "--split-m", "100", "--cal-data", "{cal_data}",
-                           "--out", "{out}/c.icad"], "takes no --train-data or --split-m"),
+                           "--out", "{out}/c.icad"], "unrecognized arguments: --split-m 100"),
     "vae-without-model": (["calibrate", "--scorer", "vae", "--cal-data", "{cal_data}",
-                           "--out", "{out}/c.icad"], "needs --model"),
+                           "--out", "{out}/c.icad"],
+                          "the following arguments are required: --model"),
+    "svdd-without-cal-data": (["calibrate", "--scorer", "svdd", "--model", "{svdd}",
+                               "--out", "{out}/c.icad"],
+                              "the following arguments are required: --cal-data"),
     "knn-with-model": (["calibrate", "--scorer", "knn", "--model", "{root}/nonexistent.icad",
                         "--train-data", "{train}", "--cal-data", "{cal_data}",
-                        "--out", "{out}/c.icad"], "the knn scorer takes no --model"),
-    "knn-without-cal-data": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
-                              "--out", "{out}/c.icad"], "need --cal-data"),
-    "k-above-training-size": (["calibrate", "--scorer", "knn", "--train-data", "{train}",
-                               "--cal-data", "{cal_data}", "--k", "151",
-                               "--out", "{out}/c.icad"], "k=151 out of range"),
-    "negative-bandwidth": (["calibrate", "--scorer", "kde", "--train-data", "{train}",
-                            "--cal-data", "{cal_data}", "--bandwidth", "-1",
-                            "--out", "{out}/c.icad"], "bandwidth must be positive"),
+                        "--out", "{out}/c.icad"], "argument --scorer: invalid choice: 'knn'"),
+    "kde-scorer": (["calibrate", "--scorer", "kde", "--cal-data", "{cal_data}",
+                    "--out", "{out}/c.icad"], "argument --scorer: invalid choice: 'kde'"),
     "negative-cal-samples": (["calibrate", "--scorer", "vae", "--model", "{vae}",
                               "--cal-data", "{cal_data}", "--cal-samples", "-1",
                               "--out", "{out}/c.icad"], "samples must be >= 0"),
@@ -547,6 +512,14 @@ _ERROR_CASES = {
     "detect-delta-nan": (["detect", "--method", "vae", "--model", "{vae}", "--cal", "{vae_cal}",
                           "--input", "{ood_stream}", "--delta", "nan", "--out", "{out}/d.csv"],
                          "delta must be finite, got nan"),
+    # a negative margin would label some sampled OOD episodes in-distribution
+    "sim-ood-margin-negative": (["simulate", "--episodes", "2", "--method", "svdd",
+                                 "--config", "{cfg_margin}", "--out", "{out}/sim"],
+                                "ood margin must be finite and >= 0, got -1.0"),
+    "detect-svdd-center-too-short": (["detect", "--method", "svdd", "--model", "{short_center}",
+                                      "--cal", "{svdd_cal}", "--input", "{in_stream}",
+                                      "--out", "{out}/d.csv"],
+                                     "SVDD center has 1 values, mapper outputs 16"),
     "sim-config-tau-nan": (["simulate", "--episodes", "2", "--method", "svdd",
                             "--config", "{cfg_tau_nan}", "--out", "{out}/sim"],
                            "tau must be finite, got nan"),
@@ -573,10 +546,10 @@ _ERROR_CASES = {
                          "--delta is read only by the vae method"),
     "svdd-with-k": (["calibrate", "--scorer", "svdd", "--model", "{svdd}", "--cal-data",
                      "{cal_data}", "--k", "3", "--out", "{out}/c.icad"],
-                    "--k is read only by the knn scorer"),
+                    "unrecognized arguments: --k 3"),
     "svdd-with-bandwidth": (["calibrate", "--scorer", "svdd", "--model", "{svdd}", "--cal-data",
                              "{cal_data}", "--bandwidth", "-5", "--out", "{out}/c.icad"],
-                            "--bandwidth is read only by the kde scorer"),
+                            "unrecognized arguments: --bandwidth -5"),
     "pre-epochs-without-pretrain": (["train-svdd", "--data", "{train}", "--out", "{out}/m.icad",
                                      "--pre-epochs", "5"],
                                     "--pre-epochs is read only with --pretrain"),
@@ -607,11 +580,16 @@ def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, messag
     (cfg_dir / "repeat.txt").write_text(f"model={work['svdd']}\ntau=3\ncal={work['svdd_cal']}\n"
                                         "tau=10\n")
     _sim_config(work, cfg_dir / "tau_nan.txt", "svdd", tau=float("nan"))
+    save_config(cfg_dir / "margin.txt",
+                {"model": work["svdd"], "cal": work["svdd_cal"], "ood_margin": -1})
+    (cfg_dir / "short_center.icad").write_bytes(one_value_center(work["svdd"].read_bytes()))
     paths = {name: str(path) for name, path in work.items()}
     paths.update(out=str(out_dir), cfg_svdd=str(cfg_dir / "svdd.txt"),
                  cfg_vae=str(cfg_dir / "vae.txt"), cfg_no_cal=str(cfg_dir / "no_cal.txt"),
                  cfg_zero_steps=str(cfg_dir / "zero_steps.txt"), cfg_typo=str(cfg_dir / "typo.txt"),
-                 cfg_repeat=str(cfg_dir / "repeat.txt"), cfg_tau_nan=str(cfg_dir / "tau_nan.txt"))
+                 cfg_repeat=str(cfg_dir / "repeat.txt"), cfg_tau_nan=str(cfg_dir / "tau_nan.txt"),
+                 cfg_margin=str(cfg_dir / "margin.txt"),
+                 short_center=str(cfg_dir / "short_center.icad"))
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
@@ -631,3 +609,29 @@ def test_detect_sidecar_records_delta_only_where_read(work, tmp_path, method, de
     main(["detect", "--method", method, "--model", str(work[method]), "--cal",
           str(work[f"{method}_cal"]), "--input", str(work["in_stream"]), "--out", str(out)])
     assert load_config(out.with_name(out.name + ".config.txt"))["delta"] == delta
+
+
+def _options():
+    """Each subcommand's option strings."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_calibrate_takes_a_model_and_calibration_data_only():
+    assert _options()["calibrate"] == {"-h", "--help", "--scorer", "--out", "--model", "--cal-data",
+                                       "--cal-samples", "--seed"}
+
+
+def test_readme_names_only_real_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("icad ")]
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    assert commands and spans
+    flag = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+    named = {f for text in commands + spans for f in flag.findall(text)}
+    real = set().union(*_options().values())
+    assert named - real == set()

@@ -446,6 +446,13 @@ _ERRORS = {
     "zero-schedules": (lambda: make_suite_schedules(0, 0.5, 0), "count must be >= 1"),
     "ood-fraction-above-1": (lambda: make_suite_schedules(4, 1.5, 0),
                              r"ood fraction must be in \[0, 1\]"),
+    # -15 would let OOD-flagged schedules plateau in distribution; inf would never sample
+    "negative-ood-margin": (lambda: make_suite_schedules(10, 0.5, 1, -15.0),
+                            "ood margin must be finite and >= 0, got -15.0"),
+    "infinite-ood-margin": (lambda: make_suite_schedules(4, 0.5, 0, float("inf")),
+                            "ood margin must be finite and >= 0, got inf"),
+    "nan-ood-margin": (lambda: make_suite_schedules(4, 0.5, 0, float("nan")),
+                       "ood margin must be finite and >= 0, got nan"),
     "zero-bench-steps": (lambda: benchmark_timing(None, SceneGenerator(side=8), [5], steps=0),
                          "steps must be >= 1"),
 }

@@ -28,6 +28,8 @@ from icad.persistence import (
     save_model,
 )
 
+from conftest import one_value_center
+
 
 def _random_svdd(seed):
     rng = np.random.default_rng(seed)
@@ -316,6 +318,8 @@ _MALFORMED = {
                                      "bad encoder layer count 6"),
     "unknown-model-kind": ("svdd_model", lambda raw: _set(raw, _model_kind_at(raw), "<B", 3),
                            "unknown model kind 3"),
+    "svdd-center-of-wrong-length": ("svdd_model", one_value_center,
+                                    "SVDD center has 1 values, mapper outputs 3"),
     "unknown-scorer-code": ("calibration", lambda raw: _set(raw, 8, "<B", 9),
                             "unknown scorer code 9"),
     "empty-calibration": ("calibration", lambda raw: _set(raw, 17, "<I", 0),

@@ -36,7 +36,6 @@ from .models import (
     TrainConfig,
     TrainingDivergedError,
     VaeModel,
-    mean_reconstruction,
     pretrain_with_autoencoder,
     sample_reconstructions,
     svdd_init_center,

@@ -31,6 +31,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching, in the subcommands' parsers too (they are built by
+    # this class): bench --N must not be read as --N-list
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # usage problems must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -188,10 +193,11 @@ def _load_model(path: str, method: str):
 
 def _cmd_calibrate(args) -> int:
     out = Path(args.out)
+    _resolve_flag(args, "seed", args.scorer == "vae", 0, "by the vae scorer")
     scorer_cls = nonconformity.VaeScorer if args.scorer == "vae" else nonconformity.SvddScorer
     scorer = scorer_cls(_load_model(args.model, args.scorer))
     cal_examples, _ = persistence.load_dataset(args.cal_data)
-    cal = conformal.calibration_scores(scorer, cal_examples, args.cal_samples, args.seed)
+    cal = conformal.calibration_scores(scorer, cal_examples, args.seed)
     persistence.save_calibration(out, cal)
     _write_run_config(_config_sidecar(out), args)
     print(f"calibrated {len(cal)} scores with the {cal.scorer_kind} scorer; saved to {out}")
@@ -438,9 +444,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--model", required=True, help="ModelFile of the --scorer kind")
     p.add_argument("--cal-data", required=True, help="calibration DatasetFile")
-    p.add_argument("--cal-samples", type=int, default=0,
-                   help="vae only: pool this many sampled-reconstruction scores per example")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="vae only: seeds the one reconstruction sample per example; default 0")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("detect", help="stream a dataset through a detection pipeline")

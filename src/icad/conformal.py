@@ -85,41 +85,39 @@ class CalibrationSet:
             )
 
 
-def calibrate(train: Array, m: int, build_scorer, samples: int = 0, seed: int = 0) -> CalibrationSet:
+def calibrate(train: Array, m: int, build_scorer, seed: int = 0) -> CalibrationSet:
     """Split a training set and score the calibration portion.
 
     The first ``m`` examples form the proper training set, the remainder the
     calibration set. ``build_scorer`` builds the scorer from the proper
-    training set (for example ``lambda proper: KnnScorer(proper, k=10)``).
-
-    For the VAE scorer the default is one score per calibration example via
-    the noise-free mean reconstruction; ``samples > 0`` pools that many
-    sampled-reconstruction scores per example instead.
+    training set (for example ``lambda proper: KnnScorer(proper, k=10)``);
+    ``seed`` is read by the VAE scorer only (see ``calibration_scores``).
     """
     train = check_examples(train, "training set")
     l = train.shape[0]
     if not 0 < m < l:
         raise ValueError(f"proper-train size m={m} must satisfy 0 < m < {l}")
     proper, cal_part = train[:m], train[m:]
-    return calibration_scores(build_scorer(proper), cal_part, samples=samples, seed=seed)
+    return calibration_scores(build_scorer(proper), cal_part, seed)
 
 
-def calibration_scores(scorer, cal_examples: Array, samples: int = 0, seed: int = 0) -> CalibrationSet:
-    """Score the calibration examples in blocks, one network pass per block of
-    at most ``BLOCK_ROWS`` rows (examples times ``samples``), and return the
-    sorted result."""
+def calibration_scores(scorer, cal_examples: Array, seed: int = 0) -> CalibrationSet:
+    """Score the calibration examples in blocks of at most ``BLOCK_ROWS``
+    rows, one network pass per block, and return the sorted result.
+
+    A VAE example gets one sampled-reconstruction score, ``score_many(block,
+    1, rng)``, with one generator seeded by ``seed`` for the whole set: the
+    measure the VAE detector takes, so its p-values are valid. Every other
+    scorer takes ``score(block)`` and reads no ``seed``.
+    """
     cal_examples = check_examples(cal_examples, "calibration set")
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
-    if samples > 0 and not hasattr(scorer, "score_many"):
-        raise ValueError(f"{scorer.kind} scorer does not support sampled calibration")
-    rng = np.random.default_rng(seed)
-    rows = max(1, BLOCK_ROWS // max(samples, 1))
-    blocks = (cal_examples[i : i + rows] for i in range(0, len(cal_examples), rows))
-    scores = np.concatenate(
-        [scorer.score_many(b, samples, rng).ravel() if samples else scorer.score(b) for b in blocks]
-    )
-    return CalibrationSet(np.sort(scores), scorer.kind, scorer.fingerprint())
+    blocks = (cal_examples[i : i + BLOCK_ROWS] for i in range(0, len(cal_examples), BLOCK_ROWS))
+    if isinstance(scorer, VaeScorer):
+        rng = np.random.default_rng(seed)
+        scores = [scorer.score_many(b, 1, rng)[:, 0] for b in blocks]
+    else:
+        scores = [scorer.score(b) for b in blocks]
+    return CalibrationSet(np.sort(np.concatenate(scores)), scorer.kind, scorer.fingerprint())
 
 
 def p_values(scores, cal: CalibrationSet) -> list[float]:

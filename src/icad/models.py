@@ -120,12 +120,6 @@ def vae_loss_grads(model: VaeModel, z: Array, noise: Array):
     return loss, grads
 
 
-def mean_reconstruction(model: VaeModel, z: Array) -> Array:
-    """Noise-free reconstruction: decode the posterior mean."""
-    mu, _ = model.encode(np.asarray(z, dtype=np.float64))
-    return infer(model.decoder, mu)
-
-
 def sample_reconstructions(
     model: VaeModel, z: Array, count: int, rng: np.random.Generator
 ) -> Array:

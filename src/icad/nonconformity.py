@@ -1,10 +1,12 @@
 """Nonconformity scorers: how strange is an example relative to training data?
 
-Four implementations behind one small interface: exact k-nearest-neighbor
-distance, Gaussian kernel density, VAE reconstruction error, and SVDD
-distance-to-center. Every scorer is immutable after construction, returns a
-finite nonnegative score for finite input, and carries an 8-byte fingerprint
-that binds calibration files to the exact scorer that produced them.
+Four implementations: exact k-nearest-neighbor distance, Gaussian kernel
+density, VAE reconstruction error, and SVDD distance-to-center. Every scorer
+is immutable after construction, returns a finite nonnegative score for
+finite input, and carries an 8-byte fingerprint that binds calibration files
+to the exact scorer that produced them. The knn, kde and SVDD scores are
+deterministic (``score``); the VAE's one score is of a sampled
+reconstruction (``score_many``), for calibration and detection alike.
 
 A scorer takes a frame ``(D,)`` or a block ``(B, D)``: a frame scores as a
 float (``score_many``: a list), a block as ``(B,)`` (``(B, count)``). Only
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import logsumexp
 
-from .models import SvddModel, VaeModel, mean_reconstruction, sample_reconstructions
+from .models import SvddModel, VaeModel, sample_reconstructions
 from .neural import Array, Mlp, check_examples, layer_descriptor, layer_payload
 
 
@@ -121,20 +123,16 @@ class KdeScorer:
 class VaeScorer:
     """Reconstruction-error scorer.
 
-    ``score`` uses the noise-free mean reconstruction (one score per example,
-    used for calibration); ``score_many`` draws fresh posterior samples of each
-    example and returns one score per reconstruction (used at detection time).
+    Its one measure is ``score_many``: the squared error of a reconstruction
+    decoded from a fresh posterior sample. Calibration takes one such score
+    per example and detection N per frame, so both sides of a p-value come
+    from the same measure.
     """
 
     kind = "vae"
 
     def __init__(self, model: VaeModel):
         self.model = model
-
-    def score(self, z: Array) -> float | Array:
-        z, back = _check_frames(z, self.model.input_dim)
-        diff = z - mean_reconstruction(self.model, z)
-        return back((diff * diff).sum(axis=1))
 
     def score_many(self, z: Array, count: int, rng: np.random.Generator) -> list[float] | Array:
         """One squared error per sampled reconstruction: a list of ``count``

@@ -14,7 +14,10 @@ import pytest
 
 from icad.cli import (EXIT_ALARM, EXIT_ERROR, EXIT_OK, _parse_grid, _sim_params, build_parser,
                       main)
-from icad.persistence import load_calibration, load_config, load_dataset, save_config, save_dataset
+from icad.conformal import calibration_scores
+from icad.nonconformity import VaeScorer
+from icad.persistence import (load_calibration, load_config, load_dataset, load_model, save_config,
+                              save_dataset)
 
 from conftest import one_value_center
 
@@ -143,11 +146,24 @@ def test_train_svdd_pretrain_flag(work, tmp_path):
 
 
 def test_calibrate_vae_sampled_scores(work, tmp_path):
-    out = tmp_path / "sampled_cal.icad"
-    assert main(["calibrate", "--scorer", "vae", "--model", str(work["vae"]),
-                 "--cal-data", str(work["cal_data"]), "--cal-samples", "3",
-                 "--seed", "1", "--out", str(out)]) == EXIT_OK
-    assert len(load_calibration(out)) == 120 * 3
+    # one sampled score per example, from the generator --seed seeds
+    outs = {}
+    for name, seed in (("a", "7"), ("b", "7"), ("c", "8")):
+        outs[name] = tmp_path / f"{name}.icad"
+        assert main(["calibrate", "--scorer", "vae", "--model", str(work["vae"]),
+                     "--cal-data", str(work["cal_data"]), "--seed", seed,
+                     "--out", str(outs[name])]) == EXIT_OK
+    examples, _ = load_dataset(work["cal_data"])
+    expected = calibration_scores(VaeScorer(load_model(work["vae"])), examples, seed=7)
+    assert np.array_equal(load_calibration(outs["a"]).scores, expected.scores)
+    assert len(expected) == 120
+    assert outs["a"].read_bytes() == outs["b"].read_bytes() != outs["c"].read_bytes()
+
+
+@pytest.mark.parametrize("scorer,seed", [("vae", "0"), ("svdd", "")])
+def test_calibrate_sidecar_records_seed_only_where_read(work, scorer, seed):
+    cal = work[f"{scorer}_cal"]
+    assert load_config(cal.with_name(cal.name + ".config.txt"))["seed"] == seed
 
 
 def test_calibrate_dimension_mismatch_is_error(work, tmp_path, capsys):
@@ -484,9 +500,19 @@ _ERROR_CASES = {
                         "--out", "{out}/c.icad"], "argument --scorer: invalid choice: 'knn'"),
     "kde-scorer": (["calibrate", "--scorer", "kde", "--cal-data", "{cal_data}",
                     "--out", "{out}/c.icad"], "argument --scorer: invalid choice: 'kde'"),
-    "negative-cal-samples": (["calibrate", "--scorer", "vae", "--model", "{vae}",
-                              "--cal-data", "{cal_data}", "--cal-samples", "-1",
-                              "--out", "{out}/c.icad"], "samples must be >= 0"),
+    "vae-with-cal-samples": (["calibrate", "--scorer", "vae", "--model", "{vae}",
+                              "--cal-data", "{cal_data}", "--cal-samples", "3",
+                              "--out", "{out}/c.icad"], "unrecognized arguments: --cal-samples 3"),
+    "svdd-with-seed": (["calibrate", "--scorer", "svdd", "--model", "{svdd}",
+                        "--cal-data", "{cal_data}", "--seed", "3", "--out", "{out}/c.icad"],
+                       "--seed is read only by the vae scorer"),
+    # no prefix matching: detect's --N is not bench's --N-list, --del not --delta
+    "bench-prefix-of-n-list": (["bench", "--method", "svdd", "--model", "{svdd}",
+                                "--cal", "{svdd_cal}", "--N", "7", "--steps", "5",
+                                "--out", "{out}/b.csv"], "unrecognized arguments: --N 7"),
+    "detect-prefix-of-delta": (["detect", "--method", "vae", "--model", "{vae}",
+                                "--cal", "{vae_cal}", "--input", "{in_stream}", "--del", "6",
+                                "--out", "{out}/d.csv"], "unrecognized arguments: --del 6"),
     "detect-other-models-calibration": (["detect", "--method", "vae", "--model", "{vae}",
                                          "--cal", "{svdd_cal}", "--input", "{in_stream}",
                                          "--out", "{out}/d.csv"],
@@ -620,7 +646,7 @@ def _options():
 
 def test_calibrate_takes_a_model_and_calibration_data_only():
     assert _options()["calibrate"] == {"-h", "--help", "--scorer", "--out", "--model", "--cal-data",
-                                       "--cal-samples", "--seed"}
+                                       "--seed"}
 
 
 def test_readme_names_only_real_flags():

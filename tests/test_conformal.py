@@ -27,10 +27,11 @@ from icad.conformal import (
     p_value,
     p_values,
 )
+from icad.episodes import SceneGenerator
 from icad.neural import BLOCK_ROWS
 from icad.nonconformity import KnnScorer, SvddScorer, VaeScorer
 
-from conftest import untrained_scorers
+from conftest import SCENE_SIDE, untrained_scorers
 
 
 def _cal(scores):
@@ -83,33 +84,51 @@ def test_calibration_set_validation():
         CalibrationSet(np.array([1.0]), "knn", b"short")
 
 
-def test_sampled_calibration_pools_scores(two_blob_vae, two_blobs):
-    blob_in, _ = two_blobs
-    scorer = VaeScorer(two_blob_vae)
-    pooled = calibration_scores(scorer, blob_in[200:220], samples=5, seed=1)
-    assert len(pooled) == 20 * 5
-    with pytest.raises(ValueError, match="sampled calibration"):
-        calibration_scores(KnnScorer(blob_in[:50], 3), blob_in[200:210], samples=2)
-
-
 @pytest.mark.parametrize("kind", ["knn", "kde", "vae", "svdd"])
 def test_calibration_blocks_equal_per_row_scores(kind):
-    # two full blocks and a short one, so every block edge is crossed
+    # two full blocks and a short one, so every block edge is crossed; a VAE
+    # example gets the one sampled score the detector takes, from seed 0
     scorer = untrained_scorers(16)[kind]
     examples = np.random.default_rng(4).normal(size=(2 * BLOCK_ROWS + 7, 16))
     cal = calibration_scores(scorer, examples)
-    expected = np.sort([scorer.score(z) for z in examples])
+    rng = np.random.default_rng(0)
+    score = (lambda z: scorer.score_many(z, 1, rng)[0]) if kind == "vae" else scorer.score
+    expected = np.sort([score(z) for z in examples])
     rtol = 0.0 if kind in ("knn", "kde") else 1e-14
     np.testing.assert_allclose(cal.scores, expected, rtol=rtol, atol=0.0)
 
 
 def test_sampled_calibration_blocks_equal_per_example_scores():
+    # one score per example, all drawn from one generator seeded by ``seed``
     scorer = untrained_scorers(16)["vae"]
     examples = np.random.default_rng(6).normal(size=(2 * BLOCK_ROWS + 7, 16))
-    cal = calibration_scores(scorer, examples, samples=3, seed=2)
+    cal = calibration_scores(scorer, examples, seed=2)
     rng = np.random.default_rng(2)
-    expected = np.sort([s for z in examples for s in scorer.score_many(z, 3, rng)])
+    expected = np.sort([scorer.score_many(z, 1, rng)[0] for z in examples])
+    assert len(cal) == len(examples)
     np.testing.assert_allclose(cal.scores, expected, rtol=1e-14, atol=0.0)
+
+
+def test_calibration_seed_is_read_by_the_vae_scorer_only():
+    examples = np.random.default_rng(7).normal(size=(40, 16))
+    for kind, scorer in untrained_scorers(16).items():
+        a, b = (calibration_scores(scorer, examples, seed) for seed in (0, 1))
+        assert np.array_equal(a.scores, b.scores) == (kind != "vae"), kind
+
+
+def test_vae_pvalues_are_valid_on_held_out_frames(scene_vae, scene_vae_cal):
+    # calibration and detection score with the same sampled measure, so the
+    # realized P(p < eps) over all N p-values holds criterion 1's bound; a
+    # calibration on noise-free mean reconstructions read 0.063, 0.157 and
+    # 0.242 here
+    gen = SceneGenerator(side=SCENE_SIDE, seed=404)
+    rng = np.random.default_rng(404)
+    frames = gen.examples(rng.uniform(0.0, 20.0, size=1000), rng)
+    pipe = VaePipeline(scene_vae, scene_vae_cal, n_samples=10, delta=6.0, tau=math.inf, seed=5)
+    ps = np.array([res.p_values for res in pipe.steps(frames)])
+    assert ps.shape == (1000, 10)
+    rates = {eps: float(np.mean(ps < eps)) for eps in (0.01, 0.05, 0.1)}
+    assert all(rate <= eps + 0.02 for eps, rate in rates.items()), rates
 
 
 @pytest.mark.parametrize("kind", ["vae", "svdd"])

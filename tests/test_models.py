@@ -9,7 +9,6 @@ from icad.models import (
     TrainingDivergedError,
     VaeModel,
     _vae_batch_loss_grads,
-    mean_reconstruction,
     pretrain_with_autoencoder,
     sample_reconstructions,
     svdd_init_center,
@@ -18,12 +17,20 @@ from icad.models import (
     train_vae,
     vae_loss_grads,
 )
-from icad.neural import DenseLayer, Mlp, grad_check_params, init_mlp
+from icad.neural import DenseLayer, Mlp, grad_check_params, infer, init_mlp
 from icad.nonconformity import VaeScorer
 
 
 def _identity_mapper(dim):
     return Mlp([DenseLayer(np.eye(dim), None, "identity")])
+
+
+class _ZeroRng:
+    """A generator whose every normal draw is zero: a posterior sample is
+    then the posterior mean."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
 
 
 # ---------------------------------------------------------------- VAE loss
@@ -82,8 +89,8 @@ def test_vae_loss_parts_and_reparameterization():
     loss, _, (recon, kl) = _vae_batch_loss_grads(model, z[None, :], np.zeros((1, 2)))
     assert loss == pytest.approx(recon + kl)
     assert recon >= 0.0 and kl >= 0.0
-    # with zero noise the reconstruction term is the mean-reconstruction error
-    assert recon == pytest.approx(VaeScorer(model).score(z))
+    # with zero noise the reconstruction term is the error of the sampled score
+    assert recon == pytest.approx(VaeScorer(model).score_many(z, 1, _ZeroRng())[0])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -103,13 +110,9 @@ def test_sample_reconstructions_zero_noise_equals_mean():
     model = VaeModel.build(4, latent_dim=2, hidden=(6,), seed=1)
     z = np.array([[0.3, 0.1, -0.4, 0.2]])
     mu, _ = model.encode(z)
-    # a fresh generator that returns zero noise reduces to the mean decode
-    class _ZeroRng:
-        def standard_normal(self, n):
-            return np.zeros(n)
-
-    recon = sample_reconstructions(model, z, 1, _ZeroRng())
-    assert np.allclose(recon[:, 0], mean_reconstruction(model, z))
+    # zero noise reduces every sample to the decoded posterior mean
+    recon = sample_reconstructions(model, z, 3, _ZeroRng())
+    assert np.allclose(recon, infer(model.decoder, mu)[:, None], rtol=1e-14, atol=0.0)
 
 
 def test_sample_reconstructions_deterministic_per_seed():
@@ -128,16 +131,17 @@ def test_memorizing_vae_scores_below_calibration_q3():
     model = VaeModel.build(2, latent_dim=1, hidden=(16, 8), seed=1)
     train_vae(model, point, TrainConfig(epochs=(300, 100), learning_rates=(1e-2, 1e-3),
                                         batch_size=32, seed=2))
-    cal_scores = VaeScorer(model).score(point[0] + rng.normal(0.0, 0.3, size=(60, 2)))
-    own = VaeScorer(model).score(point[0])
-    assert own < np.percentile(cal_scores, 75)
+    scorer = VaeScorer(model)
+    cal_scores = scorer.score_many(point[0] + rng.normal(0.0, 0.3, size=(60, 2)), 1, rng)
+    own = scorer.score_many(point[0], 20, rng)
+    assert max(own) < np.percentile(cal_scores, 75)
 
 
 def test_train_vae_improves_and_stays_finite(toy_vae, toy_blob):
     model, curve = toy_vae
     assert np.all(np.isfinite(curve))
     assert curve[-1] < curve[0]
-    recon = np.mean(VaeScorer(model).score(toy_blob))
+    recon = np.mean(VaeScorer(model).score_many(toy_blob, 1, np.random.default_rng(0)))
     total_variance = toy_blob.var(axis=0).sum()
     print(f"toy VAE recon {recon:.4f} vs variance {total_variance:.4f}")
     assert recon < 0.25 * total_variance
@@ -148,7 +152,7 @@ def test_train_vae_memorizes_single_point():
     model = VaeModel.build(2, latent_dim=1, hidden=(16, 8), seed=1)
     train_vae(model, point, TrainConfig(epochs=(300, 100), learning_rates=(1e-2, 1e-3),
                                         batch_size=32, seed=2))
-    assert VaeScorer(model).score(point[0]) < 1e-3
+    assert max(VaeScorer(model).score_many(point[0], 20, np.random.default_rng(0))) < 1e-3
 
 
 def test_train_config_validation():

@@ -43,8 +43,8 @@ class DriftSchedule:
     def __post_init__(self):
         if self.t0 >= self.t1:
             raise ValueError("ramp must start before it ends (t0 < t1)")
-        if self.r0 < 0.0 or self.beta < 0.0:
-            raise ValueError("initial level and slope must be nonnegative")
+        if not (0.0 <= self.r0 < np.inf and 0.0 <= self.beta < np.inf):
+            raise ValueError("initial level and slope must be nonnegative and finite")
 
     def value(self, t: int) -> float:
         if t < 0:
@@ -125,6 +125,14 @@ class SceneGenerator:
     at most ``HAZE_VALUE``) and rain streaks of ``STREAK_LENGTH`` pixels
     whose expected count is ``STREAK_RATE * r``. At ``r = 0`` the frame is
     the uncorrupted scene.
+
+    ``examples`` is the one renderer. It makes each frame's draws in frame
+    order, and the pinned dataset bytes rest on that order: three uniforms
+    (disk radius, centre row, centre column), ``side**2`` standard normals,
+    one Bernoulli uniform, then a ``(col, row)`` pair per streak. After the
+    draws it renders the whole block at once: disk, noise scale, veil,
+    streaks and clip. So a block's frames and the generator's end state do
+    not depend on how the levels are split into blocks.
     """
 
     side: int = 16
@@ -139,43 +147,54 @@ class SceneGenerator:
         return self.side * self.side
 
     def example(self, r: float, rng: np.random.Generator) -> Array:
-        """Render one frame at corruption level ``r`` and flatten it.
-
-        Streak count is ``floor(rate*r)`` plus a Bernoulli on the fractional
-        part, so the expected count is exactly ``rate*r`` (zero at r=0). The
-        pinned dataset bytes rest on the draw order: three uniforms, side**2
-        normals, one Bernoulli uniform, then a ``(col, row)`` pair per streak.
-        """
-        if r < 0.0:
-            raise ValueError("corruption level must be nonnegative")
-        side = self.side
-        out = np.full(self.dim, BACKGROUND)
-        img = out.reshape(side, side)
-        u_rad, u_cy, u_cx = rng.random(3).tolist()  # uniform(lo, hi) is lo + (hi - lo) * u
-        rad = 0.2 * side + (0.3 * side - 0.2 * side) * u_rad
-        span = (side - rad) - rad
-        axis = np.arange(side)
-        dist2 = ((axis - (rad + span * u_cy)) ** 2)[:, None] + (axis - (rad + span * u_cx)) ** 2
-        img[dist2 <= rad * rad] = DISK_VALUE
-        img += rng.normal(0.0, NOISE_SIGMA, size=(side, side))
-        haze = min(1.0, HAZE_RATE * r)
-        if haze > 0.0:
-            img += haze * HAZE_VALUE
-        expected = STREAK_RATE * r
-        n_streaks = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
-        if n_streaks:
-            col, row = rng.integers(0, (side, side - STREAK_LENGTH + 1), size=(n_streaks, 2)).T
-            i = np.arange(STREAK_LENGTH)
-            cells = (row[:, None] + i, np.minimum(side - 1, col[:, None] + i // 2))
-            np.add.at(img, cells, STREAK_VALUE)
-        np.clip(img, 0.0, 1.0, out=img)
-        return out
+        """One frame at corruption level ``r``: ``examples((r,), rng)[0]``."""
+        return self.examples((r,), rng)[0]
 
     def examples(self, r_values: Sequence[float], rng: np.random.Generator) -> Array:
-        """One frame per level, rendered in order into one preallocated array."""
-        out = np.empty((len(r_values), self.dim))
-        for row, r in zip(out, r_values):
-            row[:] = self.example(r, rng)
+        """Render one flattened frame per corruption level, in order, as a
+        ``(len(r_values), dim)`` block.
+
+        Streak count is ``floor(rate*r)`` plus a Bernoulli on the fractional
+        part, so the expected count is exactly ``rate*r`` (zero at r=0).
+        Every level must be finite and nonnegative; a bad one raises
+        ``ValueError`` before the first draw.
+        """
+        levels = np.asarray(r_values, dtype=np.float64)
+        bad = levels[~(np.isfinite(levels) & (levels >= 0.0))]
+        if bad.size:
+            raise ValueError(f"corruption level must be nonnegative and finite, got {bad[0]}")
+        side, count = self.side, len(levels)
+        out = np.empty((count, self.dim))
+        u = np.empty((count, 3))
+        most = int(STREAK_RATE * levels.max(initial=0.0)) + 1  # streaks of the busiest frame
+        bounds = np.full((most, 2), (side, side - STREAK_LENGTH + 1), dtype=np.int64).ravel()
+        pairs, owners, counts = [], [], []
+        for k, r in enumerate(levels.tolist()):
+            rng.random(out=u[k])
+            rng.standard_normal(out=out[k])
+            expected = STREAK_RATE * r
+            n_streaks = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
+            if n_streaks:
+                pairs.append(rng.integers(0, bounds[: 2 * n_streaks]))
+                owners.append(k)
+                counts.append(n_streaks)
+        out *= NOISE_SIGMA  # normal(0, sigma) is 0 + sigma * standard_normal
+        # uniform(lo, hi) is lo + (hi - lo) * u
+        rad = 0.2 * side + (0.3 * side - 0.2 * side) * u[:, 0]
+        span = (side - rad) - rad
+        axis = np.arange(side)
+        dy2 = (axis - (rad + span * u[:, 1])[:, None]) ** 2
+        dx2 = (axis - (rad + span * u[:, 2])[:, None]) ** 2
+        disk = dy2[:, :, None] + dx2[:, None, :] <= (rad * rad)[:, None, None]
+        out += np.where(disk.reshape(out.shape), DISK_VALUE, BACKGROUND)
+        out += (np.minimum(1.0, HAZE_RATE * levels) * HAZE_VALUE)[:, None]
+        if pairs:
+            col, row = np.concatenate(pairs).reshape(-1, 2).T
+            frame = np.repeat(owners, counts)
+            i = np.arange(STREAK_LENGTH)
+            pixel = (row[:, None] + i) * side + np.minimum(side - 1, col[:, None] + i // 2)
+            np.add.at(out, (frame[:, None], pixel), STREAK_VALUE)
+        np.clip(out, 0.0, 1.0, out=out)
         return out
 
 

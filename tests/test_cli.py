@@ -270,7 +270,7 @@ def test_readme_sim_config_reads_as_printed(tmp_path):
     path.write_text(block.split("```", 1)[0])
     cfg = load_config(path)
     assert (cfg["model"], cfg["cal"]) == ("svdd.icad", "svdd_cal.icad")
-    assert _sim_params(cfg, "svdd", None) == (10, 6.0, 10.0, 150, 0.5, 5.0, 500)
+    assert _sim_params(cfg, "svdd", None) == (10, 6.0, 12.0, 150, 0.5, 5.0, 500)
 
 
 def test_simulate_smoke_one_episode(work, tmp_path):

@@ -55,6 +55,10 @@ def test_schedule_validation():
         DriftSchedule(r0=1.0, t0=20, t1=10, beta=0.1)
     with pytest.raises(ValueError):
         DriftSchedule(r0=-1.0, t0=1, t1=2, beta=0.1)
+    # r0 = inf would put the onset at step 0; a NaN would fail only at the first frame
+    for r0, beta in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            DriftSchedule(r0=r0, t0=1, t1=2, beta=beta)
 
 
 def test_schedule_onset_is_first_step_above_threshold():
@@ -133,14 +137,44 @@ def test_example_matches_scalar_renderer_bit_for_bit(side):
 
 
 def test_examples_equal_stacked_single_frames():
+    # the scalar renderer is the oracle for the block path: blocks of 1, 7,
+    # 16 and 60 rows at levels up to 60 (24 streaks), state checked per block
+    levels = np.random.default_rng(8).uniform(0.0, 60.0, size=84)
+    for side in (4, 5, 16, 17):
+        gen = SceneGenerator(side=side, seed=3)
+        rng_a, rng_b = np.random.default_rng(side), np.random.default_rng(side)
+        start = 0
+        for rows in (1, 7, 16, 60):
+            r_values = levels[start : start + rows]
+            start += rows
+            batch = gen.examples(r_values, rng_a)
+            single = np.stack([_scalar_example(side, r, rng_b) for r in r_values])
+            assert batch.dtype == np.float64 and batch.flags.c_contiguous
+            assert batch.tobytes() == single.tobytes()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_examples_split_anywhere_draw_the_same_frames():
     gen = SceneGenerator(side=16, seed=3)
-    r_values = np.random.default_rng(8).uniform(0.0, 60.0, size=60)
-    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-    batch = gen.examples(r_values, rng_a)
-    single = np.stack([gen.example(r, rng_b) for r in r_values])
-    assert batch.dtype == np.float64 and batch.flags.c_contiguous
-    assert np.array_equal(batch, single)
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    r_values = np.random.default_rng(2).uniform(0.0, 60.0, size=40).tolist()
+    rng_whole = np.random.default_rng(4)
+    whole = gen.examples(r_values, rng_whole)
+    for k in (0, 1, 17, 39, 40):
+        rng = np.random.default_rng(4)
+        parts = np.concatenate([gen.examples(r_values[:k], rng), gen.examples(r_values[k:], rng)])
+        assert parts.tobytes() == whole.tobytes()
+        assert rng.bit_generator.state == rng_whole.bit_generator.state
+
+
+@pytest.mark.parametrize("r_values", [[float("nan")], [float("inf")], [2.0, -float("inf")],
+                                      [1.0, -1.0], [3.0, float("nan"), 4.0]],
+                         ids=["nan", "inf", "minus-inf", "negative-second", "nan-middle"])
+def test_bad_level_is_rejected_before_any_draw(r_values):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="corruption level must be nonnegative and finite"):
+        SceneGenerator(side=8).examples(r_values, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_iter_dataset_blocks_concatenate_to_generate_dataset():

@@ -343,6 +343,9 @@ def _parse_grid(text: str, method: str) -> tuple[list[float] | None, list[float]
         if not parsed:
             raise CliError(f"empty grid for {name!r}")
         if name.strip() == "delta":
+            for delta in parsed:  # before any episode runs, as each tau is
+                if not math.isfinite(delta):
+                    raise CliError(f"delta must be finite, got {delta}")
             deltas = parsed
         elif name.strip() == "tau":
             taus = [_tau(method, tau) for tau in parsed]

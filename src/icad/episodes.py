@@ -11,13 +11,14 @@ past 20.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .conformal import CusumDetector, StepResult, ThresholdDetector
+from .conformal import StepResult, _finite
 from .neural import BLOCK_ROWS, Array
 
 OOD_THRESHOLD = 20.0
@@ -364,25 +365,17 @@ def make_suite_schedules(
     return [sample_schedule_labeled(rng, flag, ood_margin) for flag in flags]
 
 
-def alarm_step_from_trace(m_logs: Sequence[float], detector) -> int | None:
-    """First step at which a fresh ``detector`` alarms on a recorded
-    log-martingale trace.
-
-    The detector gets the same ``update`` calls as in a live run, so
-    threshold tuning on traces matches live runs exactly.
-    """
-    for t, m_log in enumerate(m_logs):
-        alarm, _ = detector.update(m_log)
-        if alarm:
-            return t
-    return None
-
-
 @dataclass(frozen=True)
 class Trace:
     m_logs: tuple[float, ...]
     onset_step: int | None
     label: str
+
+    def __post_init__(self):
+        # no pipeline makes one (p-values lie in (0, 1]); a NaN never alarms a
+        # detector but sorts above every tau in a numpy running maximum
+        if not all(map(math.isfinite, self.m_logs)):
+            raise ValueError("trace log M values must be finite")
 
 
 def collect_traces(
@@ -414,6 +407,31 @@ class GridPoint:
     objective: float
 
 
+def _first_alarms(m_logs: Sequence[float], taus: Array, delta: float | None) -> list[int | None]:
+    """The step at which a fresh detector first alarms on ``m_logs``, for
+    every threshold in ``taus`` at once; ``None`` for no alarm. ``delta``
+    picks CUSUM, ``None`` the threshold detector.
+
+    Up to its first alarm a detector's statistic does not depend on tau:
+    CUSUM resets only when it alarms, and the threshold detector keeps no
+    state. So tau first alarms at the first step whose running maximum of the
+    statistic exceeds it. The CUSUM statistic repeats ``CusumDetector.update``'s
+    float operations in its order, one-step lag included, so the steps are
+    exact; its step 0, which never alarms, enters the maximum as -inf.
+    """
+    if delta is None:
+        stat = np.array(m_logs, dtype=np.float64)
+    else:
+        stats, s = [-math.inf], 0.0
+        for m_log in m_logs[:-1]:
+            s = (s + m_log) - delta
+            s = s if s > 0.0 else 0.0  # max(0.0, s) without the call
+            stats.append(s)
+        stat = np.array(stats[: len(m_logs)])  # an empty trace has no step 0
+    first = np.maximum.accumulate(stat).searchsorted(taus, side="right").tolist()
+    return [None if t == len(stat) else t for t in first]
+
+
 def tune_thresholds(
     traces: Sequence[Trace],
     taus: Sequence[float],
@@ -425,29 +443,32 @@ def tune_thresholds(
     without one it is a plain threshold over ``taus``. Feasible points have
     zero false positives; among them the winner minimizes (false negatives,
     mean delay with misses charged the full remaining horizon). Returns
-    ``(best_or_None, all_points)``.
+    ``(best_or_None, all_points)``. A trace's alarms for every tau come
+    from one statistic pass per delta (``_first_alarms``): the steps at which
+    a fresh detector replayed over the trace would alarm.
     """
-    if deltas is None:
-        grid = [(None, t) for t in taus]
-    else:
-        grid = [(d, t) for d in deltas for t in taus]
+    for tau in taus:
+        _finite("tau", tau, inf_ok=True)
+    for delta in deltas or ():
+        _finite("delta", delta)
+    tau_array = np.asarray(taus, dtype=np.float64)
     points: list[GridPoint] = []
-    for delta, tau in grid:
-        results = []
-        padded: list[float] = []
-        for trace in traces:
-            detector = ThresholdDetector(tau) if delta is None else CusumDetector(tau, delta)
-            alarm = alarm_step_from_trace(trace.m_logs, detector)
-            result = _episode_result(trace.label, trace.onset_step, alarm)
-            results.append(result)
-            if result.verdict == FALSE_NEGATIVE:
-                padded.append(float(len(trace.m_logs) - trace.onset_step))
-            elif result.verdict == TRUE_POSITIVE:
-                padded.append(float(result.delay_frames))
-        suite = SuiteMetrics(tuple(results))
-        objective = float(np.mean(padded)) if padded else 0.0
-        points.append(GridPoint(delta, tau, suite.false_positives, suite.false_negatives,
-                                suite.mean_delay, objective))
+    for delta in [None] if deltas is None else deltas:
+        alarms = [_first_alarms(trace.m_logs, tau_array, delta) for trace in traces]
+        for k, tau in enumerate(taus):
+            results = []
+            padded: list[float] = []
+            for trace, trace_alarms in zip(traces, alarms):
+                result = _episode_result(trace.label, trace.onset_step, trace_alarms[k])
+                results.append(result)
+                if result.verdict == FALSE_NEGATIVE:
+                    padded.append(float(len(trace.m_logs) - trace.onset_step))
+                elif result.verdict == TRUE_POSITIVE:
+                    padded.append(float(result.delay_frames))
+            suite = SuiteMetrics(tuple(results))
+            objective = float(np.mean(padded)) if padded else 0.0
+            points.append(GridPoint(delta, tau, suite.false_positives, suite.false_negatives,
+                                    suite.mean_delay, objective))
     feasible = [p for p in points if p.false_positives == 0]
     best = min(feasible, key=lambda p: (p.false_negatives, p.objective)) if feasible else None
     return best, points

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icad.cli import (EXIT_ALARM, EXIT_ERROR, EXIT_OK, _parse_grid, _sim_params, build_parser,
-                      main)
+from icad.cli import (EXIT_ALARM, EXIT_ERROR, EXIT_OK, CliError, _parse_grid, _sim_params,
+                      build_parser, main)
 from icad.conformal import calibration_scores
 from icad.nonconformity import VaeScorer
 from icad.persistence import (load_calibration, load_config, load_dataset, load_model, save_config,
@@ -552,6 +552,13 @@ _ERROR_CASES = {
     "grid-tau-nan": (["tune", "--method", "svdd", "--config", "{cfg_svdd}",
                       "--grid", "tau=10,nan", "--episodes", "2", "--out", "{out}/g.csv"],
                      "tau must be finite, got nan"),
+    # a bad delta fails before any episode runs, as a bad tau does
+    "grid-delta-nan": (["tune", "--method", "vae", "--config", "{cfg_vae}",
+                        "--grid", "delta=6,nan;tau=10", "--episodes", "2",
+                        "--out", "{out}/g.csv"], "delta must be finite, got nan"),
+    "grid-delta-inf": (["tune", "--method", "vae", "--config", "{cfg_vae}",
+                        "--grid", "delta=inf;tau=10", "--episodes", "2",
+                        "--out", "{out}/g.csv"], "delta must be finite, got inf"),
     "grid-without-tau": (["tune", "--method", "vae", "--config", "{cfg_vae}",
                           "--grid", "delta=6", "--episodes", "2", "--out", "{out}/g.csv"],
                          "grid must include tau"),
@@ -627,6 +634,12 @@ def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, messag
 
 def test_grid_skips_empty_parts():
     assert _parse_grid(";delta=2,6;; tau=10 ;", "vae") == ([2.0, 6.0], [10.0])
+
+
+@pytest.mark.parametrize("grid", ["delta=nan;tau=10", "delta=6,-inf;tau=10"])
+def test_grid_rejects_nonfinite_delta_while_parsing(grid):
+    with pytest.raises(CliError, match="delta must be finite"):
+        _parse_grid(grid, "vae")
 
 
 @pytest.mark.parametrize("method,delta", [("vae", "6"), ("svdd", "")])

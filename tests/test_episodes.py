@@ -24,7 +24,6 @@ from icad.episodes import (
     DriftSchedule,
     SceneGenerator,
     Trace,
-    alarm_step_from_trace,
     benchmark_timing,
     collect_traces,
     generate_dataset,
@@ -341,12 +340,138 @@ def test_make_suite_schedules_mix_and_determinism():
 
 # ---------------------------------------------------------------- tuning
 
+def alarm_step_from_trace(m_logs, detector):
+    """Oracle: the first step at which ``detector`` alarms when it gets a
+    trace's ``update`` calls one by one, as in a live run."""
+    for t, m_log in enumerate(m_logs):
+        alarm, _ = detector.update(m_log)
+        if alarm:
+            return t
+    return None
+
+
+def _detector(tau, delta):
+    return ThresholdDetector(tau) if delta is None else CusumDetector(tau, delta)
+
+
+def tune_by_replay(traces, taus, deltas=None):
+    """Oracle: the grid search as a loop over points, a fresh detector
+    replayed over every trace at each (delta, tau)."""
+    grid = [(None, t) for t in taus] if deltas is None else [(d, t) for d in deltas for t in taus]
+    points = []
+    for delta, tau in grid:
+        results = []
+        padded = []
+        for trace in traces:
+            alarm = alarm_step_from_trace(trace.m_logs, _detector(tau, delta))
+            result = episodes._episode_result(trace.label, trace.onset_step, alarm)
+            results.append(result)
+            if result.verdict == FALSE_NEGATIVE:
+                padded.append(float(len(trace.m_logs) - trace.onset_step))
+            elif result.verdict == TRUE_POSITIVE:
+                padded.append(float(result.delay_frames))
+        suite = episodes.SuiteMetrics(tuple(results))
+        objective = float(np.mean(padded)) if padded else 0.0
+        points.append(episodes.GridPoint(delta, tau, suite.false_positives,
+                                         suite.false_negatives, suite.mean_delay, objective))
+    feasible = [p for p in points if p.false_positives == 0]
+    best = min(feasible, key=lambda p: (p.false_negatives, p.objective)) if feasible else None
+    return best, points
+
+
+def _first_alarm(m_logs, tau, delta):
+    """The closed form ``tune`` runs, for one tau."""
+    (alarm,) = episodes._first_alarms(m_logs, np.array([tau]), delta)
+    return alarm
+
+
 def test_alarm_step_from_trace_matches_live_cusum():
     m_logs = [10.0, 10.0, 10.0, 10.0]
     # delta=6, tau=5: s after t=1 is 4, after t=2 is 8 > 5 -> alarm at t=2
     assert alarm_step_from_trace(m_logs, CusumDetector(tau=5.0, delta=6.0)) == 2
     assert alarm_step_from_trace(m_logs, ThresholdDetector(tau=9.0)) == 0
     assert alarm_step_from_trace([1.0, 2.0], ThresholdDetector(tau=9.0)) is None
+
+
+def test_first_alarms_cusum_lag_and_ties():
+    # the CUSUM never alarms at step 0, even below a negative tau; S_1 = 4
+    # ties tau = 4 and does not alarm, S_2 = 8 does; a threshold alarms at once
+    m_logs = (10.0, 10.0, 10.0)
+    assert episodes._first_alarms(m_logs, np.array([-1.0, 4.0, 8.0, np.inf]), 6.0) == [
+        1, 2, None, None]
+    assert episodes._first_alarms(m_logs, np.array([-1.0, 10.0]), None) == [0, None]
+    assert episodes._first_alarms((), np.array([-1.0]), 6.0) == [None]
+
+
+_M_LOG = st.floats(-60.0, 60.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m_logs=st.lists(st.one_of(_M_LOG, st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=60),
+    delta=st.one_of(st.none(), st.floats(0.0, 30.0)),
+    data=st.data(),
+)
+def test_first_alarms_equal_detector_replay(m_logs, delta, data):
+    # the statistic's own values as taus exercise ties at tau
+    probe = _detector(np.inf, delta)
+    stats = [probe.update(m)[1] for m in m_logs]
+    taus = data.draw(st.lists(
+        st.one_of(st.floats(-100.0, 100.0), st.just(np.inf), st.sampled_from(stats)),
+        min_size=1, max_size=12))
+    expected = [alarm_step_from_trace(m_logs, _detector(tau, delta)) for tau in taus]
+    assert episodes._first_alarms(tuple(m_logs), np.array(taus), delta) == expected
+
+
+def test_first_alarms_tie_with_every_statistic_value():
+    # full-mantissa log M values: a statistic that rounds one step differently
+    # from CusumDetector.update misses a tie at one of its own values
+    rng = np.random.default_rng(0)
+    for delta in [None, *rng.uniform(0.0, 10.0, size=20)]:
+        m_logs = tuple(rng.normal(3.0, 10.0, size=40).tolist())
+        probe = _detector(np.inf, delta)
+        taus = [probe.update(m)[1] for m in m_logs]
+        expected = [alarm_step_from_trace(m_logs, _detector(tau, delta)) for tau in taus]
+        assert episodes._first_alarms(m_logs, np.array(taus), delta) == expected
+
+
+@st.composite
+def _traces(draw):
+    traces = []
+    for _ in range(draw(st.integers(1, 6))):
+        m_logs = tuple(draw(st.lists(_M_LOG, min_size=1, max_size=60)))
+        onset = draw(st.one_of(st.none(), st.integers(0, len(m_logs) - 1)))
+        traces.append(Trace(m_logs, onset, IN_DIST if onset is None else OOD))
+    return traces
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    traces=_traces(),
+    taus=st.lists(st.one_of(st.floats(-20.0, 80.0), st.just(np.inf)), min_size=1, max_size=8),
+    deltas=st.one_of(st.none(), st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5)),
+)
+def test_tune_equals_replay_loop(traces, taus, deltas):
+    assert tune_thresholds(traces, taus, deltas) == tune_by_replay(traces, taus, deltas)
+
+
+def test_tune_rejects_nonfinite_thresholds():
+    trace = Trace((1.0, 2.0), None, IN_DIST)
+    for taus, deltas, name in (([np.nan], None, "tau"), ([-np.inf], [6.0], "tau"),
+                               ([5.0], [np.nan], "delta"), ([5.0], [np.inf], "delta"),
+                               ([5.0], [-np.inf], "delta")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            tune_thresholds([trace], taus, deltas)
+    # inf is the detectors' "never alarm", admitted on purpose
+    _, (point,) = tune_thresholds([trace], [np.inf], [6.0])
+    assert point.false_positives == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_nonfinite_log_m(bad):
+    with pytest.raises(ValueError, match="trace log M values must be finite"):
+        Trace((1.0, bad, 2.0), None, IN_DIST)
 
 
 class _BlobGen:
@@ -386,34 +511,57 @@ def test_replay_equals_live_run(toy_pipelines, method, tau, delta, seed, schedul
     sched = sample_schedule(np.random.default_rng(schedule_seed))
     result, steps = run_episode(_BlobGen(), sched, make(tau, delta, seed), 60, seed=seed)
     (trace,) = collect_traces(_BlobGen(), [sched], lambda: make(tau, delta, seed), 60, seed=seed)
-    detector = CusumDetector(tau, delta) if method == "vae" else ThresholdDetector(tau)
-    assert alarm_step_from_trace(trace.m_logs, detector) == result.alarm_step
+    assert _first_alarm(trace.m_logs, tau, delta if method == "vae" else None) == result.alarm_step
     assert trace.m_logs[: len(steps)] == tuple(res.m_log for _, _, res in steps)
     assert (trace.onset_step, trace.label) == (result.onset_step, result.label)
 
 
+@pytest.fixture(scope="module")
+def scene_runs(scene_gen, scene_vae, scene_vae_cal, scene_svdd, scene_svdd_cal):
+    """Per method: a pipeline factory (criterion 7's n = 10), six schedules,
+    and their traces."""
+    makers = {
+        "vae": lambda: VaePipeline(scene_vae, scene_vae_cal, n_samples=10, delta=6.0, tau=40.0,
+                                   seed=5),
+        "svdd": lambda: SvddPipeline(scene_svdd, scene_svdd_cal, window=10, tau=10.0, seed=5),
+    }
+    schedules = make_suite_schedules(6, 0.5, seed=8, ood_margin=5.0)
+    return {method: (make, schedules, collect_traces(scene_gen, schedules, make, 150, seed=20))
+            for method, make in makers.items()}
+
+
 @pytest.mark.parametrize("method", ["vae", "svdd"])
-def test_replay_equals_live_run_on_scene_models(
-    scene_gen, scene_vae, scene_vae_cal, scene_svdd, scene_svdd_cal, method
-):
+def test_replay_equals_live_run_on_scene_models(scene_gen, scene_runs, method):
     # at scene width a block's network rows differ from one-row passes in the
     # last bits; the live run stops at its alarm and the replay runs to the
     # horizon, and both score the same chunks
-    def make():
-        if method == "vae":
-            return VaePipeline(scene_vae, scene_vae_cal, n_samples=10, delta=6.0, tau=40.0, seed=5)
-        return SvddPipeline(scene_svdd, scene_svdd_cal, window=10, tau=10.0, seed=5)
-
-    schedules = make_suite_schedules(6, 0.5, seed=8, ood_margin=5.0)
-    traces = collect_traces(scene_gen, schedules, make, 150, seed=20)
+    make, schedules, traces = scene_runs[method]
     alarms = 0
     for i, (sched, trace) in enumerate(zip(schedules, traces)):
         result, steps = run_episode(scene_gen, sched, make(), 150, seed=20 + i)
         alarms += result.alarm_step is not None
         assert trace.m_logs[: len(steps)] == tuple(res.m_log for _, _, res in steps)
-        detector = CusumDetector(40.0, 6.0) if method == "vae" else ThresholdDetector(10.0)
-        assert alarm_step_from_trace(trace.m_logs, detector) == result.alarm_step
+        delta = 6.0 if method == "vae" else None
+        tau = 40.0 if method == "vae" else 10.0
+        assert _first_alarm(trace.m_logs, tau, delta) == result.alarm_step
     assert alarms >= 3
+
+
+# criterion 7's tune grids
+_SCENE_GRIDS = {
+    "vae": ([20.0, 40.0, 80.0, 120.0, 160.0, 240.0],
+            [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 24.0]),
+    "svdd": ([4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 14.0, 17.0, 20.0], None),
+}
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_tune_equals_replay_loop_on_scene_models(scene_runs, method):
+    _, _, traces = scene_runs[method]
+    taus, deltas = _SCENE_GRIDS[method]
+    best, points = tune_thresholds(traces, taus, deltas)
+    assert (best, points) == tune_by_replay(traces, taus, deltas)
+    assert len({(p.false_positives, p.false_negatives) for p in points}) > 1
 
 
 def test_tune_picks_zero_fp_minimal_delay():

@@ -276,7 +276,8 @@ def _sim_setup(args):
     model, make = _pipelines(args.method, cfg["model"], cfg["cal"], delta, tau, seed)
     gen = _scene(model.input_dim, seed)
     schedules = episodes.make_suite_schedules(args.episodes, ood_fraction, seed, ood_margin)
-    return gen, lambda: make(n), schedules, (n, delta, tau), max_steps, seed
+    # one checked pipeline per command; each episode starts from a fresh copy
+    return gen, make(n).fresh, schedules, (n, delta, tau), max_steps, seed
 
 
 def _cmd_simulate(args) -> int:

@@ -23,6 +23,7 @@ what makes the recursive sliding-window update exact.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -348,7 +349,19 @@ def svdd_detect_step(pipeline: "SvddPipeline", frames: Array) -> list[StepResult
     return results
 
 
-class VaePipeline:
+class _Pipeline:
+    """What both pipelines share: a calibration checked once against the
+    scorer at construction, and per-stream state that ``_start`` sets up."""
+
+    def fresh(self):
+        """A pipeline over this one's checked scorer and calibration, with
+        the stream state of a newly constructed one; no check runs again."""
+        new = copy.copy(self)
+        new._start()
+        return new
+
+
+class VaePipeline(_Pipeline):
     """Per-stream VAE detection: owns the CUSUM detector and the sampling RNG."""
 
     method = "vae"
@@ -361,6 +374,11 @@ class VaePipeline:
         cal.check_scorer(self.scorer)
         self.cal = cal
         self.n_samples = int(n_samples)
+        self._stream_args = (tau, delta, seed)
+        self._start()
+
+    def _start(self) -> None:
+        tau, delta, seed = self._stream_args
         self.detector = CusumDetector(tau, delta)
         self._rng = np.random.default_rng(seed)
 
@@ -378,7 +396,7 @@ class VaePipeline:
         return vae_detect_step(self, frames)
 
 
-class SvddPipeline:
+class SvddPipeline(_Pipeline):
     """Per-stream SVDD detection with a seeded warm-started sliding window."""
 
     method = "svdd"
@@ -387,6 +405,11 @@ class SvddPipeline:
         self.scorer = SvddScorer(model)
         cal.check_scorer(self.scorer)
         self.cal = cal
+        self._stream_args = (window, tau, seed)
+        self._start()
+
+    def _start(self) -> None:
+        window, tau, seed = self._stream_args
         self.martingale = MartingaleState.warmed_up(window, np.random.default_rng(seed))
         self.detector = ThresholdDetector(tau)
 

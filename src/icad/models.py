@@ -101,13 +101,16 @@ def _vae_batch_loss_grads(model: VaeModel, batch: Array, noise: Array):
     dec_out, dec_cache = forward(model.decoder, x)
     diff = dec_out - batch
     recon = (diff * diff).sum(axis=1)
-    kl = 0.5 * (mu * mu + np.exp(logvar) - 1.0 - logvar).sum(axis=1)
+    var = np.exp(logvar)
+    kl = 0.5 * (mu * mu + var - 1.0 - logvar).sum(axis=1)
     n = batch.shape[0]
     loss = float(np.mean(recon + kl))
     dec_grads, g_x = backward(model.decoder, dec_cache, 2.0 * diff / n)
     g_mu = g_x + mu / n
-    g_logvar = g_x * noise * 0.5 * sigma + 0.5 * (np.exp(logvar) - 1.0) / n
-    enc_grads, _ = backward(model.encoder, enc_cache, np.concatenate([g_mu, g_logvar], axis=1))
+    g_logvar = g_x * noise * 0.5 * sigma + 0.5 * (var - 1.0) / n
+    enc_grads, _ = backward(
+        model.encoder, enc_cache, np.concatenate([g_mu, g_logvar], axis=1), input_grad=False
+    )
     parts = (float(recon.mean()), float(kl.mean()))
     return loss, enc_grads + dec_grads, parts
 
@@ -212,7 +215,7 @@ def _svdd_batch_loss_grads(model: SvddModel, batch: Array):
         float((layer.weights * layer.weights).sum()) for layer in model.mapper.layers
     )
     n = batch.shape[0]
-    grads, _ = backward(model.mapper, cache, 2.0 * diff / n)
+    grads, _ = backward(model.mapper, cache, 2.0 * diff / n, input_grad=False)
     if model.weight_decay > 0.0:
         grads = [g + model.weight_decay * layer.weights for g, layer in zip(grads, model.mapper.layers)]
     return data_term + reg, grads, data_term
@@ -301,7 +304,7 @@ def pretrain_with_autoencoder(model: SvddModel, data: Array, cfg: TrainConfig) -
         n = batch.shape[0]
         loss = float((diff * diff).sum(axis=1).mean())
         dec_grads, g_code = backward(decoder, dec_cache, 2.0 * diff / n)
-        enc_grads, _ = backward(encoder, enc_cache, g_code)
+        enc_grads, _ = backward(encoder, enc_cache, g_code, input_grad=False)
         return loss, enc_grads + dec_grads, loss
 
     curve, _ = _train_two_phase([encoder, decoder], batch_fn, data, cfg, "autoencoder")

@@ -194,13 +194,17 @@ def infer(net: Mlp, x: Array) -> Array:
     return x
 
 
-def backward(net: Mlp, cache: ForwardCache, loss_grad: Array) -> tuple[list[Array], Array]:
+def backward(
+    net: Mlp, cache: ForwardCache, loss_grad: Array, input_grad: bool = True
+) -> tuple[list[Array], Array | None]:
     """Backpropagate ``dLoss/dOutput``, a ``(B, out_dim)`` batch, through the
     cached forward pass.
 
     Returns ``(param_grads, input_grad)`` with ``param_grads`` aligned to
     ``net.parameters()``. Gradients over a batch are summed, so scale
-    ``loss_grad`` rows if a mean is wanted.
+    ``loss_grad`` rows if a mean is wanted. ``input_grad=False`` skips the
+    first layer's input-gradient product, which no parameter gradient reads,
+    and returns ``None`` in its place.
     """
     if cache.net is not net or cache.version != net.version:
         raise ValueError("forward cache is stale or belongs to a different network")
@@ -217,23 +221,33 @@ def backward(net: Mlp, cache: ForwardCache, loss_grad: Array) -> tuple[list[Arra
             delta = delta * _activate_prime(layer.activation, outputs[i + 1])
         weight_grad = delta.T @ outputs[i]
         grads[:0] = [weight_grad] if layer.bias is None else [weight_grad, delta.sum(axis=0)]
-        delta = delta @ layer.weights
-    return grads, delta
+        if i > 0 or input_grad:
+            delta = delta @ layer.weights
+    return grads, delta if input_grad else None
 
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per slice of Adam's flat pass (512 KB of float64): a slice's
+# operands stay in cache through its chain of element-wise operations.
+ADAM_SLICE = 1 << 16
 
 
 @dataclass
 class AdamState:
-    """Adam moments, bound lazily to the shapes of the first step's parameters."""
+    """Adam moments as flat vectors over the first step's parameters, in
+    order. That step fixes the parameter layout (every array's shape) for
+    every later step, and allocates the moments, a flat gradient buffer and
+    one slice of scratch."""
 
     learning_rate: float
     step_count: int = 0
-    m: list[Array] | None = field(default=None, repr=False)
-    v: list[Array] | None = field(default=None, repr=False)
+    layout: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False)
+    m: Array | None = field(default=None, init=False, repr=False)
+    v: Array | None = field(default=None, init=False, repr=False)
+    grad: Array | None = field(default=None, init=False, repr=False)
+    scratch: Array | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:
@@ -245,31 +259,59 @@ def adam_step(state: AdamState, nets: Sequence[Mlp], grads: Sequence[Array]) -> 
 
     ``grads`` is aligned with the networks' parameters, taken in order. Every
     network's version is bumped, so forward caches taken before the step are
-    stale. A non-finite gradient raises, naming the offending parameter,
-    before anything is changed.
+    stale. A gradient count or shape that does not match the parameters, a
+    parameter layout other than the first step's, or a non-finite gradient
+    (named by its parameter) raises before anything is changed.
+
+    The gradients are gathered into one flat vector, and each element takes
+    the per-array arithmetic in its order: ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + ((1-b2)*g)*g``, ``p -= lr*((m/bc1) / (sqrt(v/bc2) + eps))``.
     """
     params = [p for net in nets for p in net.parameters()]
     if len(params) != len(grads):
         raise ValueError("params and grads length mismatch")
-    if state.m is None:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    for i, (p, g, m) in enumerate(zip(params, grads, state.m)):
-        if p.shape != g.shape or p.shape != m.shape:
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if p.shape != g.shape:
             raise ValueError(f"shape mismatch at parameter {i}: {p.shape} vs {g.shape}")
-        if not np.all(np.isfinite(g)):
-            names = [f"net{k}.{n}" for k, net in enumerate(nets) for n in net.parameter_names()]
-            raise ValueError(f"non-finite gradient for {names[i]}")
+    layout = tuple(p.shape for p in params)
+    if state.layout is None:
+        size = sum(p.size for p in params)
+        state.layout = layout
+        state.m, state.v, state.grad = np.zeros(size), np.zeros(size), np.empty(size)
+        state.scratch = np.empty(min(size, ADAM_SLICE))
+    elif layout != state.layout:
+        raise ValueError(f"parameter layout {layout} is not the first step's {state.layout}")
+    flat = np.concatenate([g.reshape(-1) for g in grads], out=state.grad)
+    if not np.isfinite(flat).all():
+        i = next(i for i, g in enumerate(grads) if not np.all(np.isfinite(g)))
+        names = [f"net{k}.{n}" for k, net in enumerate(nets) for n in net.parameter_names()]
+        raise ValueError(f"non-finite gradient for {names[i]}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for start in range(0, flat.size, ADAM_SLICE):
+        g = flat[start : start + ADAM_SLICE]
+        m = state.m[start : start + ADAM_SLICE]
+        v = state.v[start : start + ADAM_SLICE]
+        tmp = state.scratch[: g.size]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.learning_rate * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        # the gradient is spent: its slice takes the update
+        np.divide(m, bc1, out=g)
+        g /= tmp
+        g *= state.learning_rate
+    offset = 0
+    for p in params:
+        p -= flat[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
     for net in nets:
         net._version += 1
 

@@ -30,6 +30,20 @@ SVDD_CFG = dict(output_dim=64, hidden=(512,), weight_decay=1e-3, seed=21)
 SVDD_TRAIN = TrainConfig(epochs=(30, 10), learning_rates=(5e-5, 1e-5), batch_size=64, seed=22)
 
 
+def reference_adam(params, grads, m, v, t, lr):
+    """Out-of-place Adam (Kingma & Ba) over lists of arrays, one array at a
+    time: updates the moment lists ``m`` and ``v`` and returns the step-``t``
+    parameters."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+    new = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+        new.append(p - lr * ((m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)))
+    return new
+
+
 def one_value_center(raw: bytes) -> bytes:
     """An SVDD model file's bytes with the center cut to its first value:
     scoring would broadcast that value against every mapper output."""

@@ -665,6 +665,23 @@ def test_block_steps_equal_frame_steps(scene_pipelines, scene_gen, method):
         assert by_block._rng.bit_generator.state == by_frame._rng.bit_generator.state
 
 
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_fresh_pipeline_steps_as_a_new_one_without_a_second_check(
+    scene_pipelines, scene_gen, method, monkeypatch
+):
+    frames = scene_gen.examples(np.linspace(0.0, 60.0, 40), np.random.default_rng(5))
+    used = scene_pipelines[method]()
+    used.steps(frames[:20])  # its stream state has moved on; a fresh copy's has not
+    calls = []
+    monkeypatch.setattr(type(used.scorer), "fingerprint", lambda self: calls.append(self))
+    fresh = used.fresh()
+    monkeypatch.undo()
+    assert calls == []
+    assert fresh.scorer is used.scorer and fresh.cal is used.cal
+    assert fresh.detector is not used.detector
+    assert fresh.steps(frames) == scene_pipelines[method]().steps(frames)
+
+
 def _two_blob_pipeline(two_blob_setup, method):
     vae, svdd, vae_cal, svdd_cal, _, _ = two_blob_setup
     if method == "vae":

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import reference_adam
 from icad.models import (
     SvddModel,
     TrainConfig,
@@ -17,7 +18,16 @@ from icad.models import (
     train_vae,
     vae_loss_grads,
 )
-from icad.neural import DenseLayer, Mlp, grad_check_params, infer, init_mlp
+from icad.neural import (
+    ADAM_SLICE,
+    DenseLayer,
+    Mlp,
+    backward,
+    forward,
+    grad_check_params,
+    infer,
+    init_mlp,
+)
 from icad.nonconformity import VaeScorer
 
 
@@ -305,6 +315,97 @@ def test_training_divergence_raises_with_epoch():
         # an absurd learning rate blows the loss up to non-finite values
         train_vae(model, data, TrainConfig(epochs=(50, 0), learning_rates=(1e6, 1e6),
                                            batch_size=32, seed=1))
+
+
+# ------------------------------------------------- training against a reference
+
+def _reference_training(nets, batch_grads, data, cfg):
+    """The two-phase minibatch loop over ``nets`` with gradients from
+    ``batch_grads(batch, rng)``, which runs the full ``backward``, and the
+    out-of-place reference Adam written back into the live arrays."""
+    rng = np.random.default_rng(cfg.seed)
+    params = [p for net in nets for p in net.parameters()]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+    for phase in range(2):
+        for _ in range(cfg.epochs[phase]):
+            perm = rng.permutation(data.shape[0])
+            for start in range(0, data.shape[0], cfg.batch_size):
+                grads = batch_grads(data[perm[start : start + cfg.batch_size]], rng)
+                t += 1
+                for p, new in zip(params, reference_adam(params, grads, m, v, t,
+                                                         cfg.learning_rates[phase])):
+                    p[...] = new
+
+
+_REF_CFG = TrainConfig(epochs=(3, 2), learning_rates=(1e-3, 1e-4), batch_size=32, seed=5)
+
+
+def _same_weights(a, b):
+    return all(p.tobytes() == q.tobytes() for p, q in zip(a.parameters(), b.parameters(),
+                                                          strict=True))
+
+
+def test_train_svdd_with_weight_decay_equals_reference_loop():
+    # a mapper whose first matrix spans two slices of Adam's flat pass
+    data = np.random.default_rng(1).normal(size=(80, 256))
+    trained, ref = (SvddModel.build(256, output_dim=8, hidden=(300,), weight_decay=1e-2,
+                                    seed=2) for _ in range(2))
+    assert trained.mapper.layers[0].weights.size > ADAM_SLICE
+    svdd_init_center(trained, data)
+    svdd_init_center(ref, data)
+
+    def grads(batch, _rng):
+        reps, cache = forward(ref.mapper, batch)
+        g, _ = backward(ref.mapper, cache, 2.0 * (reps - ref.center) / batch.shape[0])
+        return [gw + ref.weight_decay * layer.weights for gw, layer in zip(g, ref.mapper.layers)]
+
+    train_svdd(trained, data, _REF_CFG)
+    _reference_training([ref.mapper], grads, data, _REF_CFG)
+    assert _same_weights(trained.mapper, ref.mapper)
+
+
+def test_train_vae_equals_reference_loop(toy_blob):
+    trained, ref = (VaeModel.build(2, latent_dim=1, hidden=(8, 4), seed=3) for _ in range(2))
+    d = ref.latent_dim
+
+    def grads(batch, rng):
+        noise = rng.standard_normal((batch.shape[0], d))
+        enc_out, enc_cache = forward(ref.encoder, batch)
+        mu, logvar = enc_out[:, :d], enc_out[:, d:]
+        sigma = np.exp(0.5 * logvar)
+        dec_out, dec_cache = forward(ref.decoder, mu + sigma * noise)
+        n = batch.shape[0]
+        dec_grads, g_x = backward(ref.decoder, dec_cache, 2.0 * (dec_out - batch) / n)
+        g_logvar = g_x * noise * 0.5 * sigma + 0.5 * (np.exp(logvar) - 1.0) / n
+        enc_grads, _ = backward(ref.encoder, enc_cache,
+                                np.concatenate([g_x + mu / n, g_logvar], axis=1))
+        return enc_grads + dec_grads
+
+    train_vae(trained, toy_blob, _REF_CFG)
+    _reference_training([ref.encoder, ref.decoder], grads, toy_blob, _REF_CFG)
+    assert _same_weights(trained.encoder, ref.encoder)
+    assert _same_weights(trained.decoder, ref.decoder)
+
+
+def test_pretrain_with_autoencoder_equals_reference_loop(toy_blob):
+    model = SvddModel.build(2, output_dim=2, hidden=(8,), seed=4)
+    # the autoencoder pretrain_with_autoencoder builds from the config's seed
+    rng = np.random.default_rng(_REF_CFG.seed)
+    encoder = init_mlp((2, 8, 2), ["elu", "identity"], False, rng)
+    decoder = init_mlp((2, 8, 2), ["elu", "identity"], True, rng)
+
+    def grads(batch, _rng):
+        code, enc_cache = forward(encoder, batch)
+        recon, dec_cache = forward(decoder, code)
+        dec_grads, g_code = backward(decoder, dec_cache, 2.0 * (recon - batch) / batch.shape[0])
+        enc_grads, _ = backward(encoder, enc_cache, g_code)
+        return enc_grads + dec_grads
+
+    pretrain_with_autoencoder(model, toy_blob, _REF_CFG)
+    _reference_training([encoder, decoder], grads, toy_blob, _REF_CFG)
+    assert _same_weights(model.mapper, encoder)
 
 
 # ---------------------------------------------------------------- pretraining

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import reference_adam
 from icad.neural import (
+    ADAM_SLICE,
     AdamState,
     DenseLayer,
     Mlp,
@@ -213,24 +215,50 @@ def test_bias_free_net_stays_bias_free_through_training():
 
 
 def test_adam_in_place_matches_out_of_place_reference_bitwise():
-    nets = [_random_net(3), _random_net(4, bias=False)]
-    params = [p.copy() for net in nets for p in net.parameters()]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    state = AdamState(learning_rate=1e-2)
-    rng = np.random.default_rng(5)
-    for t in range(1, 9):
-        state.learning_rate = lr = 1e-2 if t <= 4 else 1e-3
-        grads = [rng.normal(size=p.shape) for p in params]
-        adam_step(state, nets, grads)
-        bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
-        for i, g in enumerate(grads):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
-            params[i] = params[i] - lr * ((m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps))
-        live = [p for net in nets for p in net.parameters()]
-        assert all(np.array_equal(a, b) for a, b in zip(live, params))
+    # nets whose parameters lie in one slice of the flat pass, and nets whose
+    # parameters span three, a large matrix across each boundary between tiny arrays
+    for nets in ([_random_net(3), _random_net(4, bias=False)],
+                 [_random_net(5), _random_net(6, dims=(400, 400, 1, 2)),
+                  _random_net(7, dims=(1, 2), acts=("identity",))]):
+        params = [p.copy() for net in nets for p in net.parameters()]
+        size = sum(p.size for p in params)
+        assert size <= ADAM_SLICE or size > 2 * ADAM_SLICE
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        state = AdamState(learning_rate=1e-2)
+        rng = np.random.default_rng(5)
+        for t in range(1, 9):
+            state.learning_rate = lr = 1e-2 if t <= 4 else 1e-3
+            grads = [rng.normal(size=p.shape) for p in params]
+            adam_step(state, nets, grads)
+            params = reference_adam(params, grads, m, v, t, lr)
+            live = [p for net in nets for p in net.parameters()]
+            assert all(np.array_equal(a, b) for a, b in zip(live, params, strict=True))
+
+
+_OTHER_LAYOUTS = {
+    "other-shapes": lambda net: [_random_net(8, dims=(4, 6, 5, 2))],
+    "one-more-net": lambda net: [net, _random_net(9)],
+    "one-net-fewer": lambda net: [],
+}
+
+
+@pytest.mark.parametrize("later", _OTHER_LAYOUTS.values(), ids=list(_OTHER_LAYOUTS))
+def test_adam_rejects_later_step_with_another_layout_before_any_change(later):
+    net = _random_net(1)
+    state = AdamState(learning_rate=0.1)
+    adam_step(state, [net], [np.ones_like(p) for p in net.parameters()])
+    nets = later(net)
+    before = [p.copy() for other in nets for p in other.parameters()]
+    versions = [other.version for other in nets]
+    moments = (state.m.copy(), state.v.copy())
+    with pytest.raises(ValueError, match="parameter layout .* is not the first step's"):
+        adam_step(state, nets, [np.ones_like(p) for p in before])
+    after = [p for other in nets for p in other.parameters()]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after, strict=True))
+    assert [other.version for other in nets] == versions
+    assert state.step_count == 1
+    assert np.array_equal(state.m, moments[0]) and np.array_equal(state.v, moments[1])
 
 
 def test_backward_rejects_cache_taken_before_adam_step():
@@ -360,6 +388,10 @@ def test_backward_equals_pre_activation_oracle_bitwise(seed, bias, rows):
     assert len(grads) == len(want_grads)
     assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads))
     assert np.array_equal(input_grad, want_input)
+    # without the input gradient, the parameter gradients are the full pass's
+    grads, input_grad = backward(net, cache, g, input_grad=False)
+    assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads, strict=True))
+    assert input_grad is None
 
 
 def _adam_on(net, grads):

@@ -14,7 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .neural import AdamState, Array, Mlp, adam_step, backward, check_examples, forward, infer, init_mlp
+from .neural import (
+    BLOCK_ROWS, AdamState, Array, Mlp, adam_step, backward, check_examples, forward, infer, init_mlp,
+)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -189,7 +191,10 @@ def svdd_init_center(model: SvddModel, data: Array) -> Array:
     if model.center is not None:
         raise RuntimeError("center is already initialized and frozen")
     data = check_examples(data, "training set")
-    c = infer(model.mapper, data).mean(axis=0)
+    # map a block at a time, so one block's hidden layers are held at once;
+    # the mean runs over all mapped rows together, in mean(axis=0)'s own order
+    blocks = (data[i : i + BLOCK_ROWS] for i in range(0, len(data), BLOCK_ROWS))
+    c = np.concatenate([infer(model.mapper, b) for b in blocks]).mean(axis=0)
     if np.linalg.norm(c) < 1e-6:
         offset = np.zeros_like(c)
         offset[0] = 0.1

@@ -30,20 +30,40 @@ BLOCK_ROWS = 512
 
 
 def _activate(name: str, z: Array) -> Array:
+    """The activation of ``z``, in place: ``z`` is a fresh product that the
+    caller does not read again.
+
+    elu is ``max(-0.0, z) + expm1(min(-0.0, z))``, the bits of
+    ``np.where(z >= 0.0, z, np.expm1(z))`` without a data-dependent select and
+    with one new buffer. A zero keeps its sign because ``np.maximum`` and
+    ``np.minimum`` return their second operand when both operands are zero.
+    """
     if name == "identity":
         return z
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "elu":
-        return np.where(z >= 0.0, z, np.expm1(z))
+        neg = np.minimum(-0.0, z)
+        np.expm1(neg, out=neg)
+        np.maximum(-0.0, z, out=z)
+        z += neg
+        return z
     raise ValueError(f"unknown activation {name!r}")
 
 
 def _activate_prime(name: str, a: Array) -> Array:
-    # relu's or elu's derivative from its output `a`, exactly: elu's output is
-    # negative iff its input is (-0.0 maps to -0.0), relu's positive iff its
-    # input is, and NaN compares false either way; identity has no factor
-    return a > 0.0 if name == "relu" else np.where(a >= 0.0, 1.0, a + 1.0)
+    """relu's or elu's derivative from its output ``a``, exactly, in one fresh
+    buffer the caller may overwrite; identity has no factor.
+
+    relu's output is positive iff its input is. elu's derivative is
+    ``min(a + 1, 1)``, the bits of ``np.where(a >= 0.0, 1.0, a + 1.0)``:
+    ``a >= 0`` (elu maps -0.0 to -0.0) gives ``a + 1 >= 1``, a negative ``a``
+    gives ``a + 1`` below 1 or rounding to 1.0, and NaN propagates either way.
+    """
+    if name == "relu":
+        return np.greater(a, 0.0, out=np.empty_like(a))
+    factor = a + 1.0
+    return np.minimum(factor, 1.0, out=factor)
 
 
 @dataclass
@@ -160,7 +180,8 @@ def check_examples(arr: Array, what: str) -> Array:
 
 
 def _layer(layer: DenseLayer, a: Array) -> Array:
-    """The affine map, the bias added into the fresh product, the activation."""
+    """The affine map, the bias added into the fresh product, the activation
+    in place on it."""
     z = a @ layer.weights.T
     if layer.bias is not None:
         z += layer.bias
@@ -218,7 +239,10 @@ def backward(
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.activation != "identity":
-            delta = delta * _activate_prime(layer.activation, outputs[i + 1])
+            # the derivative's fresh buffer takes the product
+            factor = _activate_prime(layer.activation, outputs[i + 1])
+            factor *= delta
+            delta = factor
         weight_grad = delta.T @ outputs[i]
         grads[:0] = [weight_grad] if layer.bias is None else [weight_grad, delta.sum(axis=0)]
         if i > 0 or input_grad:

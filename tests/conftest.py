@@ -3,6 +3,7 @@ scene models used by the separation and acceptance tests. Everything is
 seeded; session scope keeps the training cost paid once."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,17 @@ def reference_adam(params, grads, m, v, t, lr):
         v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
         new.append(p - lr * ((m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)))
     return new
+
+
+def traced_peak_mb(call) -> float:
+    """The peak of the memory that ``call()`` allocates, in MB. tracemalloc
+    sees numpy's buffers, and for fixed shapes its count is deterministic."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def one_value_center(raw: bytes) -> bytes:

@@ -28,10 +28,11 @@ from icad.conformal import (
     p_values,
 )
 from icad.episodes import SceneGenerator
+from icad.models import SvddModel, svdd_init_center
 from icad.neural import BLOCK_ROWS
 from icad.nonconformity import KnnScorer, SvddScorer, VaeScorer
 
-from conftest import SCENE_SIDE, untrained_scorers
+from conftest import SCENE_SIDE, traced_peak_mb, untrained_scorers
 
 
 def _cal(scores):
@@ -137,6 +138,15 @@ def test_calibration_rejects_non_finite_row_past_first_block(kind):
     examples[BLOCK_ROWS + 3, 7] = np.nan
     with pytest.raises(ValueError, match="non-finite values"):
         calibration_scores(untrained_scorers(16)[kind], examples)
+
+
+def test_svdd_calibration_traced_peak_stays_under_5_mb():
+    # the README's 256-512-64 mapper, untrained, on 5,000 frames: one 512-row
+    # block's hidden layer (2 MB) and elu's negative part (2 MB) at a time
+    model = SvddModel.build(256, output_dim=64, hidden=(512,), seed=1)
+    svdd_init_center(model, np.random.default_rng(2).normal(size=(30, 256)))
+    examples = np.random.default_rng(3).normal(size=(5000, 256))
+    assert traced_peak_mb(lambda: calibration_scores(SvddScorer(model), examples)) < 5.0
 
 
 # ---------------------------------------------------------------- p-values
@@ -556,8 +566,6 @@ def test_pipeline_rejects_foreign_calibration(two_blob_setup):
     with pytest.raises(FingerprintMismatchError):
         SvddPipeline(svdd, vae_cal, window=10, tau=14.0, seed=0)
     # same kind, different model
-    from icad.models import SvddModel, svdd_init_center
-
     other = SvddModel.build(2, output_dim=2, hidden=(16, 8), weight_decay=1e-4, seed=77)
     svdd_init_center(other, np.zeros((5, 2)) + 2.0)
     with pytest.raises(FingerprintMismatchError):

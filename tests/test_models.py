@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import reference_adam
+from conftest import reference_adam, traced_peak_mb
 from icad.models import (
     SvddModel,
     TrainConfig,
@@ -20,6 +20,7 @@ from icad.models import (
 )
 from icad.neural import (
     ADAM_SLICE,
+    BLOCK_ROWS,
     DenseLayer,
     Mlp,
     backward,
@@ -194,11 +195,21 @@ def test_svdd_center_single_point_is_its_representation():
 
 def test_svdd_center_matches_mean_of_forward_passes_oracle():
     rng = np.random.default_rng(5)
-    model = SvddModel.build(4, output_dim=3, hidden=(6,), seed=5)
-    data = rng.normal(size=(20, 4))
-    c = svdd_init_center(model, data)
-    oracle = np.mean([model.represent(z[None])[0] for z in data], axis=0)
-    assert np.max(np.abs(c - oracle)) < 1e-12
+    # one short block, and three blocks with a short last one
+    for rows in (20, 2 * BLOCK_ROWS + 76):
+        model = SvddModel.build(4, output_dim=3, hidden=(6,), seed=5)
+        data = rng.normal(size=(rows, 4))
+        c = svdd_init_center(model, data)
+        oracle = np.mean([model.represent(z[None])[0] for z in data], axis=0)
+        assert np.max(np.abs(c - oracle)) < 1e-12
+
+
+def test_svdd_center_traced_peak_stays_under_5_mb():
+    # the README's 256-512-64 mapper on 800 frames: mapped a block at a time,
+    # the center holds one block's 2 MB hidden layer, not all 800 rows' 3.3 MB
+    model = SvddModel.build(256, output_dim=64, hidden=(512,), seed=1)
+    data = np.random.default_rng(1).normal(size=(800, 256))
+    assert traced_peak_mb(lambda: svdd_init_center(model, data)) < 5.0
 
 
 def test_svdd_center_degeneracy_guard():

@@ -9,6 +9,8 @@ from icad.neural import (
     AdamState,
     DenseLayer,
     Mlp,
+    _activate,
+    _activate_prime,
     adam_step,
     backward,
     finite_difference_grads,
@@ -312,6 +314,37 @@ def test_infer_equals_forward_bitwise(activation, bias):
         assert out.shape == y.shape
         assert out.tobytes() == y.tobytes()
 
+
+
+def _elu_views(base):
+    """``base`` whole, offset by one, every third element, and a column slice
+    of it as a matrix. Only positive strides: on a reversed view np.expm1
+    takes its scalar loop, whose last bit differs from its SIMD loop's on
+    AVX-512 hosts, so the oracle itself would change with the layout."""
+    cols = base[: base.size // 4 * 4].reshape(-1, 4)
+    return {"contiguous": base, "offset": base[1:], "strided": base[::3],
+            "columns": cols[:, 1:3]}
+
+
+@pytest.mark.parametrize("view", ["contiguous", "offset", "strided", "columns"])
+def test_elu_kernels_equal_where_forms_bitwise(view):
+    # the np.where forms are the oracles; the kernels must give their bits,
+    # signed zeros, infinities, NaN and subnormals included
+    rng = np.random.default_rng(31)
+    # each four times over, so that every view holds each of them
+    special = np.repeat([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.0, -1.0], 4)
+    scales = 10.0 ** np.arange(-300, 301, 25)
+    for n in (1, 3, 17, 511, 4099):
+        base = np.concatenate([special, *(s * rng.standard_normal(n) for s in scales)])
+        z = _elu_views(base)[view]
+        with np.errstate(over="ignore"):  # expm1 of a large positive z
+            want = np.where(z >= 0.0, z, np.expm1(z))
+        # in place on the same view of a copy
+        got = _activate("elu", _elu_views(base.copy())[view])
+        assert got.tobytes() == want.tobytes()
+        a = _elu_views(np.concatenate([want.reshape(-1), special]))[view]
+        want_prime = np.where(a >= 0.0, 1.0, a + 1.0)
+        assert _activate_prime("elu", a).tobytes() == want_prime.tobytes()
 
 
 class _SignedZeroProducts(np.ndarray):

@@ -1,6 +1,6 @@
 """Real-time out-of-distribution detection via inductive conformal anomaly
-detection, with learned (VAE, deep SVDD) and classical (k-NN, KDE)
-nonconformity measures, martingale tests, and a drift-episode harness."""
+detection, with learned (VAE, deep SVDD) nonconformity measures, martingale
+tests, and a drift-episode harness."""
 
 from .conformal import (
     CalibrationSet,
@@ -11,7 +11,6 @@ from .conformal import (
     SvddPipeline,
     ThresholdDetector,
     VaePipeline,
-    calibrate,
     calibration_scores,
     integrate_power_factor,
     mixture_martingale_log,
@@ -43,6 +42,6 @@ from .models import (
     train_vae,
 )
 from .neural import AdamState, DenseLayer, Mlp, adam_step, backward, forward, infer
-from .nonconformity import KdeScorer, KnnScorer, SvddScorer, VaeScorer
+from .nonconformity import SvddScorer, VaeScorer
 
 __version__ = "0.1.0"

@@ -86,29 +86,13 @@ class CalibrationSet:
             )
 
 
-def calibrate(train: Array, m: int, build_scorer, seed: int = 0) -> CalibrationSet:
-    """Split a training set and score the calibration portion.
-
-    The first ``m`` examples form the proper training set, the remainder the
-    calibration set. ``build_scorer`` builds the scorer from the proper
-    training set (for example ``lambda proper: KnnScorer(proper, k=10)``);
-    ``seed`` is read by the VAE scorer only (see ``calibration_scores``).
-    """
-    train = check_examples(train, "training set")
-    l = train.shape[0]
-    if not 0 < m < l:
-        raise ValueError(f"proper-train size m={m} must satisfy 0 < m < {l}")
-    proper, cal_part = train[:m], train[m:]
-    return calibration_scores(build_scorer(proper), cal_part, seed)
-
-
 def calibration_scores(scorer, cal_examples: Array, seed: int = 0) -> CalibrationSet:
     """Score the calibration examples in blocks of at most ``BLOCK_ROWS``
     rows, one network pass per block, and return the sorted result.
 
     A VAE example gets one sampled-reconstruction score, ``score_many(block,
     1, rng)``, with one generator seeded by ``seed`` for the whole set: the
-    measure the VAE detector takes, so its p-values are valid. Every other
+    measure the VAE detector takes, so its p-values are valid. The SVDD
     scorer takes ``score(block)`` and reads no ``seed``.
     """
     cal_examples = check_examples(cal_examples, "calibration set")

@@ -1,12 +1,12 @@
 """Nonconformity scorers: how strange is an example relative to training data?
 
-Four implementations: exact k-nearest-neighbor distance, Gaussian kernel
-density, VAE reconstruction error, and SVDD distance-to-center. Every scorer
-is immutable after construction, returns a finite nonnegative score for
-finite input, and carries an 8-byte fingerprint that binds calibration files
-to the exact scorer that produced them. The knn, kde and SVDD scores are
-deterministic (``score``); the VAE's one score is of a sampled
-reconstruction (``score_many``), for calibration and detection alike.
+Two implementations, the paper's learned measures: VAE reconstruction
+error and SVDD distance-to-center. Every scorer is immutable after
+construction, returns a finite nonnegative score for finite input, and
+carries an 8-byte fingerprint that binds calibration files to the exact
+scorer that produced them. The SVDD score is deterministic (``score``); the
+VAE's one score is of a sampled reconstruction (``score_many``), for
+calibration and detection alike.
 
 A scorer takes a frame ``(D,)`` or a block ``(B, D)``: a frame scores as a
 float (``score_many``: a list), a block as ``(B,)`` (``(B, count)``). Only
@@ -21,10 +21,9 @@ import struct
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import SvddModel, VaeModel, sample_reconstructions
-from .neural import Array, Mlp, check_examples, layer_descriptor, layer_payload
+from .neural import Array, Mlp, layer_descriptor, layer_payload
 
 
 def _check_frames(z: Array, dim: int) -> tuple[Array, Callable]:
@@ -43,22 +42,6 @@ def _check_frames(z: Array, dim: int) -> tuple[Array, Callable]:
     return z[None], lambda scores: scores[0].tolist()
 
 
-def _sq_dists(train: Array, z: Array) -> Array:
-    """Squared distances from each row of ``z`` to every training point,
-    ``(B, n)``, a row at a time so it never holds ``B x n x D`` differences."""
-    return np.stack([((train - row) ** 2).sum(axis=1) for row in z])
-
-
-def silverman_bandwidth(train: Array) -> float:
-    """Silverman's rule-of-thumb bandwidth, averaged over dimensions."""
-    train = check_examples(train, "training set")
-    n, d = train.shape
-    spread = float(np.mean(np.std(train, axis=0, ddof=1))) if n > 1 else 0.0
-    if spread <= 0.0:
-        return 1.0
-    return spread * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
-
-
 def _hash_chunks(*chunks: bytes) -> bytes:
     h = hashlib.sha256()
     for chunk in chunks:
@@ -71,53 +54,6 @@ def _mlp_signature(net: Mlp) -> bytes:
     for layer in net.layers:
         parts += [layer_descriptor(layer), *layer_payload(layer)]
     return b"".join(parts)
-
-
-class KnnScorer:
-    kind = "knn"
-
-    def __init__(self, train: Array, k: int = 10):
-        self.train = check_examples(train, "training set").copy()
-        self.train.setflags(write=False)
-        if not 1 <= k <= self.train.shape[0]:
-            raise ValueError(f"k={k} out of range for training set of size {self.train.shape[0]}")
-        self.k = int(k)
-
-    def score(self, z: Array) -> float | Array:
-        """Mean Euclidean distance from ``z`` to its ``k`` nearest training points."""
-        z, back = _check_frames(z, self.train.shape[1])
-        d = np.sqrt(_sq_dists(self.train, z))
-        return back(np.sort(d, axis=1)[:, : self.k].mean(axis=1))
-
-    def fingerprint(self) -> bytes:
-        return _hash_chunks(b"knn", struct.pack("<I", self.k), self.train.astype("<f4").tobytes())
-
-
-class KdeScorer:
-    kind = "kde"
-
-    def __init__(self, train: Array, bandwidth: float | None = None):
-        self.train = check_examples(train, "training set").copy()
-        self.train.setflags(write=False)
-        self.bandwidth = float(bandwidth) if bandwidth is not None else silverman_bandwidth(self.train)
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
-
-    def score(self, z: Array) -> float | Array:
-        """Negative log Gaussian-kernel density, shifted so the minimum is zero.
-
-        The shift puts the score at 0 when ``z`` coincides with every training
-        point (the maximum achievable density), which makes all scores >= 0.
-        With the normalization constants cancelled this reduces to
-        ``log n - logsumexp(-||z - z_i||^2 / (2 h^2))``.
-        """
-        z, back = _check_frames(z, self.train.shape[1])
-        sq = _sq_dists(self.train, z)
-        log_density = logsumexp(-sq / (2.0 * self.bandwidth * self.bandwidth), axis=1)
-        return back(np.log(self.train.shape[0]) - log_density)
-
-    def fingerprint(self) -> bytes:
-        return _hash_chunks(b"kde", struct.pack("<d", self.bandwidth), self.train.astype("<f4").tobytes())
 
 
 class VaeScorer:

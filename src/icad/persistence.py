@@ -14,7 +14,9 @@ ModelFile ("ICADMDL1")
 CalibrationFile ("ICADCAL1")
     magic, scorer kind code (u8: 1=knn, 2=kde, 3=vae, 4=svdd), scorer
     fingerprint (8 bytes), count (u32), sorted scores as f64. Scores stay at
-    full precision because p-value boundaries are tie-sensitive.
+    full precision because p-value boundaries are tie-sensitive. Codes 1
+    and 2 name scorers the package no longer has; they stay so that older
+    calibration files load, and a pipeline refuses them.
 
 DatasetFile ("ICADDAT1")
     magic, count (u32), dimension (u32), corruption-level flag (u8),

@@ -18,7 +18,7 @@ from icad.models import (
     train_svdd,
     train_vae,
 )
-from icad.nonconformity import KdeScorer, KnnScorer, SvddScorer, VaeScorer
+from icad.nonconformity import SvddScorer, VaeScorer
 
 # Scene-scale recipe shared by the detection-suite and statistical tests.
 SCENE_SIDE = 16
@@ -72,8 +72,6 @@ def untrained_scorers(dim):
     svdd = SvddModel.build(dim, output_dim=3, hidden=(8,), seed=1)
     svdd_init_center(svdd, train)
     return {
-        "knn": KnnScorer(train, k=4),
-        "kde": KdeScorer(train),
         "vae": VaeScorer(VaeModel.build(dim, latent_dim=2, hidden=(8,), seed=2)),
         "svdd": SvddScorer(svdd),
     }

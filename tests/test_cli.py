@@ -5,19 +5,22 @@ import argparse
 import csv
 import errno
 import hashlib
+import importlib
 import os
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icad
 from icad.cli import (EXIT_ALARM, EXIT_ERROR, EXIT_OK, CliError, _parse_grid, _sim_params,
                       build_parser, main)
-from icad.conformal import calibration_scores
+from icad.conformal import CalibrationSet, calibration_scores
 from icad.nonconformity import VaeScorer
-from icad.persistence import (load_calibration, load_config, load_dataset, load_model, save_config,
-                              save_dataset)
+from icad.persistence import (load_calibration, load_config, load_dataset, load_model,
+                              save_calibration, save_config, save_dataset)
 
 from conftest import one_value_center
 
@@ -517,6 +520,11 @@ _ERROR_CASES = {
                                          "--cal", "{svdd_cal}", "--input", "{in_stream}",
                                          "--out", "{out}/d.csv"],
                                         "calibration was built with the 'svdd' scorer"),
+    # kind code 1 still loads, and no pipeline takes it
+    "detect-knn-calibration": (["detect", "--method", "svdd", "--model", "{svdd}",
+                                "--cal", "{knn_cal}", "--input", "{in_stream}",
+                                "--out", "{out}/d.csv"],
+                               "calibration was built with the 'knn' scorer"),
     "sim-config-without-cal": (["simulate", "--episodes", "2", "--method", "svdd",
                                 "--config", "{cfg_no_cal}", "--out", "{out}/sim"],
                                "missing 'cal'"),
@@ -616,13 +624,16 @@ def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, messag
     save_config(cfg_dir / "margin.txt",
                 {"model": work["svdd"], "cal": work["svdd_cal"], "ood_margin": -1})
     (cfg_dir / "short_center.icad").write_bytes(one_value_center(work["svdd"].read_bytes()))
+    save_calibration(cfg_dir / "knn_cal.icad",
+                     CalibrationSet(np.array([1.0, 2.0]), "knn", b"abcdefgh"))
     paths = {name: str(path) for name, path in work.items()}
     paths.update(out=str(out_dir), cfg_svdd=str(cfg_dir / "svdd.txt"),
                  cfg_vae=str(cfg_dir / "vae.txt"), cfg_no_cal=str(cfg_dir / "no_cal.txt"),
                  cfg_zero_steps=str(cfg_dir / "zero_steps.txt"), cfg_typo=str(cfg_dir / "typo.txt"),
                  cfg_repeat=str(cfg_dir / "repeat.txt"), cfg_tau_nan=str(cfg_dir / "tau_nan.txt"),
                  cfg_margin=str(cfg_dir / "margin.txt"),
-                 short_center=str(cfg_dir / "short_center.icad"))
+                 short_center=str(cfg_dir / "short_center.icad"),
+                 knn_cal=str(cfg_dir / "knn_cal.icad"))
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
@@ -674,3 +685,21 @@ def test_readme_names_only_real_flags():
     named = {f for text in commands + spans for f in flag.findall(text)}
     real = set().union(*_options().values())
     assert named - real == set()
+
+
+def test_readme_code_names_resolve():
+    # every `module.name` of an icad module, and every `Class.method` of an
+    # icad export, in the README's prose names something the package has;
+    # file names such as `episodes.csv` are not code
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    modules = {m.name: importlib.import_module(f"icad.{m.name}")
+               for m in pkgutil.iter_modules(icad.__path__)}
+    classes = {name: obj for name, obj in vars(icad).items() if isinstance(obj, type)}
+    owners = {**modules, **classes}
+    named = {(owner, name) for span in re.findall(r"`([^`]+)`", prose)
+             for owner, name in re.findall(r"(?<![\w.])(?:icad\.)?(\w+)\.(\w+)", span)
+             if owner in owners and name not in {"csv", "icad", "txt"}}
+    assert len(named) >= 10
+    assert {f"{owner}.{name}" for owner, name in named
+            if not hasattr(owners[owner], name)} == set()

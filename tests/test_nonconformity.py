@@ -7,101 +7,12 @@ import numpy as np
 import pytest
 
 from icad.episodes import SceneGenerator
-from icad.models import SvddModel, VaeModel, sample_reconstructions
+from icad.models import SvddModel, VaeModel, sample_reconstructions, svdd_init_center
 from icad.neural import DenseLayer, Mlp, forward, infer
-from icad.nonconformity import (
-    KdeScorer,
-    KnnScorer,
-    SvddScorer,
-    VaeScorer,
-    silverman_bandwidth,
-)
+from icad.nonconformity import SvddScorer, VaeScorer
 from icad.persistence import save_model
 
 from conftest import untrained_scorers
-
-# ---------------------------------------------------------------- knn
-
-def test_knn_equidistant_pair():
-    train = np.array([[0.0, 0.0], [0.0, 2.0]])
-    assert KnnScorer(train, k=2).score(np.array([0.0, 1.0])) == pytest.approx(1.0)
-
-
-def test_knn_self_distance_zero():
-    train = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert KnnScorer(train, k=1).score(train[0]) == 0.0
-
-
-def test_knn_matches_pairwise_sort_oracle():
-    rng = np.random.default_rng(0)
-    train = rng.normal(size=(20, 3))
-    z = rng.normal(size=3)
-    got = KnnScorer(train, k=5).score(z)
-    dists = sorted(np.sqrt(((p - z) ** 2).sum()) for p in train)
-    assert abs(got - np.mean(dists[:5])) < 1e-12
-
-
-def test_knn_rejects_bad_k():
-    train = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        KnnScorer(train, k=0)
-    with pytest.raises(ValueError):
-        KnnScorer(train, k=4)
-
-
-def test_knn_adding_point_never_increases_score():
-    rng = np.random.default_rng(4)
-    train = rng.normal(size=(15, 2))
-    z = rng.normal(size=2)
-    base = KnnScorer(train, k=5).score(z)
-    for _ in range(20):
-        grown = np.vstack([train, rng.normal(size=2)])
-        assert KnnScorer(grown, k=5).score(z) <= base + 1e-12
-
-
-# ---------------------------------------------------------------- kde
-
-def test_kde_coincident_point_scores_zero():
-    train = np.array([[0.5, -0.5]])
-    assert KdeScorer(train, bandwidth=0.7).score(np.array([0.5, -0.5])) == pytest.approx(0.0)
-
-
-def test_kde_grows_with_distance():
-    rng = np.random.default_rng(1)
-    train = rng.normal(size=(10, 2))
-    kde = KdeScorer(train, bandwidth=1.0)
-    scores = [kde.score(np.array([d, 0.0])) for d in (5.0, 10.0, 20.0)]
-    assert scores[0] < scores[1] < scores[2]
-    assert scores[2] > 100.0
-
-
-def test_kde_matches_density_sum_oracle():
-    rng = np.random.default_rng(2)
-    train = rng.normal(size=(10, 3))
-    z = rng.normal(size=3)
-    h = 0.8
-    d = train.shape[1]
-    norm = (2 * np.pi) ** (-d / 2) * h**-d
-    dens = np.mean([norm * np.exp(-((p - z) ** 2).sum() / (2 * h * h)) for p in train])
-    expected = -np.log(dens) + np.log(norm)
-    assert abs(KdeScorer(train, bandwidth=h).score(z) - expected) < 1e-10
-
-
-def test_kde_rejects_nonpositive_bandwidth():
-    with pytest.raises(ValueError):
-        KdeScorer(np.zeros((2, 2)), bandwidth=0.0)
-    with pytest.raises(ValueError):
-        KdeScorer(np.zeros((2, 2)), bandwidth=-1.0)
-
-
-def test_silverman_bandwidth_positive_and_scale_aware():
-    rng = np.random.default_rng(3)
-    small = rng.normal(0, 1.0, size=(50, 2))
-    assert silverman_bandwidth(small) > 0
-    assert silverman_bandwidth(small * 10) == pytest.approx(10 * silverman_bandwidth(small))
-    # degenerate data falls back to a usable value
-    assert silverman_bandwidth(np.ones((5, 2))) > 0
-
 
 # ---------------------------------------------------------------- vae / svdd
 
@@ -204,12 +115,9 @@ def test_vae_score_matches_reimplemented_forward(toy_vae):
 
 def test_scores_nonnegative_and_finite(toy_vae, toy_svdd):
     rng = np.random.default_rng(7)
-    train = rng.normal(size=(30, 2))
     vae_model, _ = toy_vae
     svdd_model, _, _ = toy_svdd
     scorers = {
-        "knn": KnnScorer(train, k=5).score,
-        "kde": KdeScorer(train).score,
         "vae": lambda z: VaeScorer(vae_model).score_many(z, 3, rng),
         "svdd": SvddScorer(svdd_model).score,
     }
@@ -220,47 +128,39 @@ def test_scores_nonnegative_and_finite(toy_vae, toy_svdd):
 
 
 def test_scorers_reject_non_finite_examples():
-    train = np.zeros((3, 2))
-    bad = np.array([np.nan, 0.0])
-    with pytest.raises(ValueError):
-        KnnScorer(train, k=1).score(bad)
-    with pytest.raises(ValueError):
-        KdeScorer(train, bandwidth=1.0).score(bad)
+    scorers = untrained_scorers(2)
+    for bad in (np.array([np.nan, 0.0]), np.array([0.0, -np.inf])):
+        with pytest.raises(ValueError, match="non-finite"):
+            _sampled(scorers["vae"], bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            scorers["svdd"].score(bad)
 
 
 def test_permutation_invariance():
+    # the SVDD center is the mean of the mapped training set, so the set's
+    # order moves a score in the last bits at most
     rng = np.random.default_rng(8)
     train = rng.normal(size=(25, 2))
     z = rng.normal(size=2)
-    perm = rng.permutation(25)
-    knn, knn_perm = KnnScorer(train, k=7), KnnScorer(train[perm], k=7)
-    assert knn.score(z) == pytest.approx(knn_perm.score(z), abs=1e-12)
-    kde, kde_perm = KdeScorer(train, bandwidth=0.9), KdeScorer(train[perm], bandwidth=0.9)
-    assert kde.score(z) == pytest.approx(kde_perm.score(z), abs=1e-12)
+    scores = []
+    for rows in (train, train[rng.permutation(25)]):
+        model = SvddModel.build(2, output_dim=3, hidden=(8,), seed=1)
+        svdd_init_center(model, rows)
+        scores.append(SvddScorer(model).score(z))
+    assert scores[0] == pytest.approx(scores[1], rel=1e-12, abs=0.0)
 
 
-def test_knn_tie_break_is_order_stable():
-    # four corners at equal distance: any k neighbors have the same mean
-    train = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    z = np.zeros(2)
-    for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
-        assert KnnScorer(train[perm], k=2).score(z) == pytest.approx(1.0)
-
-
-def test_fingerprints_distinguish_scorers(toy_vae, toy_svdd):
-    rng = np.random.default_rng(9)
-    train = rng.normal(size=(10, 2))
-    prints = {
-        KnnScorer(train, k=3).fingerprint(),
-        KnnScorer(train, k=4).fingerprint(),
-        KdeScorer(train, bandwidth=1.0).fingerprint(),
-        VaeScorer(toy_vae[0]).fingerprint(),
-        SvddScorer(toy_svdd[0]).fingerprint(),
-    }
-    assert len(prints) == 5
+def test_fingerprints_distinguish_scorers():
+    vaes = [VaeModel.build(16, latent_dim=2, hidden=(8,), seed=seed) for seed in (5, 6)]
+    svdds = [SvddModel.build(16, output_dim=3, hidden=(8,), seed=5) for _ in range(2)]
+    svdds[0].center = np.array([0.5, -0.25, 1.0])
+    svdds[1].center = np.array([0.5, -0.25, 1.5])
+    prints = {VaeScorer(m).fingerprint() for m in vaes}
+    prints |= {SvddScorer(m).fingerprint() for m in svdds}
+    assert len(prints) == 4
     assert all(len(p) == 8 for p in prints)
     # deterministic
-    assert KnnScorer(train, k=3).fingerprint() == KnnScorer(train, k=3).fingerprint()
+    assert VaeScorer(vaes[0]).fingerprint() == VaeScorer(vaes[0]).fingerprint()
 
 
 def test_model_fingerprints_are_pinned(tmp_path):
@@ -300,22 +200,21 @@ def test_vae_score_many_equals_vae_score_per_reconstruction(dim):
     assert VaeScorer(model).score_many(z, 20, np.random.default_rng(9)) == expected
 
 
-@pytest.mark.parametrize("kind", ["knn", "kde", "svdd"])
+@pytest.mark.parametrize("kind", ["svdd"])
 def test_block_score_equals_per_row_scores(kind):
-    # a block runs through gemm where a row ran through gemv, so the learned
-    # scorer may move in the last bits; the distance scorers may not (the
-    # VAE's one measure, score_many, has its own block test below)
+    # a block runs through gemm where a row ran through gemv, so the score
+    # may move in the last bits (the VAE's one measure, score_many, has its
+    # own block test below)
     scorer = untrained_scorers(16)[kind]
     block = np.random.default_rng(8).normal(scale=2.0, size=(37, 16))
     got = scorer.score(block)
     rows = [scorer.score(z) for z in block]
     assert isinstance(got, np.ndarray) and got.shape == (37,)
     assert all(type(s) is float for s in rows)
-    rtol = 0.0 if kind in ("knn", "kde") else 1e-14
-    np.testing.assert_allclose(got, rows, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(got, rows, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("kind", ["knn", "kde", "vae", "svdd"])
+@pytest.mark.parametrize("kind", ["vae", "svdd"])
 def test_scorers_reject_malformed_blocks(kind):
     scorer = untrained_scorers(4)[kind]
     score = (lambda z: _sampled(scorer, z)) if kind == "vae" else scorer.score
@@ -328,7 +227,7 @@ def test_scorers_reject_malformed_blocks(kind):
         score(block)
 
 
-def _frame_cases(toy_blob, toy_vae, toy_svdd, two_blob_vae):
+def _frame_cases(toy_vae, toy_svdd, two_blob_vae):
     """(kind, scorer, frames): untrained scorers on 256-dim scene frames, and
     the trained toy scorers on toy frames."""
     gen = SceneGenerator(side=16, seed=5)
@@ -337,16 +236,14 @@ def _frame_cases(toy_blob, toy_vae, toy_svdd, two_blob_vae):
     toy = list(np.random.default_rng(7).normal(scale=2.0, size=(5, 2)))
     cases = [(kind, scorer, scene) for kind, scorer in untrained_scorers(256).items()]
     return cases + [
-        ("knn", KnnScorer(toy_blob, k=5), toy),
-        ("kde", KdeScorer(toy_blob), toy),
         ("vae", VaeScorer(toy_vae[0]), toy),
         ("vae", VaeScorer(two_blob_vae), toy),
         ("svdd", SvddScorer(toy_svdd[0]), toy),
     ]
 
 
-def test_frame_score_is_the_float_of_its_one_row_block(toy_blob, toy_vae, toy_svdd, two_blob_vae):
-    for kind, scorer, frames in _frame_cases(toy_blob, toy_vae, toy_svdd, two_blob_vae):
+def test_frame_score_is_the_float_of_its_one_row_block(toy_vae, toy_svdd, two_blob_vae):
+    for kind, scorer, frames in _frame_cases(toy_vae, toy_svdd, two_blob_vae):
         if kind == "vae":  # its score_many: the next test
             continue
         for z in frames:
@@ -355,9 +252,8 @@ def test_frame_score_is_the_float_of_its_one_row_block(toy_blob, toy_vae, toy_sv
             assert got == scorer.score(z[None])[0], kind
 
 
-def test_frame_score_many_is_row_zero_of_its_one_row_block(toy_blob, toy_vae, toy_svdd,
-                                                           two_blob_vae):
-    for kind, scorer, frames in _frame_cases(toy_blob, toy_vae, toy_svdd, two_blob_vae):
+def test_frame_score_many_is_row_zero_of_its_one_row_block(toy_vae, toy_svdd, two_blob_vae):
+    for kind, scorer, frames in _frame_cases(toy_vae, toy_svdd, two_blob_vae):
         if kind != "vae":
             continue
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)

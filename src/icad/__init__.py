@@ -15,7 +15,6 @@ from .conformal import (
     integrate_power_factor,
     mixture_martingale_log,
     p_value,
-    p_values,
 )
 from .episodes import (
     DriftSchedule,

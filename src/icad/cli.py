@@ -257,21 +257,35 @@ def _read_sim_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _sim_params(cfg: dict[str, str], method: str, seed_override: int | None):
-    n = int(cfg.get("n", 10))
-    delta = float(cfg.get("delta", 6.0))
-    tau = float(cfg["tau"]) if "tau" in cfg else _tau(method, None)
-    max_steps = int(cfg.get("max_steps", 150))
-    ood_fraction = float(cfg.get("ood_fraction", 0.5))
-    ood_margin = float(cfg.get("ood_margin", 5.0))
-    seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
+def _sim_params(cfg: dict[str, str], path: str, method: str, seed_override: int | None):
+    def get(key: str, kind: type, default):
+        """``cfg[key]`` read as ``kind`` (int or float), or ``default`` where absent."""
+        if key not in cfg:
+            return default
+        try:
+            return kind(cfg[key])
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            message = f"simulation config {path}: {key}={cfg[key]} is not {expected}"
+            raise CliError(message) from None
+
+    n = get("n", int, 10)
+    delta = get("delta", float, 6.0)
+    tau = get("tau", float, _tau(method, None))
+    max_steps = get("max_steps", int, 150)
+    ood_fraction = get("ood_fraction", float, 0.5)
+    ood_margin = get("ood_margin", float, 5.0)
+    # read even where --seed overrides it: a value that does not parse is an error
+    seed = get("seed", int, 0)
+    if seed_override is not None:
+        seed = seed_override
     return n, delta, tau, max_steps, ood_fraction, ood_margin, seed
 
 
 def _sim_setup(args):
     cfg = _read_sim_config(args.config)
     n, delta, tau, max_steps, ood_fraction, ood_margin, seed = _sim_params(
-        cfg, args.method, args.seed
+        cfg, args.config, args.method, args.seed
     )
     model, make = _pipelines(args.method, cfg["model"], cfg["cal"], delta, tau, seed)
     gen = _scene(model.input_dim, seed)

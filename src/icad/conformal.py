@@ -5,8 +5,8 @@ runtime each input turns into a p-value (fraction of calibration scores at
 least as strange), a mixture martingale over recent p-values measures how
 implausibly small they have been, and either a CUSUM accumulator or a plain
 threshold turns the martingale into alarms. A p-value depends on its score
-only through the score's rank among the sorted calibration scores, so one
-sorted search (``p_values``) serves any number of scores.
+only through the score's rank among the sorted calibration scores, which
+one binary search finds (``p_value``).
 
 All martingale arithmetic lives in the log domain: the simple mixture
 martingale ``M = integral_0^1 prod_i eps * p_i^(eps-1) d eps`` (Vovk,
@@ -105,24 +105,18 @@ def calibration_scores(scorer, cal_examples: Array, seed: int = 0) -> Calibratio
     return CalibrationSet(np.sort(np.concatenate(scores)), scorer.kind, scorer.fingerprint())
 
 
-def p_values(scores, cal: CalibrationSet) -> list[float]:
-    """For each score, the fraction of calibration scores >= it, floored
-    away from zero; one sorted search serves all of them.
+def p_value(score: float, cal: CalibrationSet) -> float:
+    """The fraction of calibration scores >= ``score``, floored away from zero.
 
     The floor ``1/(len(cal)+1)`` is the smallest resolvable nonzero fraction
     and keeps ``log p`` finite for the martingale.
     """
-    for score in scores:
-        if not math.isfinite(score):
-            raise ValueError("nonconformity score must be finite")
+    if not math.isfinite(score):
+        raise ValueError("nonconformity score must be finite")
     n = len(cal)
-    ranks = cal.scores.searchsorted(scores, side="left").tolist()
-    return [max((n - i) / n, 1.0 / (n + 1)) for i in ranks]
-
-
-def p_value(score: float, cal: CalibrationSet) -> float:
-    """``p_values`` of one score."""
-    return p_values((score,), cal)[0]
+    # a numpy integer rank would make the p-value a numpy scalar, not a float
+    i = int(cal.scores.searchsorted(score, side="left"))
+    return max((n - i) / n, 1.0 / (n + 1))
 
 
 def mixture_martingale_log(window_log_p_sum: float, count: int) -> float:

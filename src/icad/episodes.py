@@ -352,7 +352,10 @@ def run_suite(
 def make_suite_schedules(
     count: int, ood_fraction: float, seed: int, ood_margin: float = 0.0
 ) -> list[DriftSchedule]:
-    """A reproducible episode mix: the first ceil(count*fraction) are OOD."""
+    """A reproducible episode mix: the first ``round(count * ood_fraction)``
+    are OOD, and Python's ``round`` takes a half to the even integer (at
+    fraction 0.5, counts 1, 3, 5, 7 and 9 give 0, 2, 2, 4 and 4 OOD episodes).
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     if not 0.0 <= ood_fraction <= 1.0:

@@ -273,7 +273,30 @@ def test_readme_sim_config_reads_as_printed(tmp_path):
     path.write_text(block.split("```", 1)[0])
     cfg = load_config(path)
     assert (cfg["model"], cfg["cal"]) == ("svdd.icad", "svdd_cal.icad")
-    assert _sim_params(cfg, "svdd", None) == (10, 6.0, 12.0, 150, 0.5, 5.0, 500)
+    assert _sim_params(cfg, str(path), "svdd", None) == (10, 6.0, 12.0, 150, 0.5, 5.0, 500)
+
+
+@pytest.mark.parametrize("key,value,expected", [
+    ("n", "1.5", "an integer"), ("delta", "abc", "a number"), ("tau", "abc", "a number"),
+    ("max_steps", "10x", "an integer"), ("ood_fraction", "half", "a number"),
+    ("ood_margin", "", "a number"), ("seed", "x", "an integer"),
+])
+def test_sim_config_bad_value_names_key_and_file(work, tmp_path, capsys, key, value, expected):
+    cfg, out_dir = tmp_path / "sim.txt", tmp_path / "out"
+    _sim_config(work, cfg, "svdd", tau=10.0)
+    cfg.write_text(re.sub(rf"(?m)^{key}=.*$", f"{key}={value}", cfg.read_text()))
+    out_dir.mkdir()
+    code = main(["simulate", "--episodes", "2", "--method", "svdd", "--config", str(cfg),
+                 "--out", str(out_dir / "sim")])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err.splitlines() == [
+        f"icad: error: simulation config {cfg}: {key}={value} is not {expected}"]
+    assert captured.out == ""
+    assert not list(out_dir.iterdir())
+    # --seed overrides the file's seed but does not hide a bad value
+    with pytest.raises(CliError, match=f"{key}={value} is not"):
+        _sim_params(load_config(cfg), str(cfg), "svdd", 5)
 
 
 def test_simulate_smoke_one_episode(work, tmp_path):

@@ -19,6 +19,7 @@ from icad.episodes import (
     FALSE_POSITIVE,
     IN_DIST,
     OOD,
+    OOD_THRESHOLD,
     TRUE_NEGATIVE,
     TRUE_POSITIVE,
     DriftSchedule,
@@ -336,6 +337,13 @@ def test_make_suite_schedules_mix_and_determinism():
     ood = [s for s in a if s.plateau > 20.0]
     assert len(ood) == 5
     assert all(s.plateau > 25.0 for s in ood)
+
+
+@pytest.mark.parametrize("count,n_ood", [(1, 0), (3, 2), (5, 2), (7, 4), (9, 4)])
+def test_make_suite_schedules_rounds_half_to_even(count, n_ood):
+    schedules = make_suite_schedules(count, 0.5, seed=1)
+    flags = [s.plateau > OOD_THRESHOLD for s in schedules]
+    assert flags == [True] * n_ood + [False] * (count - n_ood)
 
 
 # ---------------------------------------------------------------- tuning

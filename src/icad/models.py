@@ -96,7 +96,7 @@ def _vae_batch_loss_grads(model: VaeModel, batch: Array, noise: Array):
     d = model.latent_dim
     enc_out, enc_cache = forward(model.encoder, batch)
     mu, logvar = enc_out[:, :d], enc_out[:, d:]
-    if not np.all(np.isfinite(logvar)):
+    if not np.isfinite(logvar).all():
         raise ValueError("encoder produced non-finite log-variance")
     sigma = np.exp(0.5 * logvar)
     x = mu + sigma * noise
@@ -138,7 +138,7 @@ def sample_reconstructions(
         raise ValueError("count must be >= 1")
     z = np.asarray(z, dtype=np.float64)
     mu, logvar = model.encode(z)
-    if not np.all(np.isfinite(logvar)):
+    if not np.isfinite(logvar).all():
         raise ValueError("encoder produced non-finite log-variance")
     x = rng.standard_normal((z.shape[0], count, model.latent_dim))
     x *= np.exp(0.5 * logvar)[:, None, :]

@@ -174,7 +174,7 @@ def check_examples(arr: Array, what: str) -> Array:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError(f"{what} must be a nonempty 2-D array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite values")
     return arr
 
@@ -307,7 +307,7 @@ def adam_step(state: AdamState, nets: Sequence[Mlp], grads: Sequence[Array]) -> 
         raise ValueError(f"parameter layout {layout} is not the first step's {state.layout}")
     flat = np.concatenate([g.reshape(-1) for g in grads], out=state.grad)
     if not np.isfinite(flat).all():
-        i = next(i for i, g in enumerate(grads) if not np.all(np.isfinite(g)))
+        i = next(i for i, g in enumerate(grads) if not np.isfinite(g).all())
         names = [f"net{k}.{n}" for k, net in enumerate(nets) for n in net.parameter_names()]
         raise ValueError(f"non-finite gradient for {names[i]}")
     state.step_count += 1

@@ -35,7 +35,7 @@ def _check_frames(z: Array, dim: int) -> tuple[Array, Callable]:
         raise ValueError(f"expected an example (D,) or a block (B, D), got shape {z.shape}")
     if z.shape[-1] != dim:
         raise ValueError(f"example has dimension {z.shape[-1]}, expected {dim}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("example contains non-finite values")
     if z.ndim == 2:
         return z, lambda scores: scores

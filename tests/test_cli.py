@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import icad
+from icad import conformal
 from icad.cli import (EXIT_ALARM, EXIT_ERROR, EXIT_OK, CliError, _parse_grid, _sim_params,
                       build_parser, main)
 from icad.conformal import CalibrationSet, calibration_scores
@@ -319,6 +320,30 @@ def test_simulate_smoke_one_episode(work, tmp_path):
                           "avg_delay_frames"]
     assert (out_dir / "episode_000.csv").exists()
     assert (out_dir / "config.txt").exists()
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_simulate_searches_one_score_tuple_built_once(work, tmp_path, monkeypatch, method):
+    # one calibration load per command: every episode's fresh pipeline
+    # searches the tuple that load built, and nothing builds another
+    cfg = tmp_path / "sim.txt"
+    _sim_config(work, cfg, method, tau=10.0)
+    built, searched = [], set()
+    post_init, p_value = CalibrationSet.__post_init__, conformal.p_value
+
+    def counting_post_init(self):
+        post_init(self)
+        built.append(self.score_tuple)
+
+    def recording_p_value(score, cal):
+        searched.add(id(cal.score_tuple))
+        return p_value(score, cal)
+
+    monkeypatch.setattr(CalibrationSet, "__post_init__", counting_post_init)
+    monkeypatch.setattr(conformal, "p_value", recording_p_value)
+    assert main(["simulate", "--episodes", "3", "--method", method,
+                 "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(built) == 1 and searched == {id(built[0])}
 
 
 def test_simulate_rerun_is_byte_identical(work, tmp_path):

@@ -192,6 +192,36 @@ def test_p_value_matches_count_oracle_bitwise(values, scores):
     assert all(type(p) is float for p in got)
 
 
+def _searchsorted_p(score, cal):
+    """The p-value from numpy's rank of ``score`` among the calibration scores."""
+    n = len(cal.scores)
+    return max((n - int(np.searchsorted(cal.scores, score, side="left"))) / n, 1 / (n + 1))
+
+
+# calibration values with heavy ties, both zeros, subnormals and +-1e300,
+# mixed with arbitrary finite floats
+_edge_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.integers(-2, 2).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_edge_value, min_size=1, max_size=30))
+@example([-0.0, 0.0, -0.0, 5e-324, 5e-324, 5e-324, 1e300])
+@example([-1e300, -5e-324, 0.0, 1e300, 1e300])
+def test_p_value_bisect_matches_searchsorted_at_and_beside_every_value(values):
+    cal = _cal(sorted(values))
+    assert cal.score_tuple == tuple(cal.scores.tolist())
+    probes = [q for c in cal.score_tuple
+              for q in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))
+              if math.isfinite(q)]
+    got = [p_value(q, cal) for q in probes]
+    assert [p.hex() for p in got] == [_searchsorted_p(q, cal).hex() for q in probes]
+    assert all(type(p) is float for p in got)
+
+
 # ---------------------------------------------------------------- martingales
 
 def test_mixture_all_p_one_closed_form_n3():
@@ -637,6 +667,27 @@ def test_block_steps_equal_frame_steps(scene_pipelines, scene_gen, method):
         np.testing.assert_allclose(got.scores, want.scores, rtol=1e-13, atol=0.0)
     if method == "vae":
         assert by_block._rng.bit_generator.state == by_frame._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_stream_p_values_equal_the_searchsorted_oracle(scene_vae, scene_vae_cal, scene_svdd,
+                                                       scene_svdd_cal, scene_gen, method):
+    # a ramp from in-distribution far past the training bound, so p-values
+    # run from near 1 down to the floor; each is checked against its own score
+    if method == "vae":
+        pipe, per_step = VaePipeline(scene_vae, scene_vae_cal, n_samples=20, delta=6.0,
+                                     tau=40.0, seed=3), 20
+    else:
+        pipe, per_step = SvddPipeline(scene_svdd, scene_svdd_cal, window=10, tau=10.0,
+                                      seed=3), 1
+    frames = scene_gen.examples(np.linspace(0.0, 60.0, 300), np.random.default_rng(6))
+    results = [pipe.step(z) for z in frames]
+    got = [p for res in results for p in res.p_values]
+    want = [_searchsorted_p(s, pipe.cal) for res in results for s in res.scores]
+    assert len(got) == len(want) == 300 * per_step
+    assert [p.hex() for p in got] == [p.hex() for p in want]
+    assert all(type(p) is float for p in got)
+    assert max(got) > 0.99 and min(got) == 1 / (len(pipe.cal) + 1)
 
 
 @pytest.mark.parametrize("method", ["vae", "svdd"])

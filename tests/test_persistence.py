@@ -108,6 +108,9 @@ def test_calibration_round_trip(tmp_path):
     save_calibration(path, cal)
     loaded = load_calibration(path)
     assert np.array_equal(loaded.scores, cal.scores)
+    # p_value's search sequence comes with the load, as Python floats
+    assert loaded.score_tuple == tuple(cal.scores.tolist())
+    assert all(type(x) is float for x in loaded.score_tuple)
     assert loaded.scorer_kind == "svdd"
     assert loaded.fingerprint == b"12345678"
 

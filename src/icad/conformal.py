@@ -6,10 +6,7 @@ least as strange), a mixture martingale over recent p-values measures how
 implausibly small they have been, and either a CUSUM accumulator or a plain
 threshold turns the martingale into alarms. A p-value depends on its score
 only through the score's rank among the sorted calibration scores, which
-``p_value`` finds by ``bisect`` over the calibration's tuple of floats
-(about 32 bytes a score beside the array). The VAE step calls it once per
-sample: one search for all N samples cut the cost per sample so far that
-acceptance criterion 8 (cost linear in N) failed.
+``p_value`` finds by ``bisect`` over the calibration's tuple of floats.
 
 All martingale arithmetic lives in the log domain: the simple mixture
 martingale ``M = integral_0^1 prod_i eps * p_i^(eps-1) d eps`` (Vovk,

@@ -12,7 +12,6 @@ from .conformal import (
     ThresholdDetector,
     VaePipeline,
     calibration_scores,
-    integrate_power_factor,
     mixture_martingale_log,
     p_value,
 )

@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, logsumexp
+from scipy.special import gammainc
 
 from .models import SvddModel, VaeModel
 from .neural import BLOCK_ROWS, Array, check_examples
@@ -49,15 +49,16 @@ class FingerprintMismatchError(RuntimeError):
     """Calibration scores were produced by a different scorer/model."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationSet:
-    """Sorted calibration nonconformity scores bound to their scorer."""
+    """Sorted calibration nonconformity scores bound to their scorer. Sets
+    compare and hash by identity: an array has no one truth value."""
 
     scores: Array
     scorer_kind: str
     fingerprint: bytes
     # the scores as Python floats, for p_value's bisect
-    score_tuple: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    score_tuple: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -99,7 +100,7 @@ def calibration_scores(scorer, cal_examples: Array, seed: int = 0) -> Calibratio
     measure the VAE detector takes, so its p-values are valid. The SVDD
     scorer takes ``score(block)`` and reads no ``seed``.
     """
-    cal_examples = check_examples(cal_examples, "calibration set")
+    cal_examples = check_examples(cal_examples, "calibration set", scorer.model.input_dim)
     blocks = (cal_examples[i : i + BLOCK_ROWS] for i in range(0, len(cal_examples), BLOCK_ROWS))
     if isinstance(scorer, VaeScorer):
         rng = np.random.default_rng(seed)
@@ -156,32 +157,6 @@ def _mixture_series(a: float, count: int) -> float:
         total += term
         k += 1
     return total
-
-
-# Simpson grid points (odd) for ``integrate_power_factor``.
-_SIMPSON_POINTS = 4001
-
-
-def integrate_power_factor(epsilon: float) -> float:
-    """Quadrature check of the fair-bet identity ``integral_0^1 eps*p^(eps-1) dp``.
-
-    The integrand is singular at p=0, so we substitute s = log p and
-    integrate ``exp(log eps + eps*s)`` over [s_lo, 0] by composite Simpson
-    in the log domain (the exact tail below the truncation point is added
-    back analytically). A correct implementation returns 1 for every
-    epsilon in (0, 1].
-    """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must be in (0, 1]")
-    s_lo = -50.0 / epsilon
-    grid = np.linspace(s_lo, 0.0, _SIMPSON_POINTS)
-    weights = np.full(_SIMPSON_POINTS, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    h = -s_lo / (_SIMPSON_POINTS - 1)
-    body = math.exp(float(logsumexp(np.log(epsilon) + epsilon * grid, b=weights * h / 3.0)))
-    tail = math.exp(epsilon * s_lo)
-    return body + tail
 
 
 class MartingaleState:

@@ -117,14 +117,6 @@ def _vae_batch_loss_grads(model: VaeModel, batch: Array, noise: Array):
     return loss, enc_grads + dec_grads, parts
 
 
-def vae_loss_grads(model: VaeModel, z: Array, noise: Array):
-    """Single-example loss plus gradients aligned with encoder+decoder parameters."""
-    z = np.asarray(z, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    loss, grads, _ = _vae_batch_loss_grads(model, z[None, :], noise[None, :])
-    return loss, grads
-
-
 def sample_reconstructions(
     model: VaeModel, z: Array, count: int, rng: np.random.Generator
 ) -> Array:
@@ -190,7 +182,7 @@ def svdd_init_center(model: SvddModel, data: Array) -> Array:
     """
     if model.center is not None:
         raise RuntimeError("center is already initialized and frozen")
-    data = check_examples(data, "training set")
+    data = check_examples(data, "training set", model.input_dim)
     # map a block at a time, so one block's hidden layers are held at once;
     # the mean runs over all mapped rows together, in mean(axis=0)'s own order
     blocks = (data[i : i + BLOCK_ROWS] for i in range(0, len(data), BLOCK_ROWS))
@@ -226,11 +218,6 @@ def _svdd_batch_loss_grads(model: SvddModel, batch: Array):
     return data_term + reg, grads, data_term
 
 
-def svdd_loss_grads(model: SvddModel, batch: Array):
-    loss, grads, _ = _svdd_batch_loss_grads(model, np.asarray(batch, dtype=np.float64))
-    return loss, grads
-
-
 def _train_two_phase(
     nets: Sequence[Mlp],
     batch_fn: Callable[[Array, np.random.Generator], tuple[float, list[Array], float]],
@@ -239,7 +226,7 @@ def _train_two_phase(
     what: str,
 ) -> tuple[list[float], list[float]]:
     """Shared minibatch loop. ``batch_fn`` returns (loss, grads, aux)."""
-    data = check_examples(data, "training set")
+    data = check_examples(data, "training set", nets[0].input_dim)
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(learning_rate=cfg.learning_rates[0])
     curve: list[float] = []

@@ -1,9 +1,10 @@
 """Dense feedforward networks with exact analytic gradients.
 
 Deliberately small: affine layers with a fixed set of activations, batched
-forward/backward passes, an Adam optimizer, and a finite-difference gradient
-checker. All math is float64. Every pass takes a batch ``(B, D)``; a caller
-with one example hands over a one-row batch. ``forward`` and ``infer`` run
+forward/backward passes and an Adam optimizer. All math is float64. Every
+pass takes a batch ``(B, D)``; a caller with one example hands over a
+one-row batch, and ``check_examples`` states what an example block is for
+scoring, calibration and training alike. ``forward`` and ``infer`` run
 the same layer step; ``forward`` also keeps each layer's output for
 ``backward`` and serves training only, and scoring runs ``infer``. Only
 training changes a network: ``adam_step`` is the one function that writes a
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -169,11 +170,14 @@ def init_mlp(
     return Mlp(layers)
 
 
-def check_examples(arr: Array, what: str) -> Array:
-    """``arr`` as a nonempty float64 ``(B, D)`` array of finite values."""
+def check_examples(arr: Array, what: str, dim: int) -> Array:
+    """``arr`` as a nonempty float64 ``(B, dim)`` block of finite values; the
+    errors name ``what``."""
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError(f"{what} must be a nonempty 2-D array")
+    if arr.shape[1] != dim:
+        raise ValueError(f"{what} has dimension {arr.shape[1]}, expected {dim}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite values")
     return arr
@@ -338,75 +342,3 @@ def adam_step(state: AdamState, nets: Sequence[Mlp], grads: Sequence[Array]) -> 
         offset += p.size
     for net in nets:
         net._version += 1
-
-
-def finite_difference_grads(
-    params: Sequence[Array],
-    loss_fn: Callable[[], float],
-    step: float = 1e-5,
-) -> list[Array]:
-    """Central finite differences of ``loss_fn`` w.r.t. each parameter entry.
-
-    The arrays in ``params`` are perturbed in place and restored, so they
-    must be the live parameters the loss closure reads.
-    """
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for j in range(flat_p.size):
-            orig = flat_p[j]
-            flat_p[j] = orig + step
-            hi = loss_fn()
-            flat_p[j] = orig - step
-            lo = loss_fn()
-            flat_p[j] = orig
-            flat_g[j] = (hi - lo) / (2.0 * step)
-        grads.append(g)
-    return grads
-
-
-def max_relative_error(
-    analytic: Sequence[Array],
-    numeric: Sequence[Array],
-    denom_floor: float = 1e-3,
-) -> tuple[float, int]:
-    """Worst-case elementwise relative error between two gradient lists.
-
-    The denominator is floored so that finite-difference roundoff on
-    near-zero components does not register as disagreement. Returns
-    ``(max_error, index_of_worst_array)``.
-    """
-    worst = 0.0
-    worst_idx = 0
-    for i, (a, n) in enumerate(zip(analytic, numeric)):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), denom_floor)
-        err = np.abs(a - n) / denom
-        local = float(err.max()) if err.size else 0.0
-        if local > worst:
-            worst = local
-            worst_idx = i
-    return worst, worst_idx
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_error: float
-    tolerance: float
-    passed: bool
-    worst_param: str
-
-
-def grad_check_params(
-    params: Sequence[Array],
-    names: Sequence[str],
-    loss_fn: Callable[[], float],
-    analytic: Sequence[Array],
-    tolerance: float = 1e-4,
-    step: float = 1e-5,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences."""
-    numeric = finite_difference_grads(params, loss_fn, step=step)
-    err, idx = max_relative_error(analytic, numeric)
-    return GradCheckReport(err, tolerance, err < tolerance, names[idx])

@@ -23,23 +23,17 @@ from typing import Callable
 import numpy as np
 
 from .models import SvddModel, VaeModel, sample_reconstructions
-from .neural import Array, Mlp, layer_descriptor, layer_payload
+from .neural import Array, Mlp, check_examples, layer_descriptor, layer_payload
 
 
 def _check_frames(z: Array, dim: int) -> tuple[Array, Callable]:
-    """Check a frame ``(D,)`` or a nonempty block ``(B, D)``. Return it as a
-    block (a frame as its one-row block) and the way back from the block's
-    scores: a frame gets row 0 as a float or a list, a block gets them as is."""
+    """A frame ``(D,)`` as its one-row block, or a block ``(B, D)``, checked
+    by ``check_examples``, and the way back from the block's scores: a frame
+    gets row 0 as a float or a list, a block gets them as is."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim not in (1, 2) or z.size == 0:
-        raise ValueError(f"expected an example (D,) or a block (B, D), got shape {z.shape}")
-    if z.shape[-1] != dim:
-        raise ValueError(f"example has dimension {z.shape[-1]}, expected {dim}")
-    if not np.isfinite(z).all():
-        raise ValueError("example contains non-finite values")
-    if z.ndim == 2:
-        return z, lambda scores: scores
-    return z[None], lambda scores: scores[0].tolist()
+    if z.ndim == 1:
+        return check_examples(z[None], "example", dim), lambda scores: scores[0].tolist()
+    return check_examples(z, "example", dim), lambda scores: scores
 
 
 def _hash_chunks(*chunks: bytes) -> bytes:

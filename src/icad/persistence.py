@@ -230,6 +230,8 @@ def load_calibration(path: str | Path) -> CalibrationSet:
     # a view into the file's bytes; CalibrationSet keeps its own copy
     scores = np.frombuffer(reader.take(count * 8), dtype="<f8")
     reader.done()
+    if not np.isfinite(scores).all():
+        raise FormatError(f"{path}: calibration scores must be finite")
     if np.any(np.diff(scores) < 0):
         raise UnsortedScoresError(f"{path}: calibration scores are not sorted")
     return CalibrationSet(scores, SCORER_NAMES[code], fingerprint)

@@ -1,12 +1,16 @@
 """Shared fixtures: toy datasets, trained toy models, and the desk-scale
 scene models used by the separation and acceptance tests. Everything is
-seeded; session scope keeps the training cost paid once."""
+seeded; session scope keeps the training cost paid once. The oracles here
+(Adam, finite differences, a quadrature) are independent of the library."""
 
+import math
 import struct
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from icad.conformal import calibration_scores
 from icad.episodes import SceneGenerator, generate_dataset
@@ -14,6 +18,8 @@ from icad.models import (
     SvddModel,
     TrainConfig,
     VaeModel,
+    _svdd_batch_loss_grads,
+    _vae_batch_loss_grads,
     svdd_init_center,
     train_svdd,
     train_vae,
@@ -43,6 +49,102 @@ def reference_adam(params, grads, m, v, t, lr):
         v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
         new.append(p - lr * ((m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)))
     return new
+
+
+def finite_difference_grads(params, loss_fn, step=1e-5):
+    """Central finite differences of ``loss_fn`` w.r.t. each parameter entry.
+
+    The arrays in ``params`` are perturbed in place and restored, so they
+    must be the live parameters the loss closure reads.
+    """
+    grads = []
+    for p in params:
+        g = np.zeros_like(p)
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)
+        for j in range(flat_p.size):
+            orig = flat_p[j]
+            flat_p[j] = orig + step
+            hi = loss_fn()
+            flat_p[j] = orig - step
+            lo = loss_fn()
+            flat_p[j] = orig
+            flat_g[j] = (hi - lo) / (2.0 * step)
+        grads.append(g)
+    return grads
+
+
+def max_relative_error(analytic, numeric, denom_floor=1e-3):
+    """Worst-case elementwise relative error between two gradient lists.
+
+    The denominator is floored so that finite-difference roundoff on
+    near-zero components does not register as disagreement. Returns
+    ``(max_error, index_of_worst_array)``.
+    """
+    worst = 0.0
+    worst_idx = 0
+    for i, (a, n) in enumerate(zip(analytic, numeric)):
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), denom_floor)
+        err = np.abs(a - n) / denom
+        local = float(err.max()) if err.size else 0.0
+        if local > worst:
+            worst = local
+            worst_idx = i
+    return worst, worst_idx
+
+
+@dataclass(frozen=True)
+class GradCheckReport:
+    max_rel_error: float
+    tolerance: float
+    passed: bool
+    worst_param: str
+
+
+def grad_check_params(params, names, loss_fn, analytic, tolerance=1e-4, step=1e-5):
+    """Compare analytic gradients against central finite differences."""
+    numeric = finite_difference_grads(params, loss_fn, step=step)
+    err, idx = max_relative_error(analytic, numeric)
+    return GradCheckReport(err, tolerance, err < tolerance, names[idx])
+
+
+def vae_loss_grads(model, z, noise):
+    """Single-example loss plus gradients aligned with encoder+decoder parameters."""
+    z = np.asarray(z, dtype=np.float64)
+    noise = np.asarray(noise, dtype=np.float64)
+    loss, grads, _ = _vae_batch_loss_grads(model, z[None, :], noise[None, :])
+    return loss, grads
+
+
+def svdd_loss_grads(model, batch):
+    loss, grads, _ = _svdd_batch_loss_grads(model, np.asarray(batch, dtype=np.float64))
+    return loss, grads
+
+
+# Simpson grid points (odd) for ``integrate_power_factor``.
+_SIMPSON_POINTS = 4001
+
+
+def integrate_power_factor(epsilon):
+    """Quadrature check of the fair-bet identity ``integral_0^1 eps*p^(eps-1) dp``.
+
+    The integrand is singular at p=0, so we substitute s = log p and
+    integrate ``exp(log eps + eps*s)`` over [s_lo, 0] by composite Simpson
+    in the log domain (the exact tail below the truncation point is added
+    back analytically). A correct implementation returns 1 for every
+    epsilon in (0, 1].
+    """
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must be in (0, 1]")
+    s_lo = -50.0 / epsilon
+    grid = np.linspace(s_lo, 0.0, _SIMPSON_POINTS)
+    weights = np.full(_SIMPSON_POINTS, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    h = -s_lo / (_SIMPSON_POINTS - 1)
+    body = math.exp(float(logsumexp(np.log(epsilon) + epsilon * grid, b=weights * h / 3.0)))
+    tail = math.exp(epsilon * s_lo)
+    return body + tail
 
 
 def traced_peak_mb(call) -> float:

@@ -19,18 +19,10 @@ from icad.conformal import (
     MartingaleState,
     SvddPipeline,
     calibration_scores,
-    integrate_power_factor,
     mixture_martingale_log,
 )
 from icad.episodes import SceneGenerator, benchmark_timing, generate_dataset
-from icad.models import (
-    SvddModel,
-    VaeModel,
-    svdd_init_center,
-    svdd_loss_grads,
-    vae_loss_grads,
-)
-from icad.neural import grad_check_params, max_relative_error, finite_difference_grads
+from icad.models import SvddModel, VaeModel, svdd_init_center
 from icad.nonconformity import SvddScorer
 from icad.persistence import (
     BadMagicError,
@@ -43,7 +35,10 @@ from icad.persistence import (
     save_model,
 )
 
-from conftest import SCENE_SIDE
+from conftest import (
+    SCENE_SIDE, finite_difference_grads, grad_check_params, integrate_power_factor,
+    max_relative_error, svdd_loss_grads, vae_loss_grads,
+)
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:

@@ -21,7 +21,6 @@ from icad.conformal import (
     ThresholdDetector,
     VaePipeline,
     calibration_scores,
-    integrate_power_factor,
     mixture_martingale_log,
     p_value,
 )
@@ -30,7 +29,7 @@ from icad.models import SvddModel, svdd_init_center
 from icad.neural import BLOCK_ROWS
 from icad.nonconformity import SvddScorer, VaeScorer
 
-from conftest import SCENE_SIDE, traced_peak_mb, untrained_scorers
+from conftest import SCENE_SIDE, integrate_power_factor, traced_peak_mb, untrained_scorers
 
 
 def _cal(scores):
@@ -58,6 +57,12 @@ def test_calibration_set_validation():
         _cal([np.inf])
     with pytest.raises(ValueError):
         CalibrationSet(np.array([1.0]), "knn", b"short")
+
+
+def test_calibration_sets_hash_and_compare_by_identity():
+    a, b = _cal([1.0, 2.0, 3.0]), _cal([1.0, 2.0, 3.0])
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 @pytest.mark.parametrize("kind", ["vae", "svdd"])
@@ -772,6 +777,9 @@ _ERRORS = {
                          "need at least one reconstruction sample per step"),
     "power-factor-epsilon-zero": (lambda: integrate_power_factor(0.0),
                                   r"epsilon must be in \(0, 1\]"),
+    "calibration-wrong-width": (lambda: calibration_scores(untrained_scorers(4)["svdd"],
+                                                           np.zeros((3, 5))),
+                                "calibration set has dimension 5, expected 4"),
 }
 
 

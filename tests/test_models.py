@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import reference_adam, traced_peak_mb
+from conftest import grad_check_params, reference_adam, svdd_loss_grads, traced_peak_mb, vae_loss_grads
 from icad.models import (
     SvddModel,
     TrainConfig,
@@ -13,10 +13,8 @@ from icad.models import (
     pretrain_with_autoencoder,
     sample_reconstructions,
     svdd_init_center,
-    svdd_loss_grads,
     train_svdd,
     train_vae,
-    vae_loss_grads,
 )
 from icad.neural import (
     ADAM_SLICE,
@@ -25,7 +23,6 @@ from icad.neural import (
     Mlp,
     backward,
     forward,
-    grad_check_params,
     infer,
     init_mlp,
 )
@@ -517,6 +514,10 @@ _ERRORS = {
                             "training set contains non-finite values"),
     "train-vae-one-example-1d": (lambda: train_vae(_vae(), np.ones(3), _ONE_EPOCH),
                                  "training set must be a nonempty 2-D array"),
+    "train-vae-wrong-width": (lambda: train_vae(_vae(), np.ones((5, 2)), _ONE_EPOCH),
+                              "training set has dimension 2, expected 3"),
+    "svdd-center-wrong-width": (lambda: svdd_init_center(_svdd(), np.ones((5, 2))),
+                                "training set has dimension 2, expected 3"),
 }
 
 

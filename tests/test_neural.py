@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import reference_adam
+from conftest import finite_difference_grads, grad_check_params, max_relative_error, reference_adam
 from icad.neural import (
     ADAM_SLICE,
     AdamState,
@@ -13,12 +13,9 @@ from icad.neural import (
     _activate_prime,
     adam_step,
     backward,
-    finite_difference_grads,
     forward,
     infer,
-    grad_check_params,
     init_mlp,
-    max_relative_error,
 )
 
 

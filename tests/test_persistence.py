@@ -327,6 +327,9 @@ _MALFORMED = {
                             "unknown scorer code 9"),
     "empty-calibration": ("calibration", lambda raw: _set(raw, 17, "<I", 0),
                           "empty calibration set"),
+    # the third of five scores, after the 21-byte header
+    "non-finite-calibration-score": ("calibration", lambda raw: _set(raw, 37, "<d", np.nan),
+                                     r"f\.icad: calibration scores must be finite"),
     "empty-dataset": ("dataset", lambda raw: _set(raw, 8, "<I", 0), "empty dataset"),
     "dataset-trailing-bytes": ("dataset", lambda raw: raw + b"\0", "1 bytes of trailing data"),
 }

@@ -196,7 +196,8 @@ def _cmd_calibrate(args) -> int:
     _resolve_flag(args, "seed", args.scorer == "vae", 0, "by the vae scorer")
     scorer_cls = nonconformity.VaeScorer if args.scorer == "vae" else nonconformity.SvddScorer
     scorer = scorer_cls(_load_model(args.model, args.scorer))
-    cal_examples, _ = persistence.load_dataset(args.cal_data)
+    # scored a block at a time as the file is read
+    cal_examples = persistence.DatasetBlocks(args.cal_data)
     cal = conformal.calibration_scores(scorer, cal_examples, args.seed)
     persistence.save_calibration(out, cal)
     _write_run_config(_config_sidecar(out), args)
@@ -229,17 +230,19 @@ def _cmd_detect(args) -> int:
     _resolve_flag(args, "delta", args.method == "vae", 6.0, "by the vae method")
     _, make = _pipelines(args.method, args.model, args.cal, args.delta, args.tau, args.seed)
     pipeline = make(args.N)  # before the input is read: a binding error comes first
-    stream, _ = persistence.load_dataset(args.input)
     p_cols = [f"p_{k + 1}" for k in range(args.N)] if args.method == "vae" else ["p"]
-    alarmed = False
+    # the input a block at a time, each block through steps in the chunks
+    # tune and simulate use; the CSV is written once, after the last block
+    chunk = episodes.EPISODE_CHUNK
     rows = []
-    for t, z in enumerate(stream):
-        res = pipeline.step(z)
-        alarmed |= res.alarm
-        rows.append([t, res.score, *res.p_values, res.m_log, res.s, res.alarm])
+    for block in persistence.DatasetBlocks(args.input):
+        for lo in range(0, len(block), chunk):
+            for res in pipeline.steps(block[lo : lo + chunk]):
+                rows.append([len(rows), res.score, *res.p_values, res.m_log, res.s, res.alarm])
     _write_csv(out, ["step", "score", *p_cols, "log_m", "s", "alarm"], rows)
     _write_run_config(_config_sidecar(out), args)
-    print(f"processed {len(stream)} steps; {'alarm raised' if alarmed else 'no alarm'}")
+    alarmed = any(row[-1] for row in rows)
+    print(f"processed {len(rows)} steps; {'alarm raised' if alarmed else 'no alarm'}")
     return EXIT_ALARM if alarmed else EXIT_OK
 
 

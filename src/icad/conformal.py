@@ -91,22 +91,33 @@ class CalibrationSet:
             )
 
 
-def calibration_scores(scorer, cal_examples: Array, seed: int = 0) -> CalibrationSet:
-    """Score the calibration examples in blocks of at most ``BLOCK_ROWS``
-    rows, one network pass per block, and return the sorted result.
+def calibration_scores(scorer, cal_examples, seed: int = 0) -> CalibrationSet:
+    """Score the calibration examples a block at a time, one network pass per
+    block, and return the sorted result.
 
-    A VAE example gets one sampled-reconstruction score, ``score_many(block,
-    1, rng)``, with one generator seeded by ``seed`` for the whole set: the
-    measure the VAE detector takes, so its p-values are valid. The SVDD
-    scorer takes ``score(block)`` and reads no ``seed``.
+    ``cal_examples`` is a 2-D array, taken in blocks of ``BLOCK_ROWS`` rows,
+    or an iterable of such blocks, e.g. ``persistence.DatasetBlocks``, which
+    reads them from a file as they are scored, so the set is never held
+    whole. Each block passes ``check_examples`` once and is then scored
+    unchecked. A VAE example gets one sampled-reconstruction score, with one
+    generator seeded by ``seed`` for the whole set: the measure the VAE
+    detector takes, so its p-values are valid. The SVDD scorer reads no
+    ``seed``.
     """
-    cal_examples = check_examples(cal_examples, "calibration set", scorer.model.input_dim)
-    blocks = (cal_examples[i : i + BLOCK_ROWS] for i in range(0, len(cal_examples), BLOCK_ROWS))
+    if isinstance(cal_examples, np.ndarray):
+        rows = range(0, len(cal_examples), BLOCK_ROWS)
+        cal_examples = [cal_examples[i : i + BLOCK_ROWS] for i in rows]
+
+    def check(block):
+        return check_examples(block, "calibration set", scorer.model.input_dim)
+
     if isinstance(scorer, VaeScorer):
         rng = np.random.default_rng(seed)
-        scores = [scorer.score_many(b, 1, rng)[:, 0] for b in blocks]
+        scores = [scorer._score_many(check(b), 1, rng)[:, 0] for b in cal_examples]
     else:
-        scores = [scorer.score(b) for b in blocks]
+        scores = [scorer._score(check(b)) for b in cal_examples]
+    if not scores:
+        raise ValueError("calibration set must be a nonempty 2-D array")
     return CalibrationSet(np.sort(np.concatenate(scores)), scorer.kind, scorer.fingerprint())
 
 

@@ -68,10 +68,14 @@ class VaeScorer:
         """One squared error per sampled reconstruction: a list of ``count``
         scores for one example, ``(B, count)`` scores for a block."""
         z, back = _check_frames(z, self.model.input_dim)
-        diff = sample_reconstructions(self.model, z, count, rng)
-        np.subtract(z[:, None, :], diff, out=diff)
+        return back(self._score_many(z, count, rng))
+
+    def _score_many(self, block: Array, count: int, rng: np.random.Generator) -> Array:
+        """``score_many`` on a block that ``check_examples`` has passed."""
+        diff = sample_reconstructions(self.model, block, count, rng)
+        np.subtract(block[:, None, :], diff, out=diff)
         diff *= diff
-        return back(diff.sum(axis=2))
+        return diff.sum(axis=2)
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(
@@ -93,8 +97,12 @@ class SvddScorer:
     def score(self, z: Array) -> float | Array:
         """Squared distance of each mapped example from the frozen center."""
         z, back = _check_frames(z, self.model.input_dim)
-        diff = self.model.represent(z) - self.model.center
-        return back((diff * diff).sum(axis=1))
+        return back(self._score(z))
+
+    def _score(self, block: Array) -> Array:
+        """``score`` on a block that ``check_examples`` has passed."""
+        diff = self.model.represent(block) - self.model.center
+        return (diff * diff).sum(axis=1)
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(

@@ -25,9 +25,9 @@ DatasetFile ("ICADDAT1")
 Writes go to a temp file in the target directory, part after part without
 joining the parts into one buffer, and are renamed into place. Model and
 calibration reads parse the file's bytes through a memoryview, so no
-section is copied before it is decoded; dataset reads go from the file into
-the result a block of rows at a time. A plain key=value text format carries
-run configuration.
+section is copied before it is decoded; dataset reads go from the file a
+block of rows at a time (``DatasetBlocks``). A plain key=value text format
+carries run configuration.
 """
 
 from __future__ import annotations
@@ -294,38 +294,78 @@ def _read_exact(fh, out: Array, what: str) -> None:
         raise TruncatedPayloadError(f"{what}: expected {out.nbytes} more bytes, got {got}")
 
 
-def load_dataset(path: str | Path) -> tuple[Array, Array | None]:
-    """Read a dataset file.
+class DatasetBlocks:
+    """A dataset file's examples as float64 blocks of ``BLOCK_ROWS`` rows,
+    counted from the file's first example; the last block may be shorter.
 
-    The examples go from the file into the float64 result a block of rows at
-    a time, so neither the file's bytes nor a whole f32 copy is ever held.
+    Construction reads the header and checks it against the file's length,
+    so a bad magic, a truncated file or trailing bytes raise here, before any
+    block. ``len()`` is the example count and ``dim`` the width. Each
+    iteration opens the file again and reads one block at a time through one
+    f32 buffer, so a reader holds one block, however long the file.
     """
-    what = f"dataset file {path}"
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read(_DATASET_HEADER_SIZE), what)
-        if reader.take(8) != MAGIC_DATASET:
-            raise BadMagicError(f"{path} is not a dataset file")
-        count, dim, has_r = reader.unpack("<IIB")
-        if count < 1 or dim < 1:
-            raise FormatError(f"{path}: empty dataset")
-        expected = _DATASET_HEADER_SIZE + count * dim * 4 + (count * 8 if has_r else 0)
-        size = os.fstat(fh.fileno()).st_size
-        if size < expected:
-            raise TruncatedPayloadError(f"{what}: expected {expected} bytes, file has {size}")
-        if size > expected:
-            raise FormatError(f"{what}: {size - expected} bytes of trailing data")
-        x = np.empty((count, dim))
-        buf = np.empty((min(count, BLOCK_ROWS), dim), dtype="<f4")
-        for lo in range(0, count, len(buf)):
-            block = buf[: count - lo]
-            _read_exact(fh, block, what)
-            x[lo : lo + len(block)] = block
-        r = None
-        if has_r:
-            r = np.empty(count, dtype="<f8")
-            _read_exact(fh, r, what)
-            r = r.astype(np.float64, copy=False)
-    return x, r
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._what = f"dataset file {path}"
+        self._open().close()
+
+    def _open(self):
+        """The file, its header checked against its length, positioned at
+        the first example; sets ``count``, ``dim`` and ``has_r``."""
+        fh = open(self.path, "rb")
+        try:
+            reader = _Reader(fh.read(_DATASET_HEADER_SIZE), self._what)
+            if reader.take(8) != MAGIC_DATASET:
+                raise BadMagicError(f"{self.path} is not a dataset file")
+            count, dim, has_r = reader.unpack("<IIB")
+            if count < 1 or dim < 1:
+                raise FormatError(f"{self.path}: empty dataset")
+            expected = _DATASET_HEADER_SIZE + count * dim * 4 + (count * 8 if has_r else 0)
+            size = os.fstat(fh.fileno()).st_size
+            if size < expected:
+                raise TruncatedPayloadError(
+                    f"{self._what}: expected {expected} bytes, file has {size}")
+            if size > expected:
+                raise FormatError(f"{self._what}: {size - expected} bytes of trailing data")
+        except BaseException:
+            fh.close()
+            raise
+        self.count, self.dim, self.has_r = count, dim, bool(has_r)
+        return fh
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        with self._open() as fh:
+            buf = np.empty((min(self.count, BLOCK_ROWS), self.dim), dtype="<f4")
+            for lo in range(0, self.count, BLOCK_ROWS):
+                block = buf[: self.count - lo]
+                _read_exact(fh, block, self._what)
+                yield block.astype(np.float64)
+
+    def r_values(self) -> Array | None:
+        """The corruption level of each example, or None if the file has none."""
+        if not self.has_r:
+            return None
+        with self._open() as fh:
+            fh.seek(self.count * self.dim * 4, os.SEEK_CUR)
+            r = np.empty(self.count, dtype="<f8")
+            _read_exact(fh, r, self._what)
+        return r.astype(np.float64, copy=False)
+
+
+def load_dataset(path: str | Path) -> tuple[Array, Array | None]:
+    """Read a dataset file: the blocks of ``DatasetBlocks`` written into one
+    float64 array, so neither the file's bytes nor a whole f32 copy is held."""
+    blocks = DatasetBlocks(path)
+    x = np.empty((len(blocks), blocks.dim))
+    lo = 0
+    for block in blocks:
+        x[lo : lo + len(block)] = block
+        lo += len(block)
+    return x, blocks.r_values()
 
 
 def save_config(path: str | Path, config: Mapping[str, object]) -> None:

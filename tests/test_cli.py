@@ -16,14 +16,16 @@ import pytest
 
 import icad
 from icad import conformal
-from icad.cli import (EXIT_ALARM, EXIT_ERROR, EXIT_OK, CliError, _parse_grid, _sim_params,
-                      build_parser, main)
-from icad.conformal import CalibrationSet, calibration_scores
-from icad.nonconformity import VaeScorer
+from icad.cli import (EXIT_ALARM, EXIT_ERROR, EXIT_OK, CliError, _fmt, _parse_grid,
+                      _sim_params, build_parser, main)
+from icad.conformal import CalibrationSet, SvddPipeline, VaePipeline, calibration_scores
+from icad.models import SvddModel, VaeModel, svdd_init_center
+from icad.neural import BLOCK_ROWS
+from icad.nonconformity import SvddScorer, VaeScorer
 from icad.persistence import (load_calibration, load_config, load_dataset, load_model,
-                              save_calibration, save_config, save_dataset)
+                              save_calibration, save_config, save_dataset, save_model)
 
-from conftest import one_value_center
+from conftest import one_value_center, traced_peak_mb
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +164,100 @@ def test_calibrate_vae_sampled_scores(work, tmp_path):
     assert np.array_equal(load_calibration(outs["a"]).scores, expected.scores)
     assert len(expected) == 120
     assert outs["a"].read_bytes() == outs["b"].read_bytes() != outs["c"].read_bytes()
+
+
+@pytest.fixture(scope="module")
+def blocks_data(work):
+    """Frames across two block edges: two full ``BLOCK_ROWS`` blocks and 7 rows."""
+    path = work["root"] / "blocks.icad"
+    assert main(["gen-data", "--out", str(path), "--count", str(2 * BLOCK_ROWS + 7),
+                 "--dim", "64", "--seed", "12"]) == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("scorer", ["vae", "svdd"])
+def test_calibrate_file_blocks_give_the_array_bytes(work, blocks_data, tmp_path, scorer):
+    # calibrate scores the file a block at a time as it reads it; the bytes
+    # are those of calibration_scores on the whole loaded array
+    out, expected = tmp_path / "cal.icad", tmp_path / "expected.icad"
+    assert main(["calibrate", "--scorer", scorer, "--model", str(work[scorer]),
+                 "--cal-data", str(blocks_data), "--out", str(out)]) == EXIT_OK
+    examples, _ = load_dataset(blocks_data)
+    scorer_cls = VaeScorer if scorer == "vae" else SvddScorer
+    save_calibration(expected, calibration_scores(scorer_cls(load_model(work[scorer])), examples))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "detect"])
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_non_finite_value_in_last_block_writes_nothing(work, blocks_data, tmp_path, capsys,
+                                                       command, method):
+    # the earlier blocks are scored before the bad one is read; the output
+    # is written after the last block, so neither it nor a temporary file
+    # appears
+    frames, _ = load_dataset(blocks_data)
+    frames[-1, 3] = np.nan
+    bad = tmp_path / "nan.icad"
+    save_dataset(bad, frames)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if command == "calibrate":
+        argv = ["calibrate", "--scorer", method, "--cal-data", str(bad),
+                "--out", str(out_dir / "cal.icad")]
+    else:
+        argv = ["detect", "--method", method, "--cal", str(work[f"{method}_cal"]),
+                "--input", str(bad), "--out", str(out_dir / "diag.csv")]
+    assert main([*argv, "--model", str(work[method])]) == EXIT_ERROR
+    assert "contains non-finite values" in capsys.readouterr().err
+    assert not list(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("scorer,bound_mb", [("svdd", 8.0), ("vae", 5.0)])
+def test_calibrate_traced_peak_stays_below_one_whole_file(tmp_path, scorer, bound_mb):
+    # README model shapes, untrained, on 5,000 frames of 16x16: the file as
+    # one float64 array is 10 MB, more than either bound
+    rng = np.random.default_rng(8)
+    if scorer == "vae":
+        model = VaeModel.build(256, latent_dim=8, hidden=(64, 32), seed=1)
+    else:
+        model = SvddModel.build(256, output_dim=64, hidden=(512,), seed=1)
+        svdd_init_center(model, rng.normal(size=(30, 256)))
+    save_model(tmp_path / "model.icad", model)
+    save_dataset(tmp_path / "cal.icad", rng.normal(size=(5000, 256)))
+    argv = ["calibrate", "--scorer", scorer, "--model", str(tmp_path / "model.icad"),
+            "--cal-data", str(tmp_path / "cal.icad"), "--out", str(tmp_path / "out.icad")]
+    codes = []
+    assert traced_peak_mb(lambda: codes.append(main(argv))) < bound_mb
+    assert codes == [EXIT_OK]
+
+
+@pytest.mark.parametrize("method,stream,tau", [
+    ("vae", "blocks", 156.0), ("svdd", "blocks", 14.0),
+    ("vae", "ood_stream", 20.0), ("svdd", "ood_stream", 8.0),
+])
+def test_detect_chunks_match_a_per_step_replay(work, blocks_data, tmp_path, method, stream,
+                                               tau):
+    # detect feeds steps chunks of EPISODE_CHUNK frames; a replay steps the
+    # same pipeline frame by frame. A chunk's network rows may differ from
+    # one-row passes in their last bits, so only score cells may move
+    source = blocks_data if stream == "blocks" else work[stream]
+    out = tmp_path / "diag.csv"
+    code = main(["detect", "--method", method, "--model", str(work[method]),
+                 "--cal", str(work[f"{method}_cal"]), "--input", str(source), "--N", "10",
+                 "--tau", str(tau), "--seed", "3", "--out", str(out)])
+    model, cal = load_model(work[method]), load_calibration(work[f"{method}_cal"])
+    pipe = (VaePipeline(model, cal, 10, 6.0, tau, 3) if method == "vae"
+            else SvddPipeline(model, cal, 10, tau, 3))
+    replay = [pipe.step(z) for z in load_dataset(source)[0]]
+    rows = _rows(out)[1:]
+    assert len(rows) == len(replay)
+    for t, (row, res) in enumerate(zip(rows, replay)):
+        assert abs(float(row[1]) - res.score) <= 1e-12 * abs(res.score), t
+        assert row[:1] + row[2:] == [_fmt(v) for v in (t, *res.p_values, res.m_log, res.s,
+                                                         res.alarm)], t
+    alarms = [t for t, res in enumerate(replay) if res.alarm]
+    assert code == (EXIT_ALARM if alarms else EXIT_OK)
+    assert (stream == "ood_stream") == bool(alarms)
 
 
 @pytest.mark.parametrize("scorer,seed", [("vae", "0"), ("svdd", "")])

@@ -9,9 +9,11 @@ import pytest
 
 from icad.conformal import CalibrationSet, FingerprintMismatchError
 from icad.models import SvddModel, VaeModel, svdd_init_center
+from icad.neural import BLOCK_ROWS
 from icad.nonconformity import SvddScorer
 from icad.persistence import (
     BadMagicError,
+    DatasetBlocks,
     FormatError,
     PersistenceError,
     TruncatedPayloadError,
@@ -99,6 +101,44 @@ def test_dataset_round_trip(tmp_path):
     save_dataset(path, x)
     _, r3 = load_dataset(path)
     assert r3 is None
+
+
+@pytest.mark.parametrize("count", [1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 7])
+def test_dataset_blocks_concatenate_to_the_loaded_array(tmp_path, count):
+    rng = np.random.default_rng(count)
+    path = tmp_path / "data.icad"
+    save_dataset(path, rng.normal(size=(count, 3)), rng.uniform(0, 20, size=count))
+    blocks = DatasetBlocks(path)
+    assert (len(blocks), blocks.dim) == (count, 3)
+    got = list(blocks)
+    # full blocks counted from the first example, the remainder last
+    assert [len(b) for b in got[:-1]] == [BLOCK_ROWS] * (len(got) - 1)
+    assert all(b.dtype == np.float64 for b in got)
+    x, r = load_dataset(path)
+    assert np.concatenate(got).tobytes() == x.tobytes()
+    assert np.array_equal(blocks.r_values(), r)
+    assert [b.tobytes() for b in blocks] == [b.tobytes() for b in got]  # iterates again
+
+
+def _load_error(loader, path):
+    with pytest.raises(PersistenceError) as info:
+        loader(path)
+    return type(info.value), str(info.value)
+
+
+def test_dataset_blocks_refuse_a_bad_file_before_the_first_block(tmp_path):
+    # construction raises, so no block is ever yielded; the error's type and
+    # text are load_dataset's
+    path = tmp_path / "f.icad"
+    loader = _write_small_file("dataset", path)
+    raw = path.read_bytes()
+    bad = {f"cut at {cut}": (raw[:cut], TruncatedPayloadError) for cut in range(len(raw))}
+    bad["bad magic"] = (b"NOTMAGIC" + raw[8:], BadMagicError)
+    bad["trailing bytes"] = (raw + b"\0\0", FormatError)
+    for name, (content, error) in bad.items():
+        path.write_bytes(content)
+        got = _load_error(DatasetBlocks, path)
+        assert got[0] is error and got == _load_error(loader, path), name
 
 
 def test_calibration_round_trip(tmp_path):

@@ -7,6 +7,9 @@ implausibly small they have been, and either a CUSUM accumulator or a plain
 threshold turns the martingale into alarms. A p-value depends on its score
 only through the score's rank among the sorted calibration scores, which
 ``p_value`` finds by ``bisect`` over the calibration's tuple of floats.
+Both step functions share one per-frame tail, from a frame's scores to its
+p-values to its ``StepResult``, a ``NamedTuple``; the only per-method part
+is each pipeline's martingale and detector ``_update``.
 
 All martingale arithmetic lives in the log domain: the simple mixture
 martingale ``M = integral_0^1 prod_i eps * p_i^(eps-1) d eps`` (Vovk,
@@ -28,6 +31,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammainc
@@ -249,9 +253,8 @@ class ThresholdDetector:
         return m_log > self.tau, m_log
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """One detection step of either pipeline.
+class StepResult(NamedTuple):
+    """One detection step of either pipeline, a plain tuple of its five fields.
 
     ``scores`` and ``p_values`` hold one entry per scored sample: N
     reconstructions for the VAE, the single input for SVDD. ``s`` is the
@@ -286,107 +289,103 @@ def _block(frames: Array) -> Array:
     return frames
 
 
-def vae_detect_step(pipeline: "VaePipeline", frames: Array) -> list[StepResult]:
-    """Detection steps on a block ``(B, D)``, in frame order: one
-    ``score_many`` call samples and scores N reconstructions of every frame,
-    then each frame's N p-values, the martingale over them and the CUSUM
-    update. Each frame's martingale is taken over its own N fresh p-values.
-    """
-    scores = pipeline.scorer.score_many(_block(frames), pipeline.n_samples, pipeline._rng)
+def _decide(pipeline: "_Pipeline", rows: list[list[float]]) -> list[StepResult]:
+    """Each frame's row of scores, in frame order, to p-values, ``_update`` and result."""
     results = []
-    for row in scores.tolist():
+    for row in rows:
         # one search per sample: one search for all N left so little cost per
         # sample that acceptance criterion 8 (cost linear in N) failed 1 run in 8
         ps = tuple(p_value(s, pipeline.cal) for s in row)
-        # math.log in sample order: np.log differs in the last bit on some p-values
-        m_log = mixture_martingale_log(sum(map(math.log, ps)), len(ps))
-        alarm, s = pipeline.detector.update(m_log)
+        alarm, m_log, s = pipeline._update(ps)
         results.append(StepResult(alarm, tuple(row), ps, m_log, s))
     return results
 
 
+def vae_detect_step(pipeline: "VaePipeline", frames: Array) -> list[StepResult]:
+    """Detection steps on a block ``(B, D)``: one ``score_many`` call scores N
+    sampled reconstructions of every frame, then the shared tail. The block's noise
+    holds the per-step draws in order, so the generator ends where B steps leave it."""
+    scores = pipeline.scorer.score_many(_block(frames), pipeline.n_samples, pipeline._rng)
+    return _decide(pipeline, scores.tolist())
+
+
 def svdd_detect_step(pipeline: "SvddPipeline", frames: Array) -> list[StepResult]:
     """Detection steps on a block ``(B, D)``, in frame order: one ``score``
-    call, then each frame's p-value, sliding-window martingale and threshold."""
-    results = []
-    for score in pipeline.scorer.score(_block(frames)).tolist():
-        p = p_value(score, pipeline.cal)
-        pipeline.martingale.push(math.log(p))
-        m_log = pipeline.martingale.mixture_log()
-        alarm, _ = pipeline.detector.update(m_log)
-        results.append(StepResult(alarm, (score,), (p,), m_log, pipeline.martingale.log_p_sum))
-    return results
+    call, then the shared tail on each frame's one score."""
+    return _decide(pipeline, pipeline.scorer.score(_block(frames))[:, None].tolist())
 
 
 class _Pipeline:
-    """What both pipelines share: a calibration checked once against the
-    scorer at construction, and per-stream state that ``_start`` sets up."""
+    """What both pipelines share: the constructor's prelude, ``fresh`` and ``step``/``steps``."""
+
+    def __init__(self, model, cal: CalibrationSet, stream_args: tuple):
+        self.scorer = self._scorer_type(model)
+        cal.check_scorer(self.scorer)
+        self.cal = cal
+        self._stream_args = stream_args
+        self._start(*stream_args)
 
     def fresh(self):
         """A pipeline over this one's checked scorer and calibration, with
         the stream state of a newly constructed one; no check runs again."""
         new = copy.copy(self)
-        new._start()
+        new._start(*new._stream_args)
         return new
+
+    def step(self, z: Array) -> StepResult:
+        """One detection step on a frame ``(D,)``: ``steps`` on its one-row block."""
+        # the step function is a module global looked up at call time, so a
+        # wrapper installed on it (a profiler's, say) sees every step; the only
+        # work outside it is a one-frame tuple, which _block reads as one row
+        return globals()[self._detect_step](self, (z,))[0]
+
+    def steps(self, frames: Array) -> list[StepResult]:
+        """One step per row of a block ``(B, D)``, in order."""
+        return globals()[self._detect_step](self, frames)
 
 
 class VaePipeline(_Pipeline):
     """Per-stream VAE detection: owns the CUSUM detector and the sampling RNG."""
 
     method = "vae"
+    _scorer_type = VaeScorer
+    _detect_step = "vae_detect_step"
 
     def __init__(self, model: VaeModel, cal: CalibrationSet, n_samples: int, delta: float,
                  tau: float, seed: int):
         if n_samples < 1:
             raise ValueError("need at least one reconstruction sample per step")
-        self.scorer = VaeScorer(model)
-        cal.check_scorer(self.scorer)
-        self.cal = cal
         self.n_samples = int(n_samples)
-        self._stream_args = (tau, delta, seed)
-        self._start()
+        super().__init__(model, cal, (tau, delta, seed))
 
-    def _start(self) -> None:
-        tau, delta, seed = self._stream_args
+    def _start(self, tau: float, delta: float, seed: int) -> None:
         self.detector = CusumDetector(tau, delta)
         self._rng = np.random.default_rng(seed)
 
-    def step(self, z: Array) -> StepResult:
-        """One detection step on a frame ``(D,)``: ``steps`` on its one-row block."""
-        # the step functions are module globals looked up at call time, so a
-        # wrapper installed on them (e.g. a profiler's) sees every step; the
-        # work done here, outside them, is kept to a one-frame tuple, which
-        # _block reads as the one-row block inside them
-        return vae_detect_step(self, (z,))[0]
-
-    def steps(self, frames: Array) -> list[StepResult]:
-        """One step per row of a block ``(B, D)``, in order. The block's
-        ``(B, N, latent)`` noise draw holds the per-step draws in order, so
-        the generator ends where B ``step`` calls leave it."""
-        return vae_detect_step(self, frames)
+    def _update(self, ps: tuple[float, ...]) -> tuple[bool, float, float]:
+        # math.log in sample order: np.log differs in the last bit on some p-values
+        m_log = mixture_martingale_log(sum(map(math.log, ps)), len(ps))
+        alarm, s = self.detector.update(m_log)
+        return alarm, m_log, s
 
 
 class SvddPipeline(_Pipeline):
     """Per-stream SVDD detection with a seeded warm-started sliding window."""
 
     method = "svdd"
+    _scorer_type = SvddScorer
+    _detect_step = "svdd_detect_step"
 
     def __init__(self, model: SvddModel, cal: CalibrationSet, window: int, tau: float, seed: int):
-        self.scorer = SvddScorer(model)
-        cal.check_scorer(self.scorer)
-        self.cal = cal
-        self._stream_args = (window, tau, seed)
-        self._start()
+        super().__init__(model, cal, (window, tau, seed))
 
-    def _start(self) -> None:
-        window, tau, seed = self._stream_args
+    def _start(self, window: int, tau: float, seed: int) -> None:
         self.martingale = MartingaleState.warmed_up(window, np.random.default_rng(seed))
         self.detector = ThresholdDetector(tau)
 
-    def step(self, z: Array) -> StepResult:
-        """One detection step on a frame ``(D,)``: ``steps`` on its one-row block."""
-        return svdd_detect_step(self, (z,))[0]
-
-    def steps(self, frames: Array) -> list[StepResult]:
-        """One step per row of a block ``(B, D)``, in order."""
-        return svdd_detect_step(self, frames)
+    def _update(self, ps: tuple[float, ...]) -> tuple[bool, float, float]:
+        (p,) = ps
+        self.martingale.push(math.log(p))
+        m_log = self.martingale.mixture_log()
+        alarm, _ = self.detector.update(m_log)
+        return alarm, m_log, self.martingale.log_p_sum

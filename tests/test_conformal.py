@@ -1,7 +1,9 @@
 """Calibration, p-values, martingales, detectors, and the two step pipelines."""
 
 import copy
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -769,6 +771,37 @@ def test_step_and_steps_run_through_the_module_step_function(two_blob_setup, met
     assert len(pipe.steps(blob_in[1:4])) == 3
     pipe.step(blob_in[4])
     assert seen == [(1, 2), (3, 2), (1, 2)]
+
+
+def test_benchmark_stream_patch_points_resolve():
+    # the benchmark's tracer wraps these module globals by name; a renamed one
+    # would show only as an absent layer in a benchmark run's output
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    listed = {point for point, _, _ in spans.PATCH_POINTS}
+    for name in ("vae_detect_step", "svdd_detect_step", "p_value", "mixture_martingale_log"):
+        assert f"conformal.{name}" in listed
+        assert callable(getattr(conformal, name, None)), name
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_step_result_unpacks_in_field_order(two_blob_setup, method):
+    pipe = _two_blob_pipeline(two_blob_setup, method)
+    result = pipe.step(two_blob_setup[4][0])
+    alarm, scores, p_values, m_log, s = result
+    assert StepResult._fields == ("alarm", "scores", "p_values", "m_log", "s")
+    assert result == (alarm, scores, p_values, m_log, s)
+    assert (result.alarm, result.scores, result.p_values, result.m_log, result.s) == (
+        alarm, scores, p_values, m_log, s)
+    assert len(scores) == len(p_values) == (5 if method == "vae" else 1)
+    assert result.score == (float(np.mean(scores)) if method == "vae" else scores[0])
+    if method == "svdd":
+        assert result.p == p_values[0]
+    else:
+        with pytest.raises(ValueError):
+            result.p
 
 
 _ERRORS = {

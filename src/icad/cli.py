@@ -17,6 +17,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import conformal, episodes, models, nonconformity, persistence
 
 EXIT_OK = 0
@@ -93,6 +95,34 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     writer.writerow(header)
     writer.writerows([_fmt(v) for v in row] for row in rows)
     persistence._atomic_write(path, [text.getvalue().encode()])
+
+
+def _step_lines(leads, results, sep: str) -> list[str]:
+    """One CSV line per step result: its lead cells, then score, the p-values
+    joined by ``sep``, log_m, s and alarm, each cell as ``_fmt`` writes it.
+    The results share one number of p-values, as a pipeline's do.
+
+    ``score`` is one axis-1 mean over the results' score rows: numpy reduces
+    each contiguous row with the loop ``np.mean`` runs on a ``scores`` tuple,
+    so every mean has the bits of ``StepResult.score`` at one call a chunk."""
+    rows = np.array([res.scores for res in results])
+    # as in StepResult.score, one score is its own mean: a mean takes -0.0 to 0.0
+    scores = (rows[:, 0] if rows.shape[1] == 1 else rows.mean(axis=1)).tolist()
+    # one template a chunk, so each line is one %-format: %.17g is _fmt's float
+    # rendering, and %d writes a bool alarm as 1 or 0
+    p_cells = sep.join(["%.17g"] * len(results[0].p_values))
+    line = f"%s,%.17g,{p_cells},%.17g,%.17g,%d"
+    return [line % (lead, score, *res.p_values, res.m_log, res.s, res.alarm)
+            for lead, score, res in zip(leads, scores, results)]
+
+
+def _write_step_csv(path: Path, header: list[str], lines: list[str]) -> None:
+    """Write a per-step table whole, its lines already formatted, with the
+    bytes ``_write_csv`` would write: every cell is a number, or numbers
+    joined by ``;``, which the csv module never quotes, and its lines end
+    in CRLF, the last one too."""
+    text = "\r\n".join([",".join(header), *lines, ""])
+    persistence._atomic_write(path, [text.encode()])
 
 
 def _scene(dim: int, seed: int) -> episodes.SceneGenerator:
@@ -234,15 +264,17 @@ def _cmd_detect(args) -> int:
     # the input a block at a time, each block through steps in the chunks
     # tune and simulate use; the CSV is written once, after the last block
     chunk = episodes.EPISODE_CHUNK
-    rows = []
+    lines: list[str] = []
+    alarmed = False
     for block in persistence.DatasetBlocks(args.input):
         for lo in range(0, len(block), chunk):
-            for res in pipeline.steps(block[lo : lo + chunk]):
-                rows.append([len(rows), res.score, *res.p_values, res.m_log, res.s, res.alarm])
-    _write_csv(out, ["step", "score", *p_cols, "log_m", "s", "alarm"], rows)
+            results = pipeline.steps(block[lo : lo + chunk])
+            steps = range(len(lines), len(lines) + len(results))
+            lines += _step_lines(steps, results, ",")
+            alarmed = alarmed or any(res.alarm for res in results)
+    _write_step_csv(out, ["step", "score", *p_cols, "log_m", "s", "alarm"], lines)
     _write_run_config(_config_sidecar(out), args)
-    alarmed = any(row[-1] for row in rows)
-    print(f"processed {len(rows)} steps; {'alarm raised' if alarmed else 'no alarm'}")
+    print(f"processed {len(lines)} steps; {'alarm raised' if alarmed else 'no alarm'}")
     return EXIT_ALARM if alarmed else EXIT_OK
 
 
@@ -329,14 +361,10 @@ def _cmd_simulate(args) -> int:
         )],
     )
     for i, steps in enumerate(diagnostics):
-        _write_csv(
+        _write_step_csv(
             out_dir / f"episode_{i:03d}.csv",
             ["step", "r", "score", "p_values", "log_m", "s", "alarm"],
-            [
-                (t, r, res.score, ";".join(_fmt(p) for p in res.p_values),
-                 res.m_log, res.s, res.alarm)
-                for t, r, res in steps
-            ],
+            _step_lines([f"{t},{r:.17g}" for t, r, _ in steps], [res for *_, res in steps], ";"),
         )
     _write_run_config(out_dir / "config.txt", args)
     delay = "n/a" if metrics.mean_delay is None else f"{metrics.mean_delay:.2f}"

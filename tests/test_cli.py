@@ -6,6 +6,7 @@ import csv
 import errno
 import hashlib
 import importlib
+import io
 import os
 import pkgutil
 import re
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 import icad
-from icad import conformal
+from icad import conformal, episodes
 from icad.cli import (EXIT_ALARM, EXIT_ERROR, EXIT_OK, CliError, _fmt, _parse_grid,
-                      _sim_params, build_parser, main)
-from icad.conformal import CalibrationSet, SvddPipeline, VaePipeline, calibration_scores
+                      _sim_params, _step_lines, build_parser, main)
+from icad.conformal import (CalibrationSet, StepResult, SvddPipeline, VaePipeline,
+                            calibration_scores)
 from icad.models import SvddModel, VaeModel, svdd_init_center
 from icad.neural import BLOCK_ROWS
 from icad.nonconformity import SvddScorer, VaeScorer
@@ -453,6 +455,135 @@ def test_simulate_rerun_is_byte_identical(work, tmp_path):
         dirs.append(out_dir)
     for rel in ("episodes.csv", "summary.csv", "episode_000.csv", "episode_003.csv"):
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel
+
+
+def _csv_oracle(header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``rows``, each cell through ``_fmt``:
+    the bytes the per-step tables, written a line at a time, must keep."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return text.getvalue().encode()
+
+
+def _episode_oracle(steps) -> bytes:
+    """An ``episode_NNN.csv`` of ``(t, r, step result)`` triples."""
+    return _csv_oracle(
+        ["step", "r", "score", "p_values", "log_m", "s", "alarm"],
+        [(t, r, res.score, ";".join(_fmt(p) for p in res.p_values), res.m_log, res.s,
+          res.alarm) for t, r, res in steps],
+    )
+
+
+def _diag_oracle(method, results) -> bytes:
+    """A ``detect`` diagnostics CSV of ``results``, one per step in order."""
+    n = len(results[0].p_values)
+    p_cols = [f"p_{k + 1}" for k in range(n)] if method == "vae" else ["p"]
+    return _csv_oracle(
+        ["step", "score", *p_cols, "log_m", "s", "alarm"],
+        [(t, res.score, *res.p_values, res.m_log, res.s, res.alarm)
+         for t, res in enumerate(results)],
+    )
+
+
+_EDGES = (-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 3.0, 0.0, 1e17, 0.1, -2.5, 1234.5)
+
+
+def _edge_results(n, count):
+    """``count`` step results of ``n`` samples whose cells cycle through
+    ``_EDGES``, alarms both ways. The first score is the edge value and the
+    rest are -0.0, so no mean overflows and one-score means are edge values."""
+    def edge(k):
+        return _EDGES[k % len(_EDGES)]
+
+    return [StepResult(k % 3 == 0, (edge(k),) + (-0.0,) * (n - 1),
+                       tuple(edge(k + j) for j in range(n)), edge(k + 1), edge(k + 2))
+            for k in range(count)]
+
+
+@pytest.mark.parametrize("n", [1, 20])
+@pytest.mark.parametrize("command", ["simulate", "detect"])
+def test_step_tables_give_csv_writer_bytes_on_edge_values(work, tmp_path, monkeypatch,
+                                                          command, n):
+    # the per-step tables skip csv.writer and _fmt; on signed zeros,
+    # subnormals, the largest double and integral floats, at N = 1 and 20,
+    # their bytes are still the csv module's
+    crafted = _edge_results(n, 40)
+    out = tmp_path / "out"
+    if command == "simulate":
+        run_suite = episodes.run_suite
+        diagnostics = [[(t, _EDGES[(t + 3) % len(_EDGES)], res) for t, res in enumerate(part)]
+                       for part in (crafted[:25], crafted[25:])]
+
+        def crafted_suite(*args, **kwargs):
+            return run_suite(*args, **kwargs)[0], diagnostics
+
+        monkeypatch.setattr(episodes, "run_suite", crafted_suite)
+        cfg = tmp_path / "sim.txt"
+        _sim_config(work, cfg, "svdd", tau=10.0)
+        assert main(["simulate", "--episodes", "2", "--method", "svdd", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        for i, steps in enumerate(diagnostics):
+            assert (out / f"episode_{i:03d}.csv").read_bytes() == _episode_oracle(steps), i
+    else:
+        method = "svdd" if n == 1 else "vae"
+        results = iter(crafted)
+        monkeypatch.setattr(conformal._Pipeline, "steps",
+                            lambda self, frames: [next(results) for _ in frames])
+        assert main(["detect", "--method", method, "--model", str(work[method]),
+                     "--cal", str(work[f"{method}_cal"]), "--input", str(work["in_stream"]),
+                     "--N", str(n), "--out", str(out)]) == EXIT_ALARM
+        assert out.read_bytes() == _diag_oracle(method, crafted)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 20, 129])
+def test_step_lines_score_has_the_bits_of_step_result_score(n):
+    # one mean per chunk in place of StepResult.score per row, bit for bit;
+    # 17 significant digits read back as the same double, -0.0 included
+    rng = np.random.default_rng(n)
+    rows = rng.lognormal(0.0, 4.0, size=(300, n)) * rng.choice([-1.0, 1.0], size=(300, n))
+    rows[::11] = -0.0
+    rows[5::11] = 5e-324
+    results = [StepResult(False, tuple(row), (0.5,) * n, 0.0, 0.0) for row in rows.tolist()]
+    scores = [float(line.split(",")[1]) for line in _step_lines(range(300), results, ",")]
+    assert [s.hex() for s in scores] == [res.score.hex() for res in results]
+
+
+@pytest.mark.parametrize("method", ["vae", "svdd"])
+def test_step_tables_are_the_csv_rendering_of_their_step_results(work, blocks_data, tmp_path,
+                                                                 monkeypatch, method):
+    # every StepResult detect and simulate made, recorded as it was made and
+    # rendered by csv.writer, gives the bytes of the files they wrote
+    suites, chunks = [], []
+    run_suite, steps = episodes.run_suite, conformal._Pipeline.steps
+
+    def recording_run_suite(*args, **kwargs):
+        suites.append(run_suite(*args, **kwargs))
+        return suites[-1]
+
+    def recording_steps(self, frames):
+        chunks.append(steps(self, frames))
+        return chunks[-1]
+
+    monkeypatch.setattr(episodes, "run_suite", recording_run_suite)
+    monkeypatch.setattr(conformal._Pipeline, "steps", recording_steps)
+    diag = tmp_path / "diag.csv"
+    code = main(["detect", "--method", method, "--model", str(work[method]),
+                 "--cal", str(work[f"{method}_cal"]), "--input", str(blocks_data),
+                 "--tau", "8", "--seed", "3", "--out", str(diag)])
+    results = [res for chunk in chunks for res in chunk]
+    assert len(results) == 2 * BLOCK_ROWS + 7
+    assert code == (EXIT_ALARM if any(res.alarm for res in results) else EXIT_OK)
+    assert diag.read_bytes() == _diag_oracle(method, results)
+
+    cfg, out = tmp_path / "sim.txt", tmp_path / "sim"
+    _sim_config(work, cfg, method, tau=10.0)
+    assert main(["simulate", "--episodes", "4", "--method", method, "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_OK
+    (_, diagnostics), = suites
+    for i, episode in enumerate(diagnostics):
+        assert (out / f"episode_{i:03d}.csv").read_bytes() == _episode_oracle(episode), i
 
 
 def test_simulate_refuses_a_directory_with_another_runs_episodes(work, tmp_path, capsys):

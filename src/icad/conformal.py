@@ -280,15 +280,6 @@ class StepResult(NamedTuple):
         return p
 
 
-def _block(frames: Array) -> Array:
-    """``frames`` as a float array, which must be a block ``(B, D)``; the
-    scorer checks its width and values."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2:
-        raise ValueError(f"expected a block of frames (B, D), got shape {frames.shape}")
-    return frames
-
-
 def _decide(pipeline: "_Pipeline", rows: list[list[float]]) -> list[StepResult]:
     """Each frame's row of scores, in frame order, to p-values, ``_update`` and result."""
     results = []
@@ -305,14 +296,14 @@ def vae_detect_step(pipeline: "VaePipeline", frames: Array) -> list[StepResult]:
     """Detection steps on a block ``(B, D)``: one ``score_many`` call scores N
     sampled reconstructions of every frame, then the shared tail. The block's noise
     holds the per-step draws in order, so the generator ends where B steps leave it."""
-    scores = pipeline.scorer.score_many(_block(frames), pipeline.n_samples, pipeline._rng)
+    scores = pipeline.scorer.score_many(frames, pipeline.n_samples, pipeline._rng)
     return _decide(pipeline, scores.tolist())
 
 
 def svdd_detect_step(pipeline: "SvddPipeline", frames: Array) -> list[StepResult]:
     """Detection steps on a block ``(B, D)``, in frame order: one ``score``
     call, then the shared tail on each frame's one score."""
-    return _decide(pipeline, pipeline.scorer.score(_block(frames))[:, None].tolist())
+    return _decide(pipeline, pipeline.scorer.score(frames)[:, None].tolist())
 
 
 class _Pipeline:
@@ -336,7 +327,7 @@ class _Pipeline:
         """One detection step on a frame ``(D,)``: ``steps`` on its one-row block."""
         # the step function is a module global looked up at call time, so a
         # wrapper installed on it (a profiler's, say) sees every step; the only
-        # work outside it is a one-frame tuple, which _block reads as one row
+        # work outside it is a one-frame tuple, a one-row block to the scorer
         return globals()[self._detect_step](self, (z,))[0]
 
     def steps(self, frames: Array) -> list[StepResult]:

@@ -170,9 +170,6 @@ class SvddModel:
         mapper = init_mlp(dims, acts, bias=False, rng=rng)
         return cls(mapper, weight_decay)
 
-    def represent(self, z: Array) -> Array:
-        return infer(self.mapper, z)
-
 
 def svdd_init_center(model: SvddModel, data: Array) -> Array:
     """Set the center to the mean representation of ``data`` and freeze it.

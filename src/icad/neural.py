@@ -175,7 +175,7 @@ def check_examples(arr: Array, what: str, dim: int) -> Array:
     errors name ``what``."""
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError(f"{what} must be a nonempty 2-D array")
+        raise ValueError(f"{what} must be a nonempty 2-D array, got shape {arr.shape}")
     if arr.shape[1] != dim:
         raise ValueError(f"{what} has dimension {arr.shape[1]}, expected {dim}")
     if not np.isfinite(arr).all():

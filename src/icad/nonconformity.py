@@ -8,32 +8,21 @@ scorer that produced them. The SVDD score is deterministic (``score``); the
 VAE's one score is of a sampled reconstruction (``score_many``), for
 calibration and detection alike.
 
-A scorer takes a frame ``(D,)`` or a block ``(B, D)``: a frame scores as a
-float (``score_many``: a list), a block as ``(B,)`` (``(B, count)``). Only
-``_check_frames`` tells them apart; every scorer body gets a block, a frame
-as its one-row block, and runs each network once on it via ``neural.infer``.
+A scorer takes a block ``(B, D)`` only, scored as ``(B,)`` (``score``) or
+``(B, count)`` (``score_many``): one ``check_examples`` call, then the
+unchecked body (``_score``, ``_score_many``), which calibration calls on its
+own checked blocks and which runs each network once via ``neural.infer``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Callable
 
 import numpy as np
 
 from .models import SvddModel, VaeModel, sample_reconstructions
-from .neural import Array, Mlp, check_examples, layer_descriptor, layer_payload
-
-
-def _check_frames(z: Array, dim: int) -> tuple[Array, Callable]:
-    """A frame ``(D,)`` as its one-row block, or a block ``(B, D)``, checked
-    by ``check_examples``, and the way back from the block's scores: a frame
-    gets row 0 as a float or a list, a block gets them as is."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        return check_examples(z[None], "example", dim), lambda scores: scores[0].tolist()
-    return check_examples(z, "example", dim), lambda scores: scores
+from .neural import Array, Mlp, check_examples, infer, layer_descriptor, layer_payload
 
 
 def _hash_chunks(*chunks: bytes) -> bytes:
@@ -64,11 +53,10 @@ class VaeScorer:
     def __init__(self, model: VaeModel):
         self.model = model
 
-    def score_many(self, z: Array, count: int, rng: np.random.Generator) -> list[float] | Array:
-        """One squared error per sampled reconstruction: a list of ``count``
-        scores for one example, ``(B, count)`` scores for a block."""
-        z, back = _check_frames(z, self.model.input_dim)
-        return back(self._score_many(z, count, rng))
+    def score_many(self, block: Array, count: int, rng: np.random.Generator) -> Array:
+        """One squared error per sampled reconstruction of each row of a
+        block ``(B, D)``, as ``(B, count)``."""
+        return self._score_many(check_examples(block, "example", self.model.input_dim), count, rng)
 
     def _score_many(self, block: Array, count: int, rng: np.random.Generator) -> Array:
         """``score_many`` on a block that ``check_examples`` has passed."""
@@ -94,14 +82,14 @@ class SvddScorer:
             raise RuntimeError("SVDD center is not initialized")
         self.model = model
 
-    def score(self, z: Array) -> float | Array:
-        """Squared distance of each mapped example from the frozen center."""
-        z, back = _check_frames(z, self.model.input_dim)
-        return back(self._score(z))
+    def score(self, block: Array) -> Array:
+        """Squared distance of each mapped row of a block ``(B, D)`` from the
+        frozen center, as ``(B,)``."""
+        return self._score(check_examples(block, "example", self.model.input_dim))
 
     def _score(self, block: Array) -> Array:
         """``score`` on a block that ``check_examples`` has passed."""
-        diff = self.model.represent(block) - self.model.center
+        diff = infer(self.model.mapper, block) - self.model.center
         return (diff * diff).sum(axis=1)
 
     def fingerprint(self) -> bytes:

@@ -150,8 +150,8 @@ def test_criterion_6_svdd_training_contract(toy_svdd, two_blobs):
     model, _, dists = toy_svdd
     blob_in, blob_out = two_blobs
     scorer = SvddScorer(model)
-    held_in = [scorer.score(z) for z in blob_in[200:]]
-    ood = [scorer.score(z) for z in blob_out]
+    held_in = [scorer.score(z[None])[0] for z in blob_in[200:]]
+    ood = [scorer.score(z[None])[0] for z in blob_out]
     ratio = dists[-1] / dists[0]
     q3 = float(np.percentile(held_in, 75))
     med = float(np.median(ood))

@@ -76,7 +76,7 @@ def test_calibration_blocks_equal_per_row_scores(kind):
     cal = calibration_scores(scorer, examples)
     rng = np.random.default_rng(0)
     score = (lambda z: scorer.score_many(z, 1, rng)[0]) if kind == "vae" else scorer.score
-    expected = np.sort([score(z) for z in examples])
+    expected = np.sort([score(z[None])[0] for z in examples])
     np.testing.assert_allclose(cal.scores, expected, rtol=1e-14, atol=0.0)
 
 
@@ -86,7 +86,7 @@ def test_sampled_calibration_blocks_equal_per_example_scores():
     examples = np.random.default_rng(6).normal(size=(2 * BLOCK_ROWS + 7, 16))
     cal = calibration_scores(scorer, examples, seed=2)
     rng = np.random.default_rng(2)
-    expected = np.sort([scorer.score_many(z, 1, rng)[0] for z in examples])
+    expected = np.sort([scorer.score_many(z[None], 1, rng)[0][0] for z in examples])
     assert len(cal) == len(examples)
     np.testing.assert_allclose(cal.scores, expected, rtol=1e-14, atol=0.0)
 
@@ -580,7 +580,7 @@ def test_vae_step_equals_composition_of_public_pieces(two_blob_setup):
     scorer = VaeScorer(vae)
     detector = CusumDetector(40.0, 6.0)
     for z in np.concatenate([blob_in[:15], blob_out[:15], blob_in[15:20]]):
-        scores = scorer.score_many(z, 7, copy.deepcopy(pipe._rng))
+        scores = scorer.score_many(z[None], 7, copy.deepcopy(pipe._rng))[0].tolist()
         ps = [p_value(s, vae_cal) for s in scores]
         m_log = mixture_martingale_log(sum(math.log(p) for p in ps), 7)
         alarm, s = detector.update(m_log)
@@ -606,7 +606,7 @@ def test_svdd_step_equals_composition_of_public_pieces(two_blob_setup):
     scorer = SvddScorer(svdd)
     martingale = MartingaleState.warmed_up(10, np.random.default_rng(12))
     for z in np.concatenate([blob_in[:15], blob_out[:15], blob_in[15:20]]):
-        score = scorer.score(z)
+        score = scorer.score(z[None])[0]
         p = p_value(score, svdd_cal)
         martingale.push(math.log(p))
         m_log = mixture_martingale_log(martingale.log_p_sum, 10)
@@ -708,7 +708,7 @@ def _two_blob_pipeline(two_blob_setup, method):
 # (a bad input made from a good four-row block, the row of it that step
 # refuses, the message both raise)
 _REFUSED = {
-    "frame": (lambda z: z[0], None, "expected a block"),
+    "frame": (lambda z: z[0], None, "must be a nonempty 2-D array"),
     "non-finite": (lambda z: z * np.array([[1.0], [np.nan], [1.0], [1.0]]), 1,
                    "example contains non-finite values"),
     "wrong-width": (lambda z: z[:, :1], 0, "example has dimension 1, expected 2"),
@@ -784,6 +784,24 @@ def test_benchmark_stream_patch_points_resolve():
     for name in ("vae_detect_step", "svdd_detect_step", "p_value", "mixture_martingale_log"):
         assert f"conformal.{name}" in listed
         assert callable(getattr(conformal, name, None)), name
+    # every point resolves as Tracer.install resolves it, but for the names
+    # already gone from icad, which the benchmark reports as absent layers
+    unresolved = set()
+    for point in listed:
+        *owner_path, attr = point.split(".")
+        try:
+            owner = importlib.import_module(f"icad.{owner_path[0]}")
+            for part in owner_path[1:]:
+                owner = getattr(owner, part)
+            owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        except (ImportError, AttributeError, KeyError):
+            unresolved.add(point)
+    assert unresolved == {
+        "conformal.cusum_step", "conformal.stateless_step", "conformal.vae_score",
+        "conformal.svdd_score", "episodes.cusum_step", "episodes.stateless_step",
+        "nonconformity.vae_score", "nonconformity.svdd_score",
+        "nonconformity.mean_reconstruction",
+    }
 
 
 @pytest.mark.parametrize("method", ["vae", "svdd"])

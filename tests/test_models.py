@@ -98,7 +98,7 @@ def test_vae_loss_parts_and_reparameterization():
     assert loss == pytest.approx(recon + kl)
     assert recon >= 0.0 and kl >= 0.0
     # with zero noise the reconstruction term is the error of the sampled score
-    assert recon == pytest.approx(VaeScorer(model).score_many(z, 1, _ZeroRng())[0])
+    assert recon == pytest.approx(VaeScorer(model).score_many(z[None], 1, _ZeroRng())[0][0])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -141,7 +141,7 @@ def test_memorizing_vae_scores_below_calibration_q3():
                                         batch_size=32, seed=2))
     scorer = VaeScorer(model)
     cal_scores = scorer.score_many(point[0] + rng.normal(0.0, 0.3, size=(60, 2)), 1, rng)
-    own = scorer.score_many(point[0], 20, rng)
+    own = scorer.score_many(point[0][None], 20, rng)[0]
     assert max(own) < np.percentile(cal_scores, 75)
 
 
@@ -160,7 +160,7 @@ def test_train_vae_memorizes_single_point():
     model = VaeModel.build(2, latent_dim=1, hidden=(16, 8), seed=1)
     train_vae(model, point, TrainConfig(epochs=(300, 100), learning_rates=(1e-2, 1e-3),
                                         batch_size=32, seed=2))
-    assert max(VaeScorer(model).score_many(point[0], 20, np.random.default_rng(0))) < 1e-3
+    assert max(VaeScorer(model).score_many(point[0][None], 20, np.random.default_rng(0))[0]) < 1e-3
 
 
 def test_train_config_validation():
@@ -187,7 +187,7 @@ def test_svdd_center_single_point_is_its_representation():
     model = SvddModel.build(3, output_dim=2, hidden=(5,), seed=2)
     z = np.array([[0.4, -0.2, 0.9]])
     c = svdd_init_center(model, z)
-    assert np.allclose(c, model.represent(z)[0])
+    assert np.allclose(c, infer(model.mapper, z)[0])
 
 
 def test_svdd_center_matches_mean_of_forward_passes_oracle():
@@ -197,7 +197,7 @@ def test_svdd_center_matches_mean_of_forward_passes_oracle():
         model = SvddModel.build(4, output_dim=3, hidden=(6,), seed=5)
         data = rng.normal(size=(rows, 4))
         c = svdd_init_center(model, data)
-        oracle = np.mean([model.represent(z[None])[0] for z in data], axis=0)
+        oracle = np.mean([infer(model.mapper, z[None])[0] for z in data], axis=0)
         assert np.max(np.abs(c - oracle)) < 1e-12
 
 
@@ -428,8 +428,7 @@ def test_pretrain_copies_encoder_weights(toy_blob):
     # mapper forward equals an encoder rebuilt from the copied weights
     clone = Mlp([DenseLayer(l.weights.copy(), None, l.activation) for l in model.mapper.layers])
     z = toy_blob[3:4]
-    assert np.array_equal(model.represent(z),
-                          SvddModel(clone, 0.0).represent(z))
+    assert np.array_equal(infer(model.mapper, z), infer(clone, z))
 
 
 def test_both_initialization_paths_produce_valid_models(toy_blob):

@@ -6,7 +6,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from icad.episodes import SceneGenerator
 from icad.models import SvddModel, VaeModel, sample_reconstructions, svdd_init_center
 from icad.neural import DenseLayer, Mlp, forward, infer
 from icad.nonconformity import SvddScorer, VaeScorer
@@ -28,7 +27,7 @@ def _affine_vae(encoder_weights, decoder_weights, decoder_bias):
 
 
 def _sampled(scorer, z, count=3):
-    return scorer.score_many(z, count, np.random.default_rng(0))
+    return scorer.score_many(z[None], count, np.random.default_rng(0))[0].tolist()
 
 
 def test_vae_score_identical_is_zero():
@@ -56,13 +55,13 @@ def test_vae_score_dimension_mismatch():
 def test_svdd_score_identity_mapper():
     model = SvddModel(Mlp([DenseLayer(np.eye(2), None, "identity")]), weight_decay=0.0)
     model.center = np.array([0.0, 0.0])
-    assert SvddScorer(model).score(np.array([3.0, 4.0])) == pytest.approx(25.0)
+    assert SvddScorer(model).score(np.array([3.0, 4.0])[None])[0] == pytest.approx(25.0)
 
 
 def test_svdd_score_zero_at_center_preimage():
     model = SvddModel(Mlp([DenseLayer(np.eye(2), None, "identity")]), weight_decay=0.0)
     model.center = np.array([1.0, -2.0])
-    assert SvddScorer(model).score(np.array([1.0, -2.0])) == 0.0
+    assert SvddScorer(model).score(np.array([1.0, -2.0])[None])[0] == 0.0
 
 
 def test_svdd_score_requires_center():
@@ -95,7 +94,7 @@ def test_svdd_score_matches_reimplemented_forward(toy_svdd):
     model, _, _ = toy_svdd
     z = np.random.default_rng(6).normal(size=2)
     expected = float(((_loop_forward(model.mapper, z) - model.center) ** 2).sum())
-    assert abs(SvddScorer(model).score(z) - expected) < 1e-9
+    assert abs(SvddScorer(model).score(z[None])[0] - expected) < 1e-9
 
 
 def test_vae_score_matches_reimplemented_forward(toy_vae):
@@ -107,7 +106,7 @@ def test_vae_score_matches_reimplemented_forward(toy_vae):
     expected = [_squared_error(z, _loop_forward(model.decoder, posterior[:d]
                                                 + np.exp(0.5 * posterior[d:]) * eps))
                 for eps in noise]
-    got = VaeScorer(model).score_many(z, 4, np.random.default_rng(7))
+    got = VaeScorer(model).score_many(z[None], 4, np.random.default_rng(7))[0]
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9)
 
 
@@ -123,7 +122,7 @@ def test_scores_nonnegative_and_finite(toy_vae, toy_svdd):
     }
     for kind, score in scorers.items():
         for _ in range(25):
-            s = np.asarray(score(rng.normal(scale=5.0, size=2)))
+            s = np.asarray(score(rng.normal(scale=5.0, size=2)[None])[0])
             assert np.all(np.isfinite(s)) and np.all(s >= 0.0), kind
 
 
@@ -133,7 +132,7 @@ def test_scorers_reject_non_finite_examples():
         with pytest.raises(ValueError, match="non-finite"):
             _sampled(scorers["vae"], bad)
         with pytest.raises(ValueError, match="non-finite"):
-            scorers["svdd"].score(bad)
+            scorers["svdd"].score(bad[None])
 
 
 def test_permutation_invariance():
@@ -146,7 +145,7 @@ def test_permutation_invariance():
     for rows in (train, train[rng.permutation(25)]):
         model = SvddModel.build(2, output_dim=3, hidden=(8,), seed=1)
         svdd_init_center(model, rows)
-        scores.append(SvddScorer(model).score(z))
+        scores.append(SvddScorer(model).score(z[None])[0])
     assert scores[0] == pytest.approx(scores[1], rel=1e-12, abs=0.0)
 
 
@@ -184,8 +183,8 @@ def test_model_fingerprints_are_pinned(tmp_path):
 def test_vae_scorer_score_many_is_seeded(toy_vae):
     model, _ = toy_vae
     z = np.array([1.0, -0.5])
-    a = VaeScorer(model).score_many(z, 5, np.random.default_rng(123))
-    b = VaeScorer(model).score_many(z, 5, np.random.default_rng(123))
+    a = VaeScorer(model).score_many(z[None], 5, np.random.default_rng(123))[0].tolist()
+    b = VaeScorer(model).score_many(z[None], 5, np.random.default_rng(123))[0].tolist()
     assert a == b
     assert all(np.isfinite(s) and s >= 0 for s in a)
 
@@ -197,7 +196,7 @@ def test_vae_score_many_equals_vae_score_per_reconstruction(dim):
     z = np.random.default_rng(dim).random(dim)
     samples = sample_reconstructions(model, z[None], 20, np.random.default_rng(9))[0]
     expected = [_squared_error(z, r) for r in samples]
-    assert VaeScorer(model).score_many(z, 20, np.random.default_rng(9)) == expected
+    assert VaeScorer(model).score_many(z[None], 20, np.random.default_rng(9))[0].tolist() == expected
 
 
 @pytest.mark.parametrize("kind", ["svdd"])
@@ -208,61 +207,28 @@ def test_block_score_equals_per_row_scores(kind):
     scorer = untrained_scorers(16)[kind]
     block = np.random.default_rng(8).normal(scale=2.0, size=(37, 16))
     got = scorer.score(block)
-    rows = [scorer.score(z) for z in block]
+    rows = [scorer.score(z[None])[0] for z in block]
     assert isinstance(got, np.ndarray) and got.shape == (37,)
-    assert all(type(s) is float for s in rows)
     np.testing.assert_allclose(got, rows, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["vae", "svdd"])
 def test_scorers_reject_malformed_blocks(kind):
     scorer = untrained_scorers(4)[kind]
-    score = (lambda z: _sampled(scorer, z)) if kind == "vae" else scorer.score
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    score = (lambda z: scorer.score_many(z, 3, rng)) if kind == "vae" else scorer.score
     for bad in (np.zeros((2, 3, 4)), np.zeros((0, 4)), np.zeros((3, 5)), np.zeros(5)):
         with pytest.raises(ValueError):
             score(bad)
+    # a frame (D,) of the right width is not a block
+    with pytest.raises(ValueError, match=r"example must be a nonempty 2-D array, got shape \(4,\)"):
+        score(np.zeros(4))
     block = np.zeros((3, 4))
     block[2, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         score(block)
-
-
-def _frame_cases(toy_vae, toy_svdd, two_blob_vae):
-    """(kind, scorer, frames): untrained scorers on 256-dim scene frames, and
-    the trained toy scorers on toy frames."""
-    gen = SceneGenerator(side=16, seed=5)
-    rng = np.random.default_rng(6)
-    scene = [gen.example(r, rng) for r in (0.0, 3.5, 12.0, 40.0)]
-    toy = list(np.random.default_rng(7).normal(scale=2.0, size=(5, 2)))
-    cases = [(kind, scorer, scene) for kind, scorer in untrained_scorers(256).items()]
-    return cases + [
-        ("vae", VaeScorer(toy_vae[0]), toy),
-        ("vae", VaeScorer(two_blob_vae), toy),
-        ("svdd", SvddScorer(toy_svdd[0]), toy),
-    ]
-
-
-def test_frame_score_is_the_float_of_its_one_row_block(toy_vae, toy_svdd, two_blob_vae):
-    for kind, scorer, frames in _frame_cases(toy_vae, toy_svdd, two_blob_vae):
-        if kind == "vae":  # its score_many: the next test
-            continue
-        for z in frames:
-            got = scorer.score(z)
-            assert type(got) is float, kind
-            assert got == scorer.score(z[None])[0], kind
-
-
-def test_frame_score_many_is_row_zero_of_its_one_row_block(toy_vae, toy_svdd, two_blob_vae):
-    for kind, scorer, frames in _frame_cases(toy_vae, toy_svdd, two_blob_vae):
-        if kind != "vae":
-            continue
-        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        for z in frames:
-            for count in (1, 5, 20):
-                got = scorer.score_many(z, count, rng)
-                assert type(got) is list and all(type(s) is float for s in got)
-                assert got == scorer.score_many(z[None], count, ref_rng)[0].tolist()
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.bit_generator.state == state  # every refusal comes before a draw
 
 
 @pytest.mark.parametrize("count", [1, 5, 20])
@@ -273,7 +239,7 @@ def test_vae_score_many_block_equals_per_row_calls(count):
     block = np.random.default_rng(count).normal(size=(9, 12))
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = VaeScorer(model).score_many(block, count, rng)
-    rows = [VaeScorer(model).score_many(z, count, ref_rng) for z in block]
+    rows = [VaeScorer(model).score_many(z[None], count, ref_rng)[0] for z in block]
     assert isinstance(got, np.ndarray) and got.shape == (9, count)
     np.testing.assert_allclose(got, rows, rtol=1e-14, atol=0.0)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -287,7 +253,7 @@ def test_vae_score_many_frame_keeps_its_arithmetic():
     for z in np.random.default_rng(8).random((100, 64)):
         mu, logvar = model.encode(z[None])
         diff = z - infer(model.decoder, mu + np.exp(0.5 * logvar) * ref_rng.standard_normal((10, 4)))
-        assert scorer.score_many(z, 10, rng) == (diff * diff).sum(axis=1).tolist()
+        assert scorer.score_many(z[None], 10, rng)[0].tolist() == (diff * diff).sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("count", [1, 7, 20])

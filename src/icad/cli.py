@@ -137,6 +137,9 @@ def _cmd_gen_data(args) -> int:
     out = Path(args.out)
     if not 0 <= args.r_min <= args.r_max < math.inf:
         raise CliError(f"need finite 0 <= r-min <= r-max, got {args.r_min} and {args.r_max}")
+    if args.r_max > episodes.MAX_LEVEL:
+        raise CliError(f"--r-max {args.r_max:g} is above the largest corruption level, "
+                       f"{episodes.MAX_LEVEL:g}")
     gen = _scene(args.dim, args.seed)
     r_values, blocks = episodes.iter_dataset(gen, args.count, (args.r_min, args.r_max))
     persistence.save_dataset_blocks(out, blocks, args.count, args.dim, r_values)
@@ -468,8 +471,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--dim", type=int, default=256, help="example dimension (a square)")
-    p.add_argument("--r-min", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=20.0)
+    p.add_argument("--r-min", type=float, default=0.0, help="lowest corruption level")
+    p.add_argument("--r-max", type=float, default=20.0,
+                   help=f"highest corruption level, at most {episodes.MAX_LEVEL:g}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen_data)
 

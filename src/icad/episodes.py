@@ -11,6 +11,7 @@ past 20.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -113,6 +114,68 @@ HAZE_RATE = 0.006
 HAZE_VALUE = 0.7
 
 
+# The largest corruption level a frame may take. Its 400 streaks cover a
+# 16x16 frame six times over and the veil saturates at r = 166.7, so a higher
+# level shows nothing new; the cap keeps a block's streak arrays to a few MB.
+MAX_LEVEL = 1000.0
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(side: int) -> tuple[Array, Array, Array | None, Array]:
+    """Per-side constants of the renderer, read-only since every caller
+    shares them: the pixel axis, the flat pixel indices of a streak for every
+    ``(col, row)`` start, and the ranges of the column and row draws with
+    their Lemire rejection thresholds ``2**32 mod range`` (ranges ``None``
+    when the row range is 1, for which numpy draws nothing)."""
+    rows = side - STREAK_LENGTH + 1
+    i = np.arange(STREAK_LENGTH)
+    col, row = np.ogrid[:side, :rows]
+    pixels = (row[..., None] + i) * side + np.minimum(side - 1, col[..., None] + i // 2)
+    ranges = np.array([side, rows], dtype=np.uint64)
+    thresholds = np.array([2**32 % side, 2**32 % rows], dtype=np.uint32)
+    axis = np.arange(side, dtype=np.float64)
+    for a in (axis, pixels, ranges, thresholds):
+        a.setflags(write=False)
+    return axis, pixels, ranges if rows > 1 else None, thresholds
+
+
+def _lemire_pairs(words: Array, ranges: Array, thresholds: Array) -> Array | None:
+    """numpy's ``integers(0, [range_col, range_row] * n)`` replayed on ``n``
+    raw PCG64 words, as an ``(n, 2)`` array of ``(col, row)``.
+
+    ``Generator.integers`` draws each value from one 32-bit half of a word,
+    the low half first (``next_uint32``), by Lemire's rule: a half ``x`` maps
+    to ``(x * R) >> 32`` and is rejected, and drawn again, when
+    ``(x * R) mod 2**32 < 2**32 mod R``. ``None`` if any half would be
+    rejected. Little-endian, a word's ``uint32`` view is its (low, high) pair.
+    """
+    m = words.astype("<u8", copy=False).view("<u4").reshape(-1, 2).astype(np.uint64) * ranges
+    if (m.astype(np.uint32) < thresholds).any():
+        return None
+    return m >> 32
+
+
+def _frame_draws(
+    rng: np.random.Generator, levels: list[float], out: Array, u: Array,
+    draw: Callable[[int], Array],
+) -> tuple[list[Array], list[int], list[int]]:
+    """Each frame's draws, in frame order: three uniforms into ``u[k]``, the
+    standard normals into ``out[k]``, one Bernoulli uniform, then
+    ``draw(n)`` for its ``n`` streaks. Returns the streak draws with the
+    frame and streak count of each."""
+    draws, owners, counts = [], [], []
+    for k, r in enumerate(levels):
+        rng.random(out=u[k])
+        rng.standard_normal(out=out[k])
+        expected = STREAK_RATE * r
+        n_streaks = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
+        if n_streaks:
+            draws.append(draw(n_streaks))
+            owners.append(k)
+            counts.append(n_streaks)
+    return draws, owners, counts
+
+
 @dataclass(frozen=True)
 class SceneGenerator:
     """Disk-plus-rain image generator; flattened frames are the examples.
@@ -134,6 +197,17 @@ class SceneGenerator:
     draws it renders the whole block at once: disk, noise scale, veil,
     streaks and clip. So a block's frames and the generator's end state do
     not depend on how the levels are split into blocks.
+
+    A streak's ``(col, row)`` pair is one raw 64-bit word: the two 32-bit
+    halves numpy's ``integers`` would draw for it, column from the low half.
+    The block's words are mapped together by Lemire's bounded-integer rule,
+    as numpy maps them (``_lemire_pairs``), and the state's spare half is set
+    as numpy leaves it. numpy's own ``integers`` call draws the pairs
+    instead, the block's draws made again from its start, when a half would
+    be rejected, when a 32-bit half is pending at the start of the block,
+    for a bit generator other than PCG64, and at side 4, where numpy draws
+    nothing for the row. Either way the frames and the generator's end
+    state are numpy's, bit for bit.
     """
 
     side: int = 16
@@ -157,44 +231,52 @@ class SceneGenerator:
 
         Streak count is ``floor(rate*r)`` plus a Bernoulli on the fractional
         part, so the expected count is exactly ``rate*r`` (zero at r=0).
-        Every level must be finite and nonnegative; a bad one raises
-        ``ValueError`` before the first draw.
+        Every level must be finite and in [0, ``MAX_LEVEL``]; a bad one
+        raises ``ValueError`` before the first draw.
         """
         levels = np.asarray(r_values, dtype=np.float64)
-        bad = levels[~(np.isfinite(levels) & (levels >= 0.0))]
-        if bad.size:
-            raise ValueError(f"corruption level must be nonnegative and finite, got {bad[0]}")
-        side, count = self.side, len(levels)
+        rs = levels.tolist()
+        for r in rs:
+            if not 0.0 <= r <= MAX_LEVEL:
+                raise ValueError("corruption level must be nonnegative and finite, "
+                                 f"at most {MAX_LEVEL:g}, got {r}")
+        side, count = self.side, len(rs)
+        axis, pixels, ranges, thresholds = _layout(side)
         out = np.empty((count, self.dim))
         u = np.empty((count, 3))
-        most = int(STREAK_RATE * levels.max(initial=0.0)) + 1  # streaks of the busiest frame
-        bounds = np.full((most, 2), (side, side - STREAK_LENGTH + 1), dtype=np.int64).ravel()
-        pairs, owners, counts = [], [], []
-        for k, r in enumerate(levels.tolist()):
-            rng.random(out=u[k])
-            rng.standard_normal(out=out[k])
-            expected = STREAK_RATE * r
-            n_streaks = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
-            if n_streaks:
-                pairs.append(rng.integers(0, bounds[: 2 * n_streaks]))
-                owners.append(k)
-                counts.append(n_streaks)
+        bits = rng.bit_generator
+        state = bits.state
+        raw = ranges is not None and type(bits) is np.random.PCG64 and not state["has_uint32"]
+        if raw:
+            draws, owners, counts = _frame_draws(rng, rs, out, u, bits.random_raw)
+            if draws:
+                pairs = _lemire_pairs(np.concatenate(draws), ranges, thresholds)
+                if pairs is None:  # numpy draws again: the block starts over
+                    bits.state = state
+                    raw = False
+                else:  # numpy's last row draw leaves its word's high half spare
+                    end = bits.state
+                    end["uinteger"] = int(draws[-1][-1]) >> 32
+                    bits.state = end
+        if not raw:
+            most = int(STREAK_RATE * max(rs, default=0.0)) + 1  # streaks of the busiest frame
+            bounds = np.full((most, 2), (side, side - STREAK_LENGTH + 1), dtype=np.int64).ravel()
+            draws, owners, counts = _frame_draws(
+                rng, rs, out, u, lambda n: rng.integers(0, bounds[: 2 * n]))
+            if draws:
+                pairs = np.concatenate(draws).reshape(-1, 2)
         out *= NOISE_SIGMA  # normal(0, sigma) is 0 + sigma * standard_normal
-        # uniform(lo, hi) is lo + (hi - lo) * u
-        rad = 0.2 * side + (0.3 * side - 0.2 * side) * u[:, 0]
+        # uniform(lo, hi) is lo + (hi - lo) * u; rows then columns of the centre
+        rad = 0.2 * side + (0.3 * side - 0.2 * side) * u[:, :1]
         span = (side - rad) - rad
-        axis = np.arange(side)
-        dy2 = (axis - (rad + span * u[:, 1])[:, None]) ** 2
-        dx2 = (axis - (rad + span * u[:, 2])[:, None]) ** 2
-        disk = dy2[:, :, None] + dx2[:, None, :] <= (rad * rad)[:, None, None]
+        d2 = (axis - (rad + span * u[:, 1:])[:, :, None]) ** 2
+        disk = d2[:, 0, :, None] + d2[:, 1, None, :] <= (rad * rad)[:, :, None]
         out += np.where(disk.reshape(out.shape), DISK_VALUE, BACKGROUND)
         out += (np.minimum(1.0, HAZE_RATE * levels) * HAZE_VALUE)[:, None]
-        if pairs:
-            col, row = np.concatenate(pairs).reshape(-1, 2).T
-            frame = np.repeat(owners, counts)
-            i = np.arange(STREAK_LENGTH)
-            pixel = (row[:, None] + i) * side + np.minimum(side - 1, col[:, None] + i // 2)
-            np.add.at(out, (frame[:, None], pixel), STREAK_VALUE)
+        if draws:
+            first = np.repeat(owners, counts) * self.dim  # each streak's frame, flat
+            np.add.at(out.reshape(-1), pixels[pairs[:, 0], pairs[:, 1]] + first[:, None],
+                      STREAK_VALUE)
         np.clip(out, 0.0, 1.0, out=out)
         return out
 
@@ -205,8 +287,8 @@ def _dataset_levels(
     if count < 1:
         raise ValueError("count must be >= 1")
     lo, hi = r_range
-    if lo < 0.0 or hi < lo:
-        raise ValueError("invalid corruption range")
+    if not 0.0 <= lo <= hi <= MAX_LEVEL:
+        raise ValueError(f"corruption range must lie in [0, {MAX_LEVEL:g}], got [{lo}, {hi}]")
     rng = np.random.default_rng(gen.seed)
     return rng.uniform(lo, hi, size=count), rng
 

@@ -745,6 +745,17 @@ _ERROR_CASES = {
                    "--r-max", "inf"], "need finite 0 <= r-min <= r-max, got 0.0 and inf"),
     "r-min-nan": (["gen-data", "--out", "{out}/d.icad", "--count", "5", "--dim", "64",
                    "--r-min", "nan"], "need finite 0 <= r-min <= r-max, got nan and"),
+    # refused before a draw: these once asked numpy for a 5.8 TiB array of
+    # streak bounds, and for more dimensions than it allows
+    "r-max-1e12": (["gen-data", "--out", "{out}/d.icad", "--count", "2", "--dim", "64",
+                    "--r-min", "1e12", "--r-max", "1e12"],
+                   "--r-max 1e+12 is above the largest corruption level, 1000"),
+    "r-max-1e20": (["gen-data", "--out", "{out}/d.icad", "--count", "2", "--dim", "64",
+                    "--r-min", "1e20", "--r-max", "1e20"],
+                   "--r-max 1e+20 is above the largest corruption level, 1000"),
+    "r-max-just-above-cap": (["gen-data", "--out", "{out}/d.icad", "--count", "2",
+                              "--dim", "64", "--r-max", "1000.5"],
+                             "--r-max 1000.5 is above the largest corruption level, 1000"),
     # one batch per epoch: a non-finite rate would train and save without a step failing
     "train-vae-lr-nan": (["train-vae", "--data", "{train}", "--out", "{out}/m.icad", "--lr", "nan",
                           "--batch", "256", "--epochs", "1", "--epochs2", "0"],

@@ -166,9 +166,118 @@ def test_examples_split_anywhere_draw_the_same_frames():
         assert rng.bit_generator.state == rng_whole.bit_generator.state
 
 
+def _full_state(rng):
+    """The bit generator's whole state, arrays as lists (MT19937 keeps one)."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng.bit_generator.state)
+
+
+def _assert_block_is_scalar(gen, r_values, rng_a, rng_b):
+    block = gen.examples(r_values, rng_a)
+    single = np.array([_scalar_example(gen.side, r, rng_b) for r in r_values])
+    assert block.shape == (len(r_values), gen.dim) and block.tobytes() == single.tobytes()
+    assert _full_state(rng_a) == _full_state(rng_b)
+
+
+class _CountingGenerator(np.random.Generator):
+    """A Generator that counts its ``integers`` calls: the renderer's numpy draw."""
+
+    integer_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return super().integers(*args, **kwargs)
+
+
+def _pending_half(seed):
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 5)  # one 32-bit draw: the word's high half waits for the next
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+# the cases in which numpy's own integers call draws the streak pairs
+_NUMPY_DRAW_CASES = {
+    "pending-half": (16, _pending_half),
+    "mt19937": (16, lambda seed: np.random.Generator(np.random.MT19937(seed))),
+    "side-4": (4, np.random.default_rng),  # a row range of 1: numpy draws no row
+}
+
+
+@pytest.mark.parametrize("case", list(_NUMPY_DRAW_CASES))
+def test_numpy_draw_cases_match_scalar_renderer(case):
+    side, make = _NUMPY_DRAW_CASES[case]
+    gen = SceneGenerator(side=side)
+    levels = [60.0, 0.3, 0.0, 33.3, 7.49, 60.0]
+    for seed in range(4):
+        rng_a, rng_b = make(seed), make(seed)
+        _assert_block_is_scalar(gen, levels[:1], rng_a, rng_b)
+        _assert_block_is_scalar(gen, levels, rng_a, rng_b)
+
+
+# word 71,676,296 of default_rng(0): its high half 330,382,100 leaves
+# 330,382,100 * 13 mod 2**32 = 4 < 2**32 mod 13 = 9, so numpy rejects it as a
+# side-16 row draw (range 13) and draws again
+_REJECTED_WORD = 71_676_296
+
+
+def test_rejected_row_draw_falls_back_to_numpy():
+    probe = np.random.default_rng(0)
+    probe.bit_generator.advance(_REJECTED_WORD)
+    word = probe.bit_generator.random_raw(1)
+    assert word[0] >> 32 == 330_382_100
+    assert episodes._lemire_pairs(word, *episodes._layout(16)[2:]) is None
+    gen = SceneGenerator(side=16)
+    fallbacks = 0
+    for j in range(250, 300):  # the word lands on frame 0's streaks at some offsets
+        rng_a, rng_b = _CountingGenerator(np.random.PCG64(0)), np.random.default_rng(0)
+        rng_a.bit_generator.advance(_REJECTED_WORD - j)
+        rng_b.bit_generator.advance(_REJECTED_WORD - j)
+        _assert_block_is_scalar(gen, [60.0, 60.0], rng_a, rng_b)
+        fallbacks += rng_a.integer_calls > 0
+    assert fallbacks >= 1
+
+
+@pytest.mark.parametrize("side", [5, 16, 17, 33])
+def test_lemire_pairs_equal_numpy_integers(side):
+    _, _, ranges, thresholds = episodes._layout(side)
+    for seed in range(200):
+        words = np.random.default_rng(seed).bit_generator.random_raw(24)
+        pairs = episodes._lemire_pairs(words, ranges, thresholds)
+        expected = np.random.default_rng(seed).integers(0, [side, side - 3] * 24)
+        assert pairs is not None and pairs.ravel().tolist() == expected.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), side=st.integers(5, 33), pending=st.booleans(),
+       levels=st.lists(st.floats(0.0, 80.0), min_size=1, max_size=12), data=st.data())
+def test_any_block_split_matches_scalar_renderer(seed, side, pending, levels, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(levels)), max_size=3)))
+    gen = SceneGenerator(side=side)
+    make = _pending_half if pending else np.random.default_rng
+    rng_a, rng_b = make(seed), make(seed)
+    for lo, hi in zip([0, *cuts], [*cuts, len(levels)]):
+        _assert_block_is_scalar(gen, levels[lo:hi], rng_a, rng_b)
+
+
+def test_max_level_renders_and_higher_ranges_are_refused():
+    gen = SceneGenerator(side=8, seed=3)
+    _assert_block_is_scalar(gen, [episodes.MAX_LEVEL], np.random.default_rng(1),
+                            np.random.default_rng(1))
+    x, r = generate_dataset(gen, 3, (episodes.MAX_LEVEL, episodes.MAX_LEVEL))
+    assert x.shape == (3, 64) and r.tolist() == [episodes.MAX_LEVEL] * 3
+    with pytest.raises(ValueError, match=r"corruption range must lie in \[0, 1000\]"):
+        iter_dataset(gen, 2, (0.0, 1e12))
+
+
 @pytest.mark.parametrize("r_values", [[float("nan")], [float("inf")], [2.0, -float("inf")],
-                                      [1.0, -1.0], [3.0, float("nan"), 4.0]],
-                         ids=["nan", "inf", "minus-inf", "negative-second", "nan-middle"])
+                                      [1.0, -1.0], [3.0, float("nan"), 4.0],
+                                      [5.0, np.nextafter(episodes.MAX_LEVEL, np.inf)], [1e12]],
+                         ids=["nan", "inf", "minus-inf", "negative-second", "nan-middle",
+                              "above-max-level", "huge"])
 def test_bad_level_is_rejected_before_any_draw(r_values):
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state

@@ -415,6 +415,8 @@ def _cmd_tune(args) -> int:
     gen, factory, schedules, _, max_steps, seed = _sim_setup(args)
     traces = episodes.collect_traces(gen, schedules, factory, max_steps, seed=seed + 10000)
     best, points = episodes.tune_thresholds(traces, taus, deltas)
+    if best is None:
+        raise CliError("no grid point achieved zero false positives")
     _write_csv(
         out,
         ["delta", "tau", "false_positives", "false_negatives", "mean_delay", "objective"],
@@ -422,9 +424,6 @@ def _cmd_tune(args) -> int:
          for p in points],
     )
     _write_run_config(_config_sidecar(out), args)
-    if best is None:
-        print("no grid point achieved zero false positives", file=sys.stderr)
-        return EXIT_ERROR
     delta_part = "" if best.delta is None else f"delta={_fmt(best.delta)} "
     delay = "n/a" if best.mean_delay is None else f"{best.mean_delay:.2f}"
     print(

@@ -16,12 +16,14 @@ martingale ``M = integral_0^1 prod_i eps * p_i^(eps-1) d eps`` (Vovk,
 Nouretdinov & Gammerman, "Testing exchangeability on-line", ICML 2003)
 takes astronomically large values once p-values collapse. With
 ``a = -sum_i log p_i >= 0`` over a window of ``n`` p-values the integral is
-an incomplete gamma function, ``M = e^a * n! * P(n+1, a) / a^(n+1)``, so
-``log M`` is evaluated in closed form with the regularized lower incomplete
-gamma ``P``. For ``a < 1``, and where ``P`` leaves the normal float range,
-the positive series ``M = sum_k a^k * n!/(n+k+1)!`` is summed instead; its
-terms never cancel. ``M`` depends on the window only through ``a``, which is
-what makes the recursive sliding-window update exact.
+an incomplete gamma function, ``M = e^a * n! * P(n+1, a) / a^(n+1)``. Its
+shape ``n + 1`` is an integer, so ``P(n+1, a) = 1 - Q`` with ``Q`` the finite
+Poisson sum ``e^-a * sum_{k<=n} a^k/k!``, and ``log M`` is evaluated in that
+closed form where ``P`` is at least 0.135, ``a >= n + 1 - sqrt(n+1)``.
+Below that, and for ``a < 1``, the positive series
+``M = sum_k a^k * n!/(n+k+1)!`` is summed instead; its terms never cancel.
+``M`` depends on the window only through ``a``, which is what makes the
+recursive sliding-window update exact.
 """
 
 from __future__ import annotations
@@ -34,15 +36,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc
 
 from .models import SvddModel, VaeModel
 from .neural import BLOCK_ROWS, Array, check_examples
 from .nonconformity import SvddScorer, VaeScorer
 
-# Below this the regularized incomplete gamma is subnormal or zero and has
-# lost relative precision; the series takes over.
-_GAMMAINC_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# e^-700: the Poisson sum of a long window applies e^-a in factors of this
+_E700 = math.exp(-700.0)
 
 # Number of sliding-window pushes between exact recomputations of the
 # running log-p sum (bounds float drift over long streams).
@@ -145,18 +145,44 @@ def mixture_martingale_log(window_log_p_sum: float, count: int) -> float:
 
     The power martingale is integrated over its exponent on [0, 1] in closed
     form; only the window's log-p sum enters, so callers can maintain it
-    recursively.
+    recursively. With ``a`` the negated sum and ``n = count``, one switch
+    splits two cases. At or above ``a = max(1, n + 1 - sqrt(n + 1))``, where
+    ``P(n+1, a) = 1 - Q`` is at least 0.135 and ``log1p(-Q)`` loses
+    less than a digit, ``log M = a + log1p(-Q) + lgamma(n+1) - (n+1) log a``
+    with ``Q`` the Poisson sum ``_poisson_cdf``. Below it the positive series
+    ``_mixture_series`` is summed.
     """
     if count < 1:
         raise ValueError("window must contain at least one p-value")
     if not math.isfinite(window_log_p_sum) or window_log_p_sum > 1e-12:
         raise ValueError("sum of log p-values must be finite and <= 0")
     a = -min(window_log_p_sum, 0.0)
-    if a >= 1.0:
-        p = float(gammainc(count + 1, a))
-        if p >= _GAMMAINC_FLOOR:
-            return a + math.log(p) + math.lgamma(count + 1) - (count + 1) * math.log(a)
-    return math.log(_mixture_series(a, count))
+    if a < max(1.0, count + 1 - math.sqrt(count + 1)):
+        return math.log(_mixture_series(a, count))
+    q = _poisson_cdf(a, count)
+    return a + math.log1p(-q) + math.lgamma(count + 1) - (count + 1) * math.log(a)
+
+
+def _poisson_cdf(a: float, count: int) -> float:
+    """``Q = e^-a * sum_{k<=count} a^k/k!``, so that ``P(count+1, a) = 1 - Q``.
+
+    The terms follow ``t_k = t_(k-1) * a/k``. ``e^-a`` underflows past
+    ``a ~ 708``, so the sum starts at ``e^-r``, ``r = fmod(a, 700)``, with
+    ``m = (a - r)/700`` factors of ``e^-700`` still to apply: one each time
+    a term passes 1, the rest at the end, where two or more give 0. Every
+    ``exp`` gets an exact argument.
+    """
+    r = math.fmod(a, 700.0)
+    m = (a - r) / 700.0
+    term = total = math.exp(-r)
+    for k in range(1, count + 1):
+        term *= a / k
+        total += term
+        if m and term > 1.0:
+            term *= _E700
+            total *= _E700
+            m -= 1.0
+    return total * _E700**m
 
 
 def _mixture_series(a: float, count: int) -> float:

@@ -254,9 +254,11 @@ def _mixture_oracle(a, n):
 _ORACLE_A = sorted({*np.geomspace(1e-6, 5000.0, 19).tolist(), 0.5, 1.0, 2.0, 7.3, 60.0})
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 50])
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 50, 200, 1000, 3000])
 def test_mixture_matches_quadrature_oracle(n):
-    for a in _ORACLE_A:
+    # n +- 2 sqrt(n) brackets the switch between the series and the Poisson sum
+    near_switch = [a for a in (n - 2.0 * math.sqrt(n), n + 2.0 * math.sqrt(n)) if a > 0.0]
+    for a in _ORACLE_A + near_switch:
         oracle = _mixture_oracle(a, n)
         assert abs(mixture_martingale_log(-a, n) - oracle) <= 1e-11 * max(1.0, abs(oracle)), a
 
@@ -272,24 +274,27 @@ def test_mixture_n1_large_sum_matches_exact_form():
 
 @pytest.mark.parametrize("n", [1, 10, 50])
 def test_mixture_both_sides_of_series_switch(n):
-    # a < 1 sums the series, a >= 1 uses the incomplete gamma form
-    below, at, above = (mixture_martingale_log(-a, n) for a in (1.0 - 1e-12, 1.0, 1.0 + 1e-12))
-    oracle = _mixture_oracle(1.0, n)
-    for value in (below, at, above):
-        assert abs(value - oracle) <= 1e-12
+    # below max(1, n + 1 - sqrt(n + 1)) the series is summed, at and above it
+    # the Poisson sum; for n = 1 the switch is a = 1
+    switch = max(1.0, n + 1 - math.sqrt(n + 1))
+    points = [switch * f for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
+    below, at, above = (mixture_martingale_log(-a, n) for a in points)
+    for value, a in zip((below, at, above), points):
+        assert abs(value - _mixture_oracle(a, n)) <= 1e-12
     assert below <= at <= above
 
 
 @pytest.mark.parametrize("n,a", [(200, 1.5), (200, 50.0), (1000, 1.5), (1000, 300.0)])
 def test_mixture_series_covers_underflowing_incomplete_gamma(n, a):
-    # P(n+1, a) underflows for these long windows; the series takes over
+    # far below the switch of these long windows, where P(n+1, a) is tiny or
+    # underflows, the series is summed
     oracle = _mixture_oracle(a, n)
     assert abs(mixture_martingale_log(-a, n) - oracle) <= 1e-11 * max(1.0, abs(oracle))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=200),
+    n=st.integers(min_value=1, max_value=1000),
     sums=st.lists(st.floats(min_value=-5000.0, max_value=0.0), min_size=2, max_size=2),
 )
 def test_mixture_monotone_non_increasing_in_log_p_sum(n, sums):

@@ -87,7 +87,8 @@ class VaeModel:
 
 
 def _vae_batch_loss_grads(model: VaeModel, batch: Array, noise: Array):
-    """Mean loss over the batch, gradients for encoder+decoder parameters.
+    """Mean loss over the batch and its parts; the gradients are written
+    into the encoder's and decoder's gradient vectors.
 
     Loss per example: squared reconstruction error of the reparameterized
     sample plus the closed-form KL of the diagonal-Gaussian posterior
@@ -107,14 +108,11 @@ def _vae_batch_loss_grads(model: VaeModel, batch: Array, noise: Array):
     kl = 0.5 * (mu * mu + var - 1.0 - logvar).sum(axis=1)
     n = batch.shape[0]
     loss = float(np.mean(recon + kl))
-    dec_grads, g_x = backward(model.decoder, dec_cache, 2.0 * diff / n)
+    _, g_x = backward(model.decoder, dec_cache, 2.0 * diff / n)
     g_mu = g_x + mu / n
     g_logvar = g_x * noise * 0.5 * sigma + 0.5 * (var - 1.0) / n
-    enc_grads, _ = backward(
-        model.encoder, enc_cache, np.concatenate([g_mu, g_logvar], axis=1), input_grad=False
-    )
-    parts = (float(recon.mean()), float(kl.mean()))
-    return loss, enc_grads + dec_grads, parts
+    backward(model.encoder, enc_cache, np.concatenate([g_mu, g_logvar], axis=1), input_grad=False)
+    return loss, (float(recon.mean()), float(kl.mean()))
 
 
 def sample_reconstructions(
@@ -193,36 +191,45 @@ def svdd_init_center(model: SvddModel, data: Array) -> Array:
     return c.copy()
 
 
-def _svdd_batch_loss_grads(model: SvddModel, batch: Array):
-    """Mean squared distance to center plus the Frobenius weight regularizer.
+def _svdd_batch_loss_grads(model: SvddModel, batch: Array, scratch: Array):
+    """Mean squared distance to center plus the Frobenius weight regularizer,
+    and the distance term alone; the gradients are written into the mapper's
+    gradient vector.
 
     The gradient flows through the mapper only; the regularizer's gradient
     is included analytically so the full loss is finite-difference checkable.
+    ``scratch`` is a float64 vector as long as the mapper's parameter vector.
     """
     if model.center is None:
         raise RuntimeError("SVDD center is not initialized")
-    reps, cache = forward(model.mapper, batch)
+    mapper = model.mapper
+    reps, cache = forward(mapper, batch)
     diff = reps - model.center
     sq = (diff * diff).sum(axis=1)
     data_term = float(sq.mean())
+    # one sum over each whole matrix of squares keeps the pairwise order of
+    # (W*W).sum(); the mapper is bias-free, so its parameters are its weights
     reg = 0.5 * model.weight_decay * sum(
-        float((layer.weights * layer.weights).sum()) for layer in model.mapper.layers
+        float(np.square(w, out=s).sum())
+        for w, s in zip(mapper.parameters(), mapper.split(scratch))
     )
     n = batch.shape[0]
-    grads, _ = backward(model.mapper, cache, 2.0 * diff / n, input_grad=False)
+    backward(mapper, cache, 2.0 * diff / n, input_grad=False)
     if model.weight_decay > 0.0:
-        grads = [g + model.weight_decay * layer.weights for g, layer in zip(grads, model.mapper.layers)]
-    return data_term + reg, grads, data_term
+        grad = mapper.grad
+        grad += np.multiply(mapper.flat, model.weight_decay, out=scratch)
+    return data_term + reg, data_term
 
 
 def _train_two_phase(
     nets: Sequence[Mlp],
-    batch_fn: Callable[[Array, np.random.Generator], tuple[float, list[Array], float]],
+    batch_fn: Callable[[Array, np.random.Generator], tuple[float, float]],
     data: Array,
     cfg: TrainConfig,
     what: str,
 ) -> tuple[list[float], list[float]]:
-    """Shared minibatch loop. ``batch_fn`` returns (loss, grads, aux)."""
+    """Shared minibatch loop. ``batch_fn`` returns (loss, aux) and leaves the
+    batch's gradients in the networks' gradient vectors."""
     data = check_examples(data, "training set", nets[0].input_dim)
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(learning_rate=cfg.learning_rates[0])
@@ -237,10 +244,10 @@ def _train_two_phase(
             auxes: list[float] = []
             for start in range(0, data.shape[0], cfg.batch_size):
                 batch = data[perm[start : start + cfg.batch_size]]
-                loss, grads, aux = batch_fn(batch, rng)
+                loss, aux = batch_fn(batch, rng)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"{what} training loss diverged at epoch {epoch}")
-                adam_step(state, nets, grads)
+                adam_step(state, nets)
                 losses.append(loss)
                 auxes.append(aux)
             curve.append(float(np.mean(losses)))
@@ -253,8 +260,8 @@ def train_vae(model: VaeModel, data: Array, cfg: TrainConfig) -> list[float]:
 
     def batch_fn(batch: Array, rng: np.random.Generator):
         noise = rng.standard_normal((batch.shape[0], model.latent_dim))
-        loss, grads, parts = _vae_batch_loss_grads(model, batch, noise)
-        return loss, grads, parts[0]
+        loss, parts = _vae_batch_loss_grads(model, batch, noise)
+        return loss, parts[0]
 
     curve, _ = _train_two_phase([model.encoder, model.decoder], batch_fn, data, cfg, "VAE")
     return curve
@@ -265,8 +272,10 @@ def train_svdd(model: SvddModel, data: Array, cfg: TrainConfig) -> tuple[list[fl
     if model.center is None:
         raise RuntimeError("initialize the SVDD center before training")
 
+    scratch = np.empty(model.mapper.flat.size)
+
     def batch_fn(batch: Array, rng: np.random.Generator):
-        return _svdd_batch_loss_grads(model, batch)
+        return _svdd_batch_loss_grads(model, batch, scratch)
 
     return _train_two_phase([model.mapper], batch_fn, data, cfg, "SVDD")
 
@@ -292,9 +301,9 @@ def pretrain_with_autoencoder(model: SvddModel, data: Array, cfg: TrainConfig) -
         diff = recon - batch
         n = batch.shape[0]
         loss = float((diff * diff).sum(axis=1).mean())
-        dec_grads, g_code = backward(decoder, dec_cache, 2.0 * diff / n)
-        enc_grads, _ = backward(encoder, enc_cache, g_code, input_grad=False)
-        return loss, enc_grads + dec_grads, loss
+        _, g_code = backward(decoder, dec_cache, 2.0 * diff / n)
+        backward(encoder, enc_cache, g_code, input_grad=False)
+        return loss, loss
 
     curve, _ = _train_two_phase([encoder, decoder], batch_fn, data, cfg, "autoencoder")
     model.mapper = encoder

@@ -6,14 +6,21 @@ pass takes a batch ``(B, D)``; a caller with one example hands over a
 one-row batch, and ``check_examples`` states what an example block is for
 scoring, calibration and training alike. ``forward`` and ``infer`` run
 the same layer step; ``forward`` also keeps each layer's output for
-``backward`` and serves training only, and scoring runs ``infer``. Only
-training changes a network: ``adam_step`` is the one function that writes a
-network's weights and biases, in place, and it bumps the network's version
-so ``backward`` rejects a forward cache taken before the step.
+``backward`` and serves training only, and scoring runs ``infer``.
+
+A network keeps its weights and biases in one flat vector, and each layer's
+arrays are reshaped views of it, which can be written in place but never
+rebound. ``backward`` writes the parameter gradients into a second vector of
+the same layout, allocated at a network's first ``backward``. Only training
+changes a network: ``adam_step`` is the one function that writes a
+network's weights and biases, in place, straight from its gradient vector,
+and it bumps the network's version so ``backward`` rejects a forward cache
+taken before the step.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -67,39 +74,50 @@ def _activate_prime(name: str, a: Array) -> Array:
     return np.minimum(factor, 1.0, out=factor)
 
 
-@dataclass
 class DenseLayer:
-    """One affine map plus activation. ``bias is None`` marks a bias-free layer."""
+    """One affine map plus activation. ``bias is None`` marks a bias-free layer.
 
-    weights: Array
-    bias: Array | None
-    activation: str
+    ``weights`` and ``bias`` are read-only attributes: once the layer joins an
+    ``Mlp`` they are views of that network's parameter vector, so they are
+    written in place and never rebound.
+    """
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError(f"weights must be a matrix, got shape {self.weights.shape}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
-            if self.bias.shape != (self.weights.shape[0],):
+    def __init__(self, weights: Array, bias: Array | None, activation: str):
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 2:
+            raise ValueError(f"weights must be a matrix, got shape {weights.shape}")
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        if bias is not None:
+            bias = np.asarray(bias, dtype=np.float64)
+            if bias.shape != (weights.shape[0],):
                 raise ValueError(
-                    f"bias shape {self.bias.shape} does not match output size {self.weights.shape[0]}"
+                    f"bias shape {bias.shape} does not match output size {weights.shape[0]}"
                 )
+        self._weights, self._bias = weights, bias
+        self.activation = activation
+        self._in_net = False
+
+    @property
+    def weights(self) -> Array:
+        return self._weights
+
+    @property
+    def bias(self) -> Array | None:
+        return self._bias
 
     @property
     def params(self) -> list[Array]:
         """The weights, then the bias if there is one: the one parameter order."""
-        return [self.weights] if self.bias is None else [self.weights, self.bias]
+        return [self._weights] if self._bias is None else [self._weights, self._bias]
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[1]
+        return self._weights.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return self._weights.shape[0]
 
 
 def layer_descriptor(layer: DenseLayer) -> bytes:
@@ -114,7 +132,15 @@ def layer_payload(layer: DenseLayer) -> list[Array]:
 
 
 class Mlp:
-    """A stack of dense layers with chained dimensions."""
+    """A stack of dense layers with chained dimensions.
+
+    The weights and biases live in one contiguous float64 vector, ``flat``,
+    in ``parameters()`` order; each layer's arrays are reshaped views of it,
+    so a write through either shows in the other. ``grad`` has the same
+    layout and holds the gradients ``backward`` writes; it is ``None`` until
+    the first ``gradients()`` call, so a network that only infers holds none.
+    A layer joins one network, once.
+    """
 
     def __init__(self, layers: Sequence[DenseLayer]):
         layers = list(layers)
@@ -125,7 +151,20 @@ class Mlp:
                 raise ValueError(
                     f"layer dimensions do not chain: {prev.out_dim} -> {nxt.in_dim}"
                 )
+        if any(layer._in_net for layer in layers) or len({id(x) for x in layers}) < len(layers):
+            raise ValueError("a layer belongs to one network, once")
         self.layers = layers
+        params = self.parameters()
+        self._shapes = [p.shape for p in params]
+        self._flat = np.concatenate([p.ravel() for p in params])
+        views = iter(self.split(self._flat))
+        for layer in layers:
+            layer._weights = next(views)
+            if layer.bias is not None:
+                layer._bias = next(views)
+            layer._in_net = True
+        self._grad: Array | None = None
+        self._grad_views: list[Array] = []
         self._version = 0
 
     @property
@@ -139,6 +178,32 @@ class Mlp:
     @property
     def version(self) -> int:
         return self._version
+
+    @property
+    def flat(self) -> Array:
+        return self._flat
+
+    @property
+    def grad(self) -> Array | None:
+        return self._grad
+
+    def split(self, vec: Array) -> list[Array]:
+        """Views of ``vec``, a vector laid out as ``flat``, shaped and aligned
+        as ``parameters()``."""
+        views, start = [], 0
+        for shape in self._shapes:
+            stop = start + math.prod(shape)
+            views.append(vec[start:stop].reshape(shape))
+            start = stop
+        return views
+
+    def gradients(self) -> list[Array]:
+        """Views of ``grad`` aligned with ``parameters()``; the first call
+        allocates ``grad``, as zeros."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self._flat)
+            self._grad_views = self.split(self._grad)
+        return list(self._grad_views)
 
     def parameters(self) -> list[Array]:
         return [p for layer in self.layers for p in layer.params]
@@ -185,10 +250,12 @@ def check_examples(arr: Array, what: str, dim: int) -> Array:
 
 def _layer(layer: DenseLayer, a: Array) -> Array:
     """The affine map, the bias added into the fresh product, the activation
-    in place on it."""
-    z = a @ layer.weights.T
-    if layer.bias is not None:
-        z += layer.bias
+    in place on it. Scoring runs this per layer and step, so it reads the
+    arrays behind the read-only properties."""
+    z = a @ layer._weights.T
+    bias = layer._bias
+    if bias is not None:
+        z += bias
     return _activate(layer.activation, z)
 
 
@@ -225,11 +292,14 @@ def backward(
     """Backpropagate ``dLoss/dOutput``, a ``(B, out_dim)`` batch, through the
     cached forward pass.
 
-    Returns ``(param_grads, input_grad)`` with ``param_grads`` aligned to
-    ``net.parameters()``. Gradients over a batch are summed, so scale
-    ``loss_grad`` rows if a mean is wanted. ``input_grad=False`` skips the
-    first layer's input-gradient product, which no parameter gradient reads,
-    and returns ``None`` in its place.
+    Every parameter gradient is written in place into ``net.grad``, whole.
+    Returns ``(param_grads, input_grad)``, ``param_grads`` being the views of
+    ``net.grad`` aligned with ``net.parameters()``: the network's next
+    ``backward`` or ``adam_step`` overwrites them, so copy what must outlive
+    either. Gradients over a batch are summed, so scale ``loss_grad`` rows if
+    a mean is wanted. ``input_grad=False`` skips the first layer's
+    input-gradient product, which no parameter gradient reads, and returns
+    ``None`` in its place.
     """
     if cache.net is not net or cache.version != net.version:
         raise ValueError("forward cache is stale or belongs to a different network")
@@ -239,7 +309,8 @@ def backward(
         raise ValueError(
             f"loss gradient shape {delta.shape} does not match output shape {outputs[-1].shape}"
         )
-    grads: list[Array] = []
+    grads = net.gradients()
+    k = len(grads)
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.activation != "identity":
@@ -247,8 +318,11 @@ def backward(
             factor = _activate_prime(layer.activation, outputs[i + 1])
             factor *= delta
             delta = factor
-        weight_grad = delta.T @ outputs[i]
-        grads[:0] = [weight_grad] if layer.bias is None else [weight_grad, delta.sum(axis=0)]
+        if layer.bias is not None:
+            k -= 1
+            np.sum(delta, axis=0, out=grads[k])
+        k -= 1
+        np.matmul(delta.T, outputs[i], out=grads[k])
         if i > 0 or input_grad:
             delta = delta @ layer.weights
     return grads, delta if input_grad else None
@@ -264,17 +338,15 @@ ADAM_SLICE = 1 << 16
 
 @dataclass
 class AdamState:
-    """Adam moments as flat vectors over the first step's parameters, in
-    order. That step fixes the parameter layout (every array's shape) for
-    every later step, and allocates the moments, a flat gradient buffer and
-    one slice of scratch."""
+    """Adam moments as flat vectors over the parameter vectors of the first
+    step's networks, in order. That step binds the state to those networks
+    and allocates the moments and one slice of scratch."""
 
     learning_rate: float
     step_count: int = 0
-    layout: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False)
+    nets: tuple[Mlp, ...] | None = field(default=None, init=False, repr=False)
     m: Array | None = field(default=None, init=False, repr=False)
     v: Array | None = field(default=None, init=False, repr=False)
-    grad: Array | None = field(default=None, init=False, repr=False)
     scratch: Array | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -282,63 +354,63 @@ class AdamState:
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
 
 
-def adam_step(state: AdamState, nets: Sequence[Mlp], grads: Sequence[Array]) -> None:
-    """One optimizer step that updates the weights and biases of ``nets`` in place.
+def adam_step(state: AdamState, nets: Sequence[Mlp]) -> None:
+    """One optimizer step over the weights and biases of ``nets``, in place,
+    from each network's gradient vector ``grad``.
 
-    ``grads`` is aligned with the networks' parameters, taken in order. Every
-    network's version is bumped, so forward caches taken before the step are
-    stale. A gradient count or shape that does not match the parameters, a
-    parameter layout other than the first step's, or a non-finite gradient
-    (named by its parameter) raises before anything is changed.
+    Every step takes the first step's networks, in order. Every network's
+    version is bumped, so forward caches taken before the step are stale.
+    Other networks, a network without gradients, or a non-finite gradient
+    (named by its parameter) raises before anything is changed. The gradient
+    vectors are spent: each slice of one takes its update before the
+    parameters subtract it.
 
-    The gradients are gathered into one flat vector, and each element takes
-    the per-array arithmetic in its order: ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + ((1-b2)*g)*g``, ``p -= lr*((m/bc1) / (sqrt(v/bc2) + eps))``.
+    Each element takes the per-array arithmetic in its order:
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``p -= lr*((m/bc1) / (sqrt(v/bc2) + eps))``.
     """
-    params = [p for net in nets for p in net.parameters()]
-    if len(params) != len(grads):
-        raise ValueError("params and grads length mismatch")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch at parameter {i}: {p.shape} vs {g.shape}")
-    layout = tuple(p.shape for p in params)
-    if state.layout is None:
-        size = sum(p.size for p in params)
-        state.layout = layout
-        state.m, state.v, state.grad = np.zeros(size), np.zeros(size), np.empty(size)
+    nets = tuple(nets)
+    if state.nets is None:
+        size = sum(net.flat.size for net in nets)
+        state.nets = nets
+        state.m, state.v = np.zeros(size), np.zeros(size)
         state.scratch = np.empty(min(size, ADAM_SLICE))
-    elif layout != state.layout:
-        raise ValueError(f"parameter layout {layout} is not the first step's {state.layout}")
-    flat = np.concatenate([g.reshape(-1) for g in grads], out=state.grad)
-    if not np.isfinite(flat).all():
-        i = next(i for i, g in enumerate(grads) if not np.isfinite(g).all())
-        names = [f"net{k}.{n}" for k, net in enumerate(nets) for n in net.parameter_names()]
-        raise ValueError(f"non-finite gradient for {names[i]}")
+    elif len(nets) != len(state.nets) or any(a is not b for a, b in zip(nets, state.nets)):
+        raise ValueError("adam_step takes the networks of its first step, in order")
+    for k, net in enumerate(nets):
+        if net.grad is None:
+            raise ValueError(f"net{k} has no gradients: backward writes them")
+        if not np.isfinite(net.grad).all():
+            i = next(i for i, g in enumerate(net.gradients()) if not np.isfinite(g).all())
+            raise ValueError(f"non-finite gradient for net{k}.{net.parameter_names()[i]}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for start in range(0, flat.size, ADAM_SLICE):
-        g = flat[start : start + ADAM_SLICE]
-        m = state.m[start : start + ADAM_SLICE]
-        v = state.v[start : start + ADAM_SLICE]
-        tmp = state.scratch[: g.size]
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-        v *= ADAM_BETA2
-        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-        tmp *= g
-        v += tmp
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPS
-        # the gradient is spent: its slice takes the update
-        np.divide(m, bc1, out=g)
-        g /= tmp
-        g *= state.learning_rate
     offset = 0
-    for p in params:
-        p -= flat[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
+    for net in nets:
+        flat, grad = net.flat, net.grad
+        for start in range(0, flat.size, ADAM_SLICE):
+            stop = min(start + ADAM_SLICE, flat.size)
+            g = grad[start:stop]
+            m = state.m[offset + start : offset + stop]
+            v = state.v[offset + start : offset + stop]
+            tmp = state.scratch[: g.size]
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            # the gradient is spent: its slice takes the update
+            np.divide(m, bc1, out=g)
+            g /= tmp
+            g *= state.learning_rate
+            p = flat[start:stop]
+            p -= g
+        offset += flat.size
     for net in nets:
         net._version += 1

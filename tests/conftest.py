@@ -24,6 +24,7 @@ from icad.models import (
     train_svdd,
     train_vae,
 )
+from icad.neural import infer
 from icad.nonconformity import SvddScorer, VaeScorer
 
 # Scene-scale recipe shared by the detection-suite and statistical tests.
@@ -49,6 +50,17 @@ def reference_adam(params, grads, m, v, t, lr):
         v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
         new.append(p - lr * ((m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)))
     return new
+
+
+def assert_views_of_flat(net, x):
+    """Every layer array of ``net`` is its own stretch of ``net.flat``, in
+    ``parameters()`` order: a write through the vector shows in the arrays
+    and in ``infer``. Overwrites the network's parameters."""
+    net.flat[:] = np.arange(net.flat.size)
+    assert np.concatenate([p.ravel() for p in net.parameters()]).tolist() == \
+        list(range(net.flat.size))
+    net.flat[:] = 0.0  # every activation maps 0 to 0
+    assert not infer(net, x).any()
 
 
 def finite_difference_grads(params, loss_fn, step=1e-5):
@@ -109,16 +121,18 @@ def grad_check_params(params, names, loss_fn, analytic, tolerance=1e-4, step=1e-
 
 
 def vae_loss_grads(model, z, noise):
-    """Single-example loss plus gradients aligned with encoder+decoder parameters."""
+    """Single-example loss plus copies of the gradients, aligned with
+    encoder+decoder parameters."""
     z = np.asarray(z, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
-    loss, grads, _ = _vae_batch_loss_grads(model, z[None, :], noise[None, :])
-    return loss, grads
+    loss, _ = _vae_batch_loss_grads(model, z[None, :], noise[None, :])
+    return loss, [g.copy() for g in model.encoder.gradients() + model.decoder.gradients()]
 
 
 def svdd_loss_grads(model, batch):
-    loss, grads, _ = _svdd_batch_loss_grads(model, np.asarray(batch, dtype=np.float64))
-    return loss, grads
+    scratch = np.empty(model.mapper.flat.size)
+    loss, _ = _svdd_batch_loss_grads(model, np.asarray(batch, dtype=np.float64), scratch)
+    return loss, [g.copy() for g in model.mapper.gradients()]
 
 
 # Simpson grid points (odd) for ``integrate_power_factor``.

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import grad_check_params, reference_adam, svdd_loss_grads, traced_peak_mb, vae_loss_grads
+from conftest import (
+    assert_views_of_flat,
+    grad_check_params,
+    reference_adam,
+    svdd_loss_grads,
+    traced_peak_mb,
+    vae_loss_grads,
+)
 from icad.models import (
     SvddModel,
     TrainConfig,
@@ -26,7 +33,8 @@ from icad.neural import (
     infer,
     init_mlp,
 )
-from icad.nonconformity import VaeScorer
+from icad.nonconformity import SvddScorer, VaeScorer
+from icad.persistence import load_model, save_model
 
 
 def _identity_mapper(dim):
@@ -49,8 +57,8 @@ def _training_kl(mu, logvar):
     d = len(mu)
     encoder = Mlp([DenseLayer(np.zeros((2 * d, 1)), np.concatenate([mu, logvar]), "identity")])
     decoder = Mlp([DenseLayer(np.zeros((1, d)), np.zeros(1), "identity")])
-    _, _, (_, kl) = _vae_batch_loss_grads(VaeModel(encoder, decoder, d), np.zeros((1, 1)),
-                                          np.zeros((1, d)))
+    _, (_, kl) = _vae_batch_loss_grads(VaeModel(encoder, decoder, d), np.zeros((1, 1)),
+                                       np.zeros((1, d)))
     return kl
 
 
@@ -94,7 +102,7 @@ def test_kl_matches_monte_carlo_estimate():
 def test_vae_loss_parts_and_reparameterization():
     model = VaeModel.build(4, latent_dim=2, hidden=(6,), seed=0)
     z = np.array([0.1, -0.2, 0.3, 0.0])
-    loss, _, (recon, kl) = _vae_batch_loss_grads(model, z[None, :], np.zeros((1, 2)))
+    loss, (recon, kl) = _vae_batch_loss_grads(model, z[None, :], np.zeros((1, 2)))
     assert loss == pytest.approx(recon + kl)
     assert recon >= 0.0 and kl >= 0.0
     # with zero noise the reconstruction term is the error of the sampled score
@@ -329,22 +337,30 @@ def test_training_divergence_raises_with_epoch():
 
 def _reference_training(nets, batch_grads, data, cfg):
     """The two-phase minibatch loop over ``nets`` with gradients from
-    ``batch_grads(batch, rng)``, which runs the full ``backward``, and the
-    out-of-place reference Adam written back into the live arrays."""
+    ``batch_grads(batch, rng) -> (grads, loss, aux)``, which runs the full
+    ``backward``, and the out-of-place reference Adam written back into the
+    live arrays. Returns the per-epoch mean loss and aux curves."""
     rng = np.random.default_rng(cfg.seed)
     params = [p for net in nets for p in net.parameters()]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     t = 0
+    curve, aux_curve = [], []
     for phase in range(2):
         for _ in range(cfg.epochs[phase]):
             perm = rng.permutation(data.shape[0])
+            losses, auxes = [], []
             for start in range(0, data.shape[0], cfg.batch_size):
-                grads = batch_grads(data[perm[start : start + cfg.batch_size]], rng)
+                grads, loss, aux = batch_grads(data[perm[start : start + cfg.batch_size]], rng)
                 t += 1
                 for p, new in zip(params, reference_adam(params, grads, m, v, t,
                                                          cfg.learning_rates[phase])):
                     p[...] = new
+                losses.append(loss)
+                auxes.append(aux)
+            curve.append(float(np.mean(losses)))
+            aux_curve.append(float(np.mean(auxes)))
+    return curve, aux_curve
 
 
 _REF_CFG = TrainConfig(epochs=(3, 2), learning_rates=(1e-3, 1e-4), batch_size=32, seed=5)
@@ -366,12 +382,18 @@ def test_train_svdd_with_weight_decay_equals_reference_loop():
 
     def grads(batch, _rng):
         reps, cache = forward(ref.mapper, batch)
-        g, _ = backward(ref.mapper, cache, 2.0 * (reps - ref.center) / batch.shape[0])
-        return [gw + ref.weight_decay * layer.weights for gw, layer in zip(g, ref.mapper.layers)]
+        diff = reps - ref.center
+        dist = float((diff * diff).sum(axis=1).mean())
+        reg = 0.5 * ref.weight_decay * sum(
+            float((layer.weights * layer.weights).sum()) for layer in ref.mapper.layers)
+        g, _ = backward(ref.mapper, cache, 2.0 * diff / batch.shape[0])
+        g = [gw + ref.weight_decay * layer.weights for gw, layer in zip(g, ref.mapper.layers)]
+        return g, dist + reg, dist
 
-    train_svdd(trained, data, _REF_CFG)
-    _reference_training([ref.mapper], grads, data, _REF_CFG)
+    curves = train_svdd(trained, data, _REF_CFG)
+    ref_curves = _reference_training([ref.mapper], grads, data, _REF_CFG)
     assert _same_weights(trained.mapper, ref.mapper)
+    assert curves == ref_curves  # loss and distance curves, bit for bit
 
 
 def test_train_vae_equals_reference_loop(toy_blob):
@@ -385,16 +407,19 @@ def test_train_vae_equals_reference_loop(toy_blob):
         sigma = np.exp(0.5 * logvar)
         dec_out, dec_cache = forward(ref.decoder, mu + sigma * noise)
         n = batch.shape[0]
+        recon = ((dec_out - batch) * (dec_out - batch)).sum(axis=1)
+        kl = 0.5 * (mu * mu + np.exp(logvar) - 1.0 - logvar).sum(axis=1)
         dec_grads, g_x = backward(ref.decoder, dec_cache, 2.0 * (dec_out - batch) / n)
         g_logvar = g_x * noise * 0.5 * sigma + 0.5 * (np.exp(logvar) - 1.0) / n
         enc_grads, _ = backward(ref.encoder, enc_cache,
                                 np.concatenate([g_x + mu / n, g_logvar], axis=1))
-        return enc_grads + dec_grads
+        return enc_grads + dec_grads, float(np.mean(recon + kl)), float(recon.mean())
 
-    train_vae(trained, toy_blob, _REF_CFG)
-    _reference_training([ref.encoder, ref.decoder], grads, toy_blob, _REF_CFG)
+    curve = train_vae(trained, toy_blob, _REF_CFG)
+    ref_curve, _ = _reference_training([ref.encoder, ref.decoder], grads, toy_blob, _REF_CFG)
     assert _same_weights(trained.encoder, ref.encoder)
     assert _same_weights(trained.decoder, ref.decoder)
+    assert curve == ref_curve
 
 
 def test_pretrain_with_autoencoder_equals_reference_loop(toy_blob):
@@ -407,13 +432,15 @@ def test_pretrain_with_autoencoder_equals_reference_loop(toy_blob):
     def grads(batch, _rng):
         code, enc_cache = forward(encoder, batch)
         recon, dec_cache = forward(decoder, code)
+        loss = float(((recon - batch) * (recon - batch)).sum(axis=1).mean())
         dec_grads, g_code = backward(decoder, dec_cache, 2.0 * (recon - batch) / batch.shape[0])
         enc_grads, _ = backward(encoder, enc_cache, g_code)
-        return enc_grads + dec_grads
+        return enc_grads + dec_grads, loss, loss
 
-    pretrain_with_autoencoder(model, toy_blob, _REF_CFG)
-    _reference_training([encoder, decoder], grads, toy_blob, _REF_CFG)
+    curve = pretrain_with_autoencoder(model, toy_blob, _REF_CFG)
+    ref_curve, _ = _reference_training([encoder, decoder], grads, toy_blob, _REF_CFG)
     assert _same_weights(model.mapper, encoder)
+    assert curve == ref_curve
 
 
 # ---------------------------------------------------------------- pretraining
@@ -441,6 +468,58 @@ def test_both_initialization_paths_produce_valid_models(toy_blob):
         losses, _ = train_svdd(model, toy_blob, cfg)
         assert np.all(np.isfinite(losses))
         assert np.isfinite(svdd_loss_grads(model, toy_blob[:4])[0])
+
+
+# ------------------------------------------------ parameter and gradient storage
+
+_STORE_CFG = TrainConfig(epochs=(2, 1), learning_rates=(1e-3, 1e-4), batch_size=32, seed=9)
+
+
+def _svdd_trained(data, pretrain):
+    model = SvddModel.build(2, output_dim=2, hidden=(8,), weight_decay=1e-2, seed=9)
+    if pretrain:
+        pretrain_with_autoencoder(model, data, _STORE_CFG)
+    else:
+        svdd_init_center(model, data)
+    train_svdd(model, data, _STORE_CFG)
+    return model
+
+
+def _vae_trained(data):
+    model = VaeModel.build(2, latent_dim=1, hidden=(8, 4), seed=9)
+    train_vae(model, data, _STORE_CFG)
+    return model
+
+
+_TRAINED = {
+    "train_svdd": lambda data: _svdd_trained(data, pretrain=False),
+    "pretrain_then_train_svdd": lambda data: _svdd_trained(data, pretrain=True),
+    "train_vae": _vae_trained,
+}
+
+
+def _networks(model):
+    return [model.mapper] if isinstance(model, SvddModel) else [model.encoder, model.decoder]
+
+
+def _score(model, block):
+    if isinstance(model, SvddModel):
+        return SvddScorer(model).score(block)
+    return VaeScorer(model).score_many(block, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("train", _TRAINED.values(), ids=list(_TRAINED))
+def test_trained_and_loaded_networks_keep_their_arrays_in_the_flat_vector(train, toy_blob,
+                                                                          tmp_path):
+    model = train(toy_blob)
+    save_model(tmp_path / "model.icad", model)
+    loaded = load_model(tmp_path / "model.icad")
+    _score(loaded, toy_blob[:5])
+    assert all(net.grad is not None for net in _networks(model))
+    # loading and scoring allocate no gradients: an inference-only network holds none
+    assert all(net.grad is None for net in _networks(loaded))
+    for net in _networks(model) + _networks(loaded):
+        assert_views_of_flat(net, toy_blob[:5] if net.input_dim == 2 else np.ones((5, 1)))
 
 
 @pytest.mark.xfail(

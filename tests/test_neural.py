@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grads, grad_check_params, max_relative_error, reference_adam
+from conftest import (
+    assert_views_of_flat,
+    finite_difference_grads,
+    grad_check_params,
+    max_relative_error,
+    reference_adam,
+)
 from icad.neural import (
     ADAM_SLICE,
     AdamState,
@@ -163,11 +169,20 @@ def _weights_net(w):
     return Mlp([DenseLayer(np.array(w, dtype=float), None, "identity")])
 
 
+def _adam(state, nets, grads):
+    """Write ``grads``, aligned with the networks' parameters in order, into
+    their gradient vectors, then take one Adam step."""
+    views = [view for net in nets for view in net.gradients()]
+    for view, g in zip(views, grads, strict=True):
+        view[...] = g
+    adam_step(state, nets)
+
+
 def test_adam_zero_gradient_is_identity():
     net = _random_net(6)
     before = [p.copy() for p in net.parameters()]
     version = net.version
-    adam_step(AdamState(learning_rate=0.1), [net], [np.zeros_like(p) for p in before])
+    _adam(AdamState(learning_rate=0.1), [net], [np.zeros_like(p) for p in before])
     for old, new in zip(before, net.parameters()):
         assert np.array_equal(old, new)
     assert net.version == version + 1
@@ -177,7 +192,7 @@ def test_adam_moves_against_constant_gradient():
     net = _weights_net([[0.0]])
     state = AdamState(learning_rate=0.01)
     for _ in range(100):
-        adam_step(state, [net], [np.array([[3.0]])])
+        _adam(state, [net], [np.array([[3.0]])])
     assert net.layers[0].weights[0, 0] < 0.0
 
 
@@ -185,7 +200,7 @@ def test_adam_converges_on_quadratic_bowl():
     net = _weights_net([[3.0, -2.0]])
     state = AdamState(learning_rate=1e-2)
     for _ in range(5000):
-        adam_step(state, [net], [2.0 * net.layers[0].weights])
+        _adam(state, [net], [2.0 * net.layers[0].weights])
     assert np.max(np.abs(net.layers[0].weights)) < 1e-6
 
 
@@ -195,7 +210,7 @@ def test_adam_rejects_non_finite_gradient_by_name():
     grads = [np.zeros_like(p) for p in before]
     grads[7] = np.full_like(grads[7], np.nan)  # second net, layer0 bias
     with pytest.raises(ValueError, match=r"net1\.layer0\.bias"):
-        adam_step(AdamState(learning_rate=0.1), nets, grads)
+        _adam(AdamState(learning_rate=0.1), nets, grads)
     after = [p for net in nets for p in net.parameters()]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -207,8 +222,8 @@ def test_bias_free_net_stays_bias_free_through_training():
     x = rng.normal(size=(1, 3))
     for _ in range(25):
         y, cache = forward(net, x)
-        grads, _ = backward(net, cache, 2.0 * y)
-        adam_step(state, [net], grads)
+        backward(net, cache, 2.0 * y)
+        adam_step(state, [net])
     assert all(layer.bias is None for layer in net.layers)
     assert len(net.parameters()) == 2
 
@@ -229,7 +244,7 @@ def test_adam_in_place_matches_out_of_place_reference_bitwise():
         for t in range(1, 9):
             state.learning_rate = lr = 1e-2 if t <= 4 else 1e-3
             grads = [rng.normal(size=p.shape) for p in params]
-            adam_step(state, nets, grads)
+            _adam(state, nets, grads)
             params = reference_adam(params, grads, m, v, t, lr)
             live = [p for net in nets for p in net.parameters()]
             assert all(np.array_equal(a, b) for a, b in zip(live, params, strict=True))
@@ -239,6 +254,7 @@ _OTHER_LAYOUTS = {
     "other-shapes": lambda net: [_random_net(8, dims=(4, 6, 5, 2))],
     "one-more-net": lambda net: [net, _random_net(9)],
     "one-net-fewer": lambda net: [],
+    "same-shapes": lambda net: [_random_net(1)],
 }
 
 
@@ -246,13 +262,13 @@ _OTHER_LAYOUTS = {
 def test_adam_rejects_later_step_with_another_layout_before_any_change(later):
     net = _random_net(1)
     state = AdamState(learning_rate=0.1)
-    adam_step(state, [net], [np.ones_like(p) for p in net.parameters()])
+    _adam(state, [net], [np.ones_like(p) for p in net.parameters()])
     nets = later(net)
     before = [p.copy() for other in nets for p in other.parameters()]
     versions = [other.version for other in nets]
     moments = (state.m.copy(), state.v.copy())
-    with pytest.raises(ValueError, match="parameter layout .* is not the first step's"):
-        adam_step(state, nets, [np.ones_like(p) for p in before])
+    with pytest.raises(ValueError, match="takes the networks of its first step"):
+        _adam(state, nets, [np.ones_like(p) for p in before])
     after = [p for other in nets for p in other.parameters()]
     assert all(np.array_equal(a, b) for a, b in zip(before, after, strict=True))
     assert [other.version for other in nets] == versions
@@ -263,9 +279,56 @@ def test_adam_rejects_later_step_with_another_layout_before_any_change(later):
 def test_backward_rejects_cache_taken_before_adam_step():
     net = _random_net(2)
     _, cache = forward(net, np.zeros((1, 4)))
-    adam_step(AdamState(learning_rate=0.1), [net], [np.ones_like(p) for p in net.parameters()])
+    _adam(AdamState(learning_rate=0.1), [net], [np.ones_like(p) for p in net.parameters()])
     with pytest.raises(ValueError, match="stale"):
         backward(net, cache, np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_mlp_keeps_its_layers_arrays_in_one_flat_vector(bias):
+    rng = np.random.default_rng(3)
+    weights = [rng.normal(size=(6, 4)), rng.normal(size=(3, 6))]
+    biases = [rng.normal(size=6), rng.normal(size=3)] if bias else [None, None]
+    net = Mlp([DenseLayer(w, b, "elu") for w, b in zip(weights, biases)])
+    given = [p for w, b in zip(weights, biases) for p in (w, b) if p is not None]
+    assert [p.tobytes() for p in net.parameters()] == [p.tobytes() for p in given]
+    assert net.flat.flags.c_contiguous and net.flat.dtype == np.float64
+    assert net.grad is None
+    assert_views_of_flat(net, rng.normal(size=(2, 4)))
+
+
+def test_layer_arrays_cannot_be_rebound():
+    net = _random_net(4)
+    layer = net.layers[0]
+    for name in ("weights", "bias"):
+        with pytest.raises(AttributeError):
+            setattr(layer, name, np.zeros_like(getattr(layer, name)))
+    for name in ("flat", "grad"):
+        with pytest.raises(AttributeError):
+            setattr(net, name, np.zeros_like(net.flat))
+    # a layer in a second network would be rebound away from the first's vector
+    with pytest.raises(ValueError, match="one network"):
+        Mlp(net.layers)
+    square = DenseLayer(np.eye(3), None, "identity")
+    with pytest.raises(ValueError, match="one network"):
+        Mlp([square, square])
+
+
+def test_backward_writes_the_gradient_vector_in_place():
+    rng = np.random.default_rng(8)
+    net = _random_net(8)
+    x = rng.normal(size=(5, 4))
+    y, cache = forward(net, x)
+    assert net.grad is None  # forward allocates no gradients
+    grads, _ = backward(net, cache, y)
+    grad = net.grad
+    assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+    assert np.concatenate([g.ravel() for g in grads]).tobytes() == grad.tobytes()
+    want = [g.copy() for g in grads]
+    grad[:] = np.nan
+    again, _ = backward(net, cache, y)
+    assert net.grad is grad
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, want, strict=True))
 
 
 def test_init_respects_uniform_bound():
@@ -398,7 +461,8 @@ def test_backward_equals_pre_activation_oracle_bitwise(seed, bias, rows):
     net = init_mlp((5, 7, 6, 4, 3), acts, bias, rng)
     for layer in net.layers:
         layer.weights[::3] = 0.0  # these units' pre-activations are exactly +-0
-        layer.weights = layer.weights.view(_SignedZeroProducts)
+        # a view of the same memory: the layer stays a view of the net's vector
+        layer._weights = layer.weights.view(_SignedZeroProducts)
         if bias:
             layer.bias[:] = rng.normal(size=layer.out_dim)
             layer.bias[::3] = -0.0  # keeps the sign of a zero product
@@ -422,10 +486,6 @@ def test_backward_equals_pre_activation_oracle_bitwise(seed, bias, rows):
     grads, input_grad = backward(net, cache, g, input_grad=False)
     assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads, strict=True))
     assert input_grad is None
-
-
-def _adam_on(net, grads):
-    adam_step(AdamState(learning_rate=0.1), [net], grads)
 
 
 _NET = _random_net(0)
@@ -452,9 +512,8 @@ _ERRORS = {
                                 "learning rate must be positive"),
     "adam-nan-learning-rate": (lambda: AdamState(learning_rate=np.nan),
                                "learning rate must be positive and finite, got nan"),
-    "adam-gradient-count": (lambda: _adam_on(_NET, []), "length mismatch"),
-    "adam-gradient-shape": (lambda: _adam_on(_NET, [np.zeros(1)] * len(_NET.parameters())),
-                            "shape mismatch at parameter 0"),
+    "adam-no-gradients": (lambda: adam_step(AdamState(learning_rate=0.1), [_random_net(0)]),
+                          "net0 has no gradients"),
 }
 
 

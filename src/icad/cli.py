@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import conformal, episodes, models, nonconformity, persistence
+from .neural import BLOCK_ROWS
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -58,6 +59,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
     return value
 
 
@@ -116,18 +124,24 @@ def _step_lines(leads, results, sep: str) -> list[str]:
             for lead, score, res in zip(leads, scores, results)]
 
 
-def _write_step_csv(path: Path, header: list[str], lines: list[str]) -> None:
-    """Write a per-step table whole, its lines already formatted, with the
-    bytes ``_write_csv`` would write: every cell is a number, or numbers
-    joined by ``;``, which the csv module never quotes, and its lines end
-    in CRLF, the last one too."""
-    text = "\r\n".join([",".join(header), *lines, ""])
-    persistence._atomic_write(path, [text.encode()])
+def _write_step_csv(path: Path, header: list[str], chunks) -> None:
+    """Write a per-step table whole or not at all, its lines already
+    formatted and handed over as an iterable of line lists, with the bytes
+    ``_write_csv`` would write: every cell is a number, or numbers joined by
+    ``;``, which the csv module never quotes, and its lines end in CRLF, the
+    last one too. Each list is encoded and written as it comes, so a
+    generator of lists is never held whole."""
+    def encoded():
+        yield f"{','.join(header)}\r\n".encode()
+        for lines in chunks:
+            yield "\r\n".join([*lines, ""]).encode()
+
+    persistence._atomic_write(path, encoded())
 
 
 def _scene(dim: int, seed: int) -> episodes.SceneGenerator:
     """The scene generator whose flattened square frames have ``dim`` pixels."""
-    side = math.isqrt(dim)
+    side = math.isqrt(dim) if dim >= 16 else 0  # isqrt refuses a negative dim
     if side * side != dim or side < 4:
         raise CliError(f"frame dimension must be a perfect square >= 16, got {dim}")
     return episodes.SceneGenerator(side=side, seed=seed)
@@ -263,21 +277,26 @@ def _cmd_detect(args) -> int:
     _resolve_flag(args, "delta", args.method == "vae", 6.0, "by the vae method")
     _, make = _pipelines(args.method, args.model, args.cal, args.delta, args.tau, args.seed)
     pipeline = make(args.N)  # before the input is read: a binding error comes first
+    # a truncated input raises here, before the CSV's temporary file is opened
+    blocks = persistence.DatasetBlocks(args.input)
     p_cols = [f"p_{k + 1}" for k in range(args.N)] if args.method == "vae" else ["p"]
-    # the input a block at a time, each block through steps in the chunks
-    # tune and simulate use; the CSV is written once, after the last block
-    chunk = episodes.EPISODE_CHUNK
-    lines: list[str] = []
     alarmed = False
-    for block in persistence.DatasetBlocks(args.input):
-        for lo in range(0, len(block), chunk):
-            results = pipeline.steps(block[lo : lo + chunk])
-            steps = range(len(lines), len(lines) + len(results))
-            lines += _step_lines(steps, results, ",")
-            alarmed = alarmed or any(res.alarm for res in results)
-    _write_step_csv(out, ["step", "score", *p_cols, "log_m", "s", "alarm"], lines)
+
+    def chunks():
+        """The input a block at a time, each block through ``steps`` in the
+        chunks tune and simulate use, each chunk's lines as it is stepped."""
+        nonlocal alarmed
+        for b, block in enumerate(blocks):
+            for lo in range(0, len(block), episodes.EPISODE_CHUNK):
+                results = pipeline.steps(block[lo : lo + episodes.EPISODE_CHUNK])
+                alarmed = alarmed or any(res.alarm for res in results)
+                first = b * BLOCK_ROWS + lo
+                yield _step_lines(range(first, first + len(results)), results, ",")
+
+    # streamed into a temporary file that is renamed after the last block
+    _write_step_csv(out, ["step", "score", *p_cols, "log_m", "s", "alarm"], chunks())
     _write_run_config(_config_sidecar(out), args)
-    print(f"processed {len(lines)} steps; {'alarm raised' if alarmed else 'no alarm'}")
+    print(f"processed {len(blocks)} steps; {'alarm raised' if alarmed else 'no alarm'}")
     return EXIT_ALARM if alarmed else EXIT_OK
 
 
@@ -315,6 +334,9 @@ def _sim_params(cfg: dict[str, str], path: str, method: str, seed_override: int 
     ood_margin = get("ood_margin", float, 5.0)
     # read even where --seed overrides it: a value that does not parse is an error
     seed = get("seed", int, 0)
+    if seed < 0:
+        raise CliError(
+            f"simulation config {path}: seed={cfg['seed']} is not a non-negative integer")
     if seed_override is not None:
         seed = seed_override
     return n, delta, tau, max_steps, ood_fraction, ood_margin, seed
@@ -367,7 +389,7 @@ def _cmd_simulate(args) -> int:
         _write_step_csv(
             out_dir / f"episode_{i:03d}.csv",
             ["step", "r", "score", "p_values", "log_m", "s", "alarm"],
-            _step_lines([f"{t},{r:.17g}" for t, r, _ in steps], [res for *_, res in steps], ";"),
+            [_step_lines([f"{t},{r:.17g}" for t, r, _ in steps], [res for *_, res in steps], ";")],
         )
     _write_run_config(out_dir / "config.txt", args)
     delay = "n/a" if metrics.mean_delay is None else f"{metrics.mean_delay:.2f}"
@@ -459,7 +481,7 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--lr2", type=float, default=1e-4, help="fine-tuning-phase learning rate")
     p.add_argument("--batch", type=_positive_int, default=64)
     p.add_argument("--hidden", default="64,32", help="hidden layer widths, comma-separated")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
 
 
 def build_parser() -> _Parser:
@@ -473,7 +495,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r-min", type=float, default=0.0, help="lowest corruption level")
     p.add_argument("--r-max", type=float, default=20.0,
                    help=f"highest corruption level, at most {episodes.MAX_LEVEL:g}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train-vae", help="train the reconstruction model")
@@ -496,7 +518,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--model", required=True, help="ModelFile of the --scorer kind")
     p.add_argument("--cal-data", required=True, help="calibration DatasetFile")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_nonnegative_int,
                    help="vae only: seeds the one reconstruction sample per example; default 0")
     p.set_defaults(func=_cmd_calibrate)
 
@@ -509,7 +531,7 @@ def build_parser() -> _Parser:
                    help="reconstruction samples (vae) or window size (svdd)")
     p.add_argument("--delta", type=float, help="vae only: CUSUM drift; default 6")
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True, help="per-step diagnostics CSV")
     p.set_defaults(func=_cmd_detect)
 
@@ -518,7 +540,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--config", required=True, help="key=value run configuration")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("tune", help="grid-search detector thresholds on a tuning suite")
@@ -528,7 +550,7 @@ def build_parser() -> _Parser:
                    help='e.g. "delta=2,4,6;tau=40,80" (vae) or "tau=8,12,16" (svdd)')
     p.add_argument("--episodes", type=_positive_int, default=30)
     p.add_argument("--out", required=True, help="grid results CSV")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("bench", help="per-step execution-time quartiles")
@@ -539,7 +561,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=_positive_int, default=1000)
     p.add_argument("--delta", type=float, help="vae only: CUSUM drift; default 6")
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 

@@ -333,7 +333,10 @@ def svdd_detect_step(pipeline: "SvddPipeline", frames: Array) -> list[StepResult
 
 
 class _Pipeline:
-    """What both pipelines share: the constructor's prelude, ``fresh`` and ``step``/``steps``."""
+    """What both pipelines share: the constructor's prelude, ``fresh`` and
+    ``step``. Each pipeline's ``steps`` calls its method's step function, a
+    module global looked up at call time, so a wrapper installed on it (a
+    profiler's, say) sees every step and every block."""
 
     def __init__(self, model, cal: CalibrationSet, stream_args: tuple):
         self.scorer = self._scorer_type(model)
@@ -350,15 +353,9 @@ class _Pipeline:
         return new
 
     def step(self, z: Array) -> StepResult:
-        """One detection step on a frame ``(D,)``: ``steps`` on its one-row block."""
-        # the step function is a module global looked up at call time, so a
-        # wrapper installed on it (a profiler's, say) sees every step; the only
-        # work outside it is a one-frame tuple, a one-row block to the scorer
-        return globals()[self._detect_step](self, (z,))[0]
-
-    def steps(self, frames: Array) -> list[StepResult]:
-        """One step per row of a block ``(B, D)``, in order."""
-        return globals()[self._detect_step](self, frames)
+        """One detection step on a frame ``(D,)``: ``steps`` on its one-row
+        block, a one-frame tuple the scorer takes as is."""
+        return self.steps((z,))[0]
 
 
 class VaePipeline(_Pipeline):
@@ -366,7 +363,6 @@ class VaePipeline(_Pipeline):
 
     method = "vae"
     _scorer_type = VaeScorer
-    _detect_step = "vae_detect_step"
 
     def __init__(self, model: VaeModel, cal: CalibrationSet, n_samples: int, delta: float,
                  tau: float, seed: int):
@@ -378,6 +374,10 @@ class VaePipeline(_Pipeline):
     def _start(self, tau: float, delta: float, seed: int) -> None:
         self.detector = CusumDetector(tau, delta)
         self._rng = np.random.default_rng(seed)
+
+    def steps(self, frames: Array) -> list[StepResult]:
+        """One step per row of a block ``(B, D)``, in order."""
+        return vae_detect_step(self, frames)
 
     def _update(self, ps: tuple[float, ...]) -> tuple[bool, float, float]:
         # math.log in sample order: np.log differs in the last bit on some p-values
@@ -391,7 +391,6 @@ class SvddPipeline(_Pipeline):
 
     method = "svdd"
     _scorer_type = SvddScorer
-    _detect_step = "svdd_detect_step"
 
     def __init__(self, model: SvddModel, cal: CalibrationSet, window: int, tau: float, seed: int):
         super().__init__(model, cal, (window, tau, seed))
@@ -399,6 +398,10 @@ class SvddPipeline(_Pipeline):
     def _start(self, window: int, tau: float, seed: int) -> None:
         self.martingale = MartingaleState.warmed_up(window, np.random.default_rng(seed))
         self.detector = ThresholdDetector(tau)
+
+    def steps(self, frames: Array) -> list[StepResult]:
+        """One step per row of a block ``(B, D)``, in order."""
+        return svdd_detect_step(self, frames)
 
     def _update(self, ps: tuple[float, ...]) -> tuple[bool, float, float]:
         (p,) = ps

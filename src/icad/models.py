@@ -232,7 +232,7 @@ def _train_two_phase(
     batch's gradients in the networks' gradient vectors."""
     data = check_examples(data, "training set", nets[0].input_dim)
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState(learning_rate=cfg.learning_rates[0])
+    state = AdamState(nets, cfg.learning_rates[0])
     curve: list[float] = []
     aux_curve: list[float] = []
     for phase in range(2):
@@ -247,7 +247,7 @@ def _train_two_phase(
                 loss, aux = batch_fn(batch, rng)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"{what} training loss diverged at epoch {epoch}")
-                adam_step(state, nets)
+                adam_step(state)
                 losses.append(loss)
                 auxes.append(aux)
             curve.append(float(np.mean(losses)))

@@ -8,7 +8,7 @@ scoring, calibration and training alike. ``forward`` and ``infer`` run
 the same layer step; ``forward`` also keeps each layer's output for
 ``backward`` and serves training only, and scoring runs ``infer``.
 
-A network keeps its weights and biases in one flat vector, and each layer's
+A network keeps its weights and biases in one flat vector, and its layers'
 arrays are reshaped views of it, which can be written in place but never
 rebound. ``backward`` writes the parameter gradients into a second vector of
 the same layout, allocated at a network's first ``backward``. Only training
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -77,8 +77,8 @@ def _activate_prime(name: str, a: Array) -> Array:
 class DenseLayer:
     """One affine map plus activation. ``bias is None`` marks a bias-free layer.
 
-    ``weights`` and ``bias`` are read-only attributes: once the layer joins an
-    ``Mlp`` they are views of that network's parameter vector, so they are
+    ``weights`` and ``bias`` are read-only attributes: in an ``Mlp``'s own
+    layers they are views of that network's parameter vector, so they are
     written in place and never rebound.
     """
 
@@ -96,7 +96,6 @@ class DenseLayer:
                 )
         self._weights, self._bias = weights, bias
         self.activation = activation
-        self._in_net = False
 
     @property
     def weights(self) -> Array:
@@ -135,11 +134,12 @@ class Mlp:
     """A stack of dense layers with chained dimensions.
 
     The weights and biases live in one contiguous float64 vector, ``flat``,
-    in ``parameters()`` order; each layer's arrays are reshaped views of it,
-    so a write through either shows in the other. ``grad`` has the same
-    layout and holds the gradients ``backward`` writes; it is ``None`` until
-    the first ``gradients()`` call, so a network that only infers holds none.
-    A layer joins one network, once.
+    in ``parameters()`` order. The network copies the given layers' values
+    into it and builds its own layers over reshaped views of it, so a write
+    through either shows in the other; the given layers are left as they
+    were. ``grad`` has the same layout and holds the gradients ``backward``
+    writes; it is ``None`` until the first ``gradients()`` call, so a
+    network that only infers holds none.
     """
 
     def __init__(self, layers: Sequence[DenseLayer]):
@@ -151,18 +151,14 @@ class Mlp:
                 raise ValueError(
                     f"layer dimensions do not chain: {prev.out_dim} -> {nxt.in_dim}"
                 )
-        if any(layer._in_net for layer in layers) or len({id(x) for x in layers}) < len(layers):
-            raise ValueError("a layer belongs to one network, once")
-        self.layers = layers
-        params = self.parameters()
+        params = [p for layer in layers for p in layer.params]
         self._shapes = [p.shape for p in params]
         self._flat = np.concatenate([p.ravel() for p in params])
         views = iter(self.split(self._flat))
-        for layer in layers:
-            layer._weights = next(views)
-            if layer.bias is not None:
-                layer._bias = next(views)
-            layer._in_net = True
+        self.layers = [
+            DenseLayer(next(views), None if layer.bias is None else next(views), layer.activation)
+            for layer in layers
+        ]
         self._grad: Array | None = None
         self._grad_views: list[Array] = []
         self._version = 0
@@ -336,47 +332,36 @@ ADAM_EPS = 1e-8
 ADAM_SLICE = 1 << 16
 
 
-@dataclass
 class AdamState:
-    """Adam moments as flat vectors over the parameter vectors of the first
-    step's networks, in order. That step binds the state to those networks
-    and allocates the moments and one slice of scratch."""
+    """Adam moments as flat vectors over the parameter vectors of ``nets``, in
+    order, and one slice of scratch; ``step_count`` counts the steps taken."""
 
-    learning_rate: float
-    step_count: int = 0
-    nets: tuple[Mlp, ...] | None = field(default=None, init=False, repr=False)
-    m: Array | None = field(default=None, init=False, repr=False)
-    v: Array | None = field(default=None, init=False, repr=False)
-    scratch: Array | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
+    def __init__(self, nets: Sequence[Mlp], learning_rate: float):
+        if not 0.0 < learning_rate < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
+        self.nets = tuple(nets)
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        size = sum(net.flat.size for net in self.nets)
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self.scratch = np.empty(min(size, ADAM_SLICE))
 
 
-def adam_step(state: AdamState, nets: Sequence[Mlp]) -> None:
-    """One optimizer step over the weights and biases of ``nets``, in place,
-    from each network's gradient vector ``grad``.
+def adam_step(state: AdamState) -> None:
+    """One optimizer step over the weights and biases of ``state.nets``, in
+    place, from each network's gradient vector ``grad``.
 
-    Every step takes the first step's networks, in order. Every network's
-    version is bumped, so forward caches taken before the step are stale.
-    Other networks, a network without gradients, or a non-finite gradient
-    (named by its parameter) raises before anything is changed. The gradient
-    vectors are spent: each slice of one takes its update before the
-    parameters subtract it.
+    Every network's version is bumped, so forward caches taken before the
+    step are stale. A network without gradients, or a non-finite gradient
+    (named by its parameter), raises before anything is changed. The
+    gradient vectors are spent: each slice of one takes its update before
+    the parameters subtract it.
 
     Each element takes the per-array arithmetic in its order:
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
     ``p -= lr*((m/bc1) / (sqrt(v/bc2) + eps))``.
     """
-    nets = tuple(nets)
-    if state.nets is None:
-        size = sum(net.flat.size for net in nets)
-        state.nets = nets
-        state.m, state.v = np.zeros(size), np.zeros(size)
-        state.scratch = np.empty(min(size, ADAM_SLICE))
-    elif len(nets) != len(state.nets) or any(a is not b for a, b in zip(nets, state.nets)):
-        raise ValueError("adam_step takes the networks of its first step, in order")
+    nets = state.nets
     for k, net in enumerate(nets):
         if net.grad is None:
             raise ValueError(f"net{k} has no gradients: backward writes them")

@@ -236,6 +236,33 @@ def test_calibrate_traced_peak_stays_below_one_whole_file(tmp_path, scorer, boun
     assert codes == [EXIT_OK]
 
 
+@pytest.mark.parametrize("method,n", [("vae", 20), ("svdd", 10)])
+def test_detect_traced_peak_does_not_grow_with_its_input(tmp_path, method, n):
+    # untrained dim-64 models: the CSV is streamed a chunk at a time, so 16
+    # times the frames, 8,000 of them, add no more than 1 MB to the peak
+    rng = np.random.default_rng(9)
+    if method == "vae":
+        model = VaeModel.build(64, latent_dim=4, hidden=(16,), seed=1)
+        scorer = VaeScorer(model)
+    else:
+        model = SvddModel.build(64, hidden=(16,), seed=1)
+        svdd_init_center(model, rng.normal(size=(30, 64)))
+        scorer = SvddScorer(model)
+    save_model(tmp_path / "model.icad", model)
+    save_calibration(tmp_path / "cal.icad", calibration_scores(scorer, rng.normal(size=(50, 64))))
+    peaks = []
+    for frames in (500, 8000):
+        save_dataset(tmp_path / f"in{frames}.icad", rng.normal(size=(frames, 64)))
+        argv = ["detect", "--method", method, "--model", str(tmp_path / "model.icad"),
+                "--cal", str(tmp_path / "cal.icad"), "--input", str(tmp_path / f"in{frames}.icad"),
+                "--N", str(n), "--out", str(tmp_path / f"diag{frames}.csv")]
+        codes = []
+        peaks.append(traced_peak_mb(lambda: codes.append(main(argv))))
+        assert codes[0] in (EXIT_OK, EXIT_ALARM)
+        assert len(_rows(tmp_path / f"diag{frames}.csv")) == frames + 1
+    assert peaks[1] - peaks[0] < 1.0, peaks
+
+
 @pytest.mark.parametrize("method,stream,tau", [
     ("vae", "blocks", 156.0), ("svdd", "blocks", 14.0),
     ("vae", "ood_stream", 20.0), ("svdd", "ood_stream", 8.0),
@@ -532,7 +559,8 @@ def test_step_tables_give_csv_writer_bytes_on_edge_values(work, tmp_path, monkey
     else:
         method = "svdd" if n == 1 else "vae"
         results = iter(crafted)
-        monkeypatch.setattr(conformal._Pipeline, "steps",
+        pipeline_type = VaePipeline if method == "vae" else SvddPipeline
+        monkeypatch.setattr(pipeline_type, "steps",
                             lambda self, frames: [next(results) for _ in frames])
         assert main(["detect", "--method", method, "--model", str(work[method]),
                      "--cal", str(work[f"{method}_cal"]), "--input", str(work["in_stream"]),
@@ -559,7 +587,8 @@ def test_step_tables_are_the_csv_rendering_of_their_step_results(work, blocks_da
     # every StepResult detect and simulate made, recorded as it was made and
     # rendered by csv.writer, gives the bytes of the files they wrote
     suites, chunks = [], []
-    run_suite, steps = episodes.run_suite, conformal._Pipeline.steps
+    pipeline_type = VaePipeline if method == "vae" else SvddPipeline
+    run_suite, steps = episodes.run_suite, pipeline_type.steps
 
     def recording_run_suite(*args, **kwargs):
         suites.append(run_suite(*args, **kwargs))
@@ -570,7 +599,7 @@ def test_step_tables_are_the_csv_rendering_of_their_step_results(work, blocks_da
         return chunks[-1]
 
     monkeypatch.setattr(episodes, "run_suite", recording_run_suite)
-    monkeypatch.setattr(conformal._Pipeline, "steps", recording_steps)
+    monkeypatch.setattr(pipeline_type, "steps", recording_steps)
     diag = tmp_path / "diag.csv"
     code = main(["detect", "--method", method, "--model", str(work[method]),
                  "--cal", str(work[f"{method}_cal"]), "--input", str(blocks_data),
@@ -880,6 +909,31 @@ _ERROR_CASES = {
     "bench-bad-n-list": (["bench", "--method", "svdd", "--model", "{svdd}",
                           "--cal", "{svdd_cal}", "--N-list", "5,x", "--steps", "5",
                           "--out", "{out}/b.csv"], "expected comma-separated integers"),
+    # refused before math.isqrt, which raises on a negative argument
+    "gen-data-dim-negative": (["gen-data", "--out", "{out}/d.icad", "--count", "5",
+                               "--dim", "-4"],
+                              "frame dimension must be a perfect square >= 16, got -4"),
+    # numpy's seeding refuses a negative seed with a message that names no flag
+    **{f"{argv[0]}-seed-negative": ([*argv, "--seed", "-5"],
+                                    "argument --seed: expected a non-negative integer, got -5")
+       for argv in (
+           ["gen-data", "--out", "{out}/d.icad", "--count", "5", "--dim", "64"],
+           ["train-vae", "--data", "{train}", "--out", "{out}/m.icad"],
+           ["train-svdd", "--data", "{train}", "--out", "{out}/m.icad"],
+           ["calibrate", "--scorer", "vae", "--model", "{vae}", "--cal-data", "{cal_data}",
+            "--out", "{out}/c.icad"],
+           ["detect", "--method", "svdd", "--model", "{svdd}", "--cal", "{svdd_cal}",
+            "--input", "{in_stream}", "--out", "{out}/d.csv"],
+           ["simulate", "--episodes", "2", "--method", "svdd", "--config", "{cfg_svdd}",
+            "--out", "{out}/sim"],
+           ["tune", "--method", "svdd", "--config", "{cfg_svdd}", "--grid", "tau=10",
+            "--episodes", "2", "--out", "{out}/g.csv"],
+           ["bench", "--method", "svdd", "--model", "{svdd}", "--cal", "{svdd_cal}",
+            "--steps", "5", "--out", "{out}/b.csv"],
+       )},
+    "sim-config-seed-negative": (["simulate", "--episodes", "2", "--method", "svdd",
+                                  "--config", "{cfg_seed_negative}", "--out", "{out}/sim"],
+                                 "seed_negative.txt: seed=-5 is not a non-negative integer"),
 }
 
 
@@ -900,6 +954,8 @@ def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, messag
     _sim_config(work, cfg_dir / "tau_nan.txt", "svdd", tau=float("nan"))
     save_config(cfg_dir / "margin.txt",
                 {"model": work["svdd"], "cal": work["svdd_cal"], "ood_margin": -1})
+    save_config(cfg_dir / "seed_negative.txt",
+                {"model": work["svdd"], "cal": work["svdd_cal"], "seed": -5})
     (cfg_dir / "short_center.icad").write_bytes(one_value_center(work["svdd"].read_bytes()))
     save_calibration(cfg_dir / "knn_cal.icad",
                      CalibrationSet(np.array([1.0, 2.0]), "knn", b"abcdefgh"))
@@ -909,6 +965,7 @@ def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, messag
                  cfg_zero_steps=str(cfg_dir / "zero_steps.txt"), cfg_typo=str(cfg_dir / "typo.txt"),
                  cfg_repeat=str(cfg_dir / "repeat.txt"), cfg_tau_nan=str(cfg_dir / "tau_nan.txt"),
                  cfg_margin=str(cfg_dir / "margin.txt"),
+                 cfg_seed_negative=str(cfg_dir / "seed_negative.txt"),
                  short_center=str(cfg_dir / "short_center.icad"),
                  knn_cal=str(cfg_dir / "knn_cal.icad"))
     code = main([arg.format(**paths) for arg in argv])

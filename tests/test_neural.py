@@ -169,20 +169,20 @@ def _weights_net(w):
     return Mlp([DenseLayer(np.array(w, dtype=float), None, "identity")])
 
 
-def _adam(state, nets, grads):
-    """Write ``grads``, aligned with the networks' parameters in order, into
-    their gradient vectors, then take one Adam step."""
-    views = [view for net in nets for view in net.gradients()]
+def _adam(state, grads):
+    """Write ``grads``, aligned with the parameters of the state's networks in
+    order, into their gradient vectors, then take one Adam step."""
+    views = [view for net in state.nets for view in net.gradients()]
     for view, g in zip(views, grads, strict=True):
         view[...] = g
-    adam_step(state, nets)
+    adam_step(state)
 
 
 def test_adam_zero_gradient_is_identity():
     net = _random_net(6)
     before = [p.copy() for p in net.parameters()]
     version = net.version
-    _adam(AdamState(learning_rate=0.1), [net], [np.zeros_like(p) for p in before])
+    _adam(AdamState([net], learning_rate=0.1), [np.zeros_like(p) for p in before])
     for old, new in zip(before, net.parameters()):
         assert np.array_equal(old, new)
     assert net.version == version + 1
@@ -190,17 +190,17 @@ def test_adam_zero_gradient_is_identity():
 
 def test_adam_moves_against_constant_gradient():
     net = _weights_net([[0.0]])
-    state = AdamState(learning_rate=0.01)
+    state = AdamState([net], learning_rate=0.01)
     for _ in range(100):
-        _adam(state, [net], [np.array([[3.0]])])
+        _adam(state, [np.array([[3.0]])])
     assert net.layers[0].weights[0, 0] < 0.0
 
 
 def test_adam_converges_on_quadratic_bowl():
     net = _weights_net([[3.0, -2.0]])
-    state = AdamState(learning_rate=1e-2)
+    state = AdamState([net], learning_rate=1e-2)
     for _ in range(5000):
-        _adam(state, [net], [2.0 * net.layers[0].weights])
+        _adam(state, [2.0 * net.layers[0].weights])
     assert np.max(np.abs(net.layers[0].weights)) < 1e-6
 
 
@@ -210,7 +210,7 @@ def test_adam_rejects_non_finite_gradient_by_name():
     grads = [np.zeros_like(p) for p in before]
     grads[7] = np.full_like(grads[7], np.nan)  # second net, layer0 bias
     with pytest.raises(ValueError, match=r"net1\.layer0\.bias"):
-        _adam(AdamState(learning_rate=0.1), nets, grads)
+        _adam(AdamState(nets, learning_rate=0.1), grads)
     after = [p for net in nets for p in net.parameters()]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -218,12 +218,12 @@ def test_adam_rejects_non_finite_gradient_by_name():
 def test_bias_free_net_stays_bias_free_through_training():
     rng = np.random.default_rng(13)
     net = init_mlp((3, 4, 2), ["elu", "identity"], False, rng)
-    state = AdamState(learning_rate=1e-2)
+    state = AdamState([net], learning_rate=1e-2)
     x = rng.normal(size=(1, 3))
     for _ in range(25):
         y, cache = forward(net, x)
         backward(net, cache, 2.0 * y)
-        adam_step(state, [net])
+        adam_step(state)
     assert all(layer.bias is None for layer in net.layers)
     assert len(net.parameters()) == 2
 
@@ -239,47 +239,21 @@ def test_adam_in_place_matches_out_of_place_reference_bitwise():
         assert size <= ADAM_SLICE or size > 2 * ADAM_SLICE
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
-        state = AdamState(learning_rate=1e-2)
+        state = AdamState(nets, learning_rate=1e-2)
         rng = np.random.default_rng(5)
         for t in range(1, 9):
             state.learning_rate = lr = 1e-2 if t <= 4 else 1e-3
             grads = [rng.normal(size=p.shape) for p in params]
-            _adam(state, nets, grads)
+            _adam(state, grads)
             params = reference_adam(params, grads, m, v, t, lr)
             live = [p for net in nets for p in net.parameters()]
             assert all(np.array_equal(a, b) for a, b in zip(live, params, strict=True))
 
 
-_OTHER_LAYOUTS = {
-    "other-shapes": lambda net: [_random_net(8, dims=(4, 6, 5, 2))],
-    "one-more-net": lambda net: [net, _random_net(9)],
-    "one-net-fewer": lambda net: [],
-    "same-shapes": lambda net: [_random_net(1)],
-}
-
-
-@pytest.mark.parametrize("later", _OTHER_LAYOUTS.values(), ids=list(_OTHER_LAYOUTS))
-def test_adam_rejects_later_step_with_another_layout_before_any_change(later):
-    net = _random_net(1)
-    state = AdamState(learning_rate=0.1)
-    _adam(state, [net], [np.ones_like(p) for p in net.parameters()])
-    nets = later(net)
-    before = [p.copy() for other in nets for p in other.parameters()]
-    versions = [other.version for other in nets]
-    moments = (state.m.copy(), state.v.copy())
-    with pytest.raises(ValueError, match="takes the networks of its first step"):
-        _adam(state, nets, [np.ones_like(p) for p in before])
-    after = [p for other in nets for p in other.parameters()]
-    assert all(np.array_equal(a, b) for a, b in zip(before, after, strict=True))
-    assert [other.version for other in nets] == versions
-    assert state.step_count == 1
-    assert np.array_equal(state.m, moments[0]) and np.array_equal(state.v, moments[1])
-
-
 def test_backward_rejects_cache_taken_before_adam_step():
     net = _random_net(2)
     _, cache = forward(net, np.zeros((1, 4)))
-    _adam(AdamState(learning_rate=0.1), [net], [np.ones_like(p) for p in net.parameters()])
+    _adam(AdamState([net], learning_rate=0.1), [np.ones_like(p) for p in net.parameters()])
     with pytest.raises(ValueError, match="stale"):
         backward(net, cache, np.zeros((1, 3)))
 
@@ -306,12 +280,27 @@ def test_layer_arrays_cannot_be_rebound():
     for name in ("flat", "grad"):
         with pytest.raises(AttributeError):
             setattr(net, name, np.zeros_like(net.flat))
-    # a layer in a second network would be rebound away from the first's vector
-    with pytest.raises(ValueError, match="one network"):
-        Mlp(net.layers)
-    square = DenseLayer(np.eye(3), None, "identity")
-    with pytest.raises(ValueError, match="one network"):
-        Mlp([square, square])
+
+
+def test_mlp_copies_its_layers_and_leaves_them_untouched():
+    rng = np.random.default_rng(9)
+    square = DenseLayer(rng.normal(size=(3, 3)), rng.normal(size=3), "elu")
+    given = [square.weights, square.bias]
+    net = Mlp([square, square])
+    assert square.weights is given[0] and square.bias is given[1]
+    assert all(layer is not square for layer in net.layers)
+    assert not any(np.shares_memory(p, net.flat) for p in given)
+    assert [p.tobytes() for p in net.parameters()] == [p.tobytes() for p in given * 2]
+    # a network over another's layers is a copy: neither sees the other's writes
+    twin = Mlp(net.layers)
+    assert [p.tobytes() for p in twin.parameters()] == [p.tobytes() for p in net.parameters()]
+    want = net.flat.copy()
+    assert_views_of_flat(twin, rng.normal(size=(2, 3)))
+    assert net.flat.tobytes() == want.tobytes()
+    assert given[0].tobytes() == want[:9].tobytes() and given[1].tobytes() == want[9:12].tobytes()
+    y, cache = forward(twin, rng.normal(size=(2, 3)))
+    backward(twin, cache, y)
+    assert net.grad is None
 
 
 def test_backward_writes_the_gradient_vector_in_place():
@@ -508,11 +497,11 @@ _ERRORS = {
     "backward-gradient-shape": (lambda: backward(_NET, forward(_NET, np.zeros((1, 4)))[1],
                                                  np.zeros((1, 2))),
                                 r"gradient shape \(1, 2\) does not match output shape \(1, 3\)"),
-    "adam-zero-learning-rate": (lambda: AdamState(learning_rate=0.0),
+    "adam-zero-learning-rate": (lambda: AdamState([_NET], learning_rate=0.0),
                                 "learning rate must be positive"),
-    "adam-nan-learning-rate": (lambda: AdamState(learning_rate=np.nan),
+    "adam-nan-learning-rate": (lambda: AdamState([_NET], learning_rate=np.nan),
                                "learning rate must be positive and finite, got nan"),
-    "adam-no-gradients": (lambda: adam_step(AdamState(learning_rate=0.1), [_random_net(0)]),
+    "adam-no-gradients": (lambda: adam_step(AdamState([_random_net(0)], learning_rate=0.1)),
                           "net0 has no gradients"),
 }
 

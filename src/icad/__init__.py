@@ -39,7 +39,7 @@ from .models import (
     train_svdd,
     train_vae,
 )
-from .neural import AdamState, DenseLayer, Mlp, adam_step, backward, forward, infer
+from .neural import AdamState, Mlp, adam_step, backward, forward, infer
 from .nonconformity import SvddScorer, VaeScorer
 
 __version__ = "0.1.0"

@@ -8,10 +8,11 @@ scoring, calibration and training alike. ``forward`` and ``infer`` run
 the same layer step; ``forward`` also keeps each layer's output for
 ``backward`` and serves training only, and scoring runs ``infer``.
 
-A network keeps its weights and biases in one flat vector, and its layers'
-arrays are reshaped views of it, which can be written in place but never
-rebound. ``backward`` writes the parameter gradients into a second vector of
-the same layout, allocated at a network's first ``backward``. Only training
+A network is built from its layers' shapes. It keeps its weights and biases
+in one flat vector, allocated as zeros, and its layers' arrays are reshaped
+views of it, which can be written in place but never rebound. ``backward``
+writes the parameter gradients into a second vector of the same layout,
+allocated at a network's first ``backward``. Only training
 changes a network: ``adam_step`` is the one function that writes a
 network's weights and biases, in place, straight from its gradient vector,
 and it bumps the network's version so ``backward`` rejects a forward cache
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,49 +75,29 @@ def _activate_prime(name: str, a: Array) -> Array:
     return np.minimum(factor, 1.0, out=factor)
 
 
-class DenseLayer:
+class DenseLayer(NamedTuple):
     """One affine map plus activation. ``bias is None`` marks a bias-free layer.
 
-    ``weights`` and ``bias`` are read-only attributes: in an ``Mlp``'s own
-    layers they are views of that network's parameter vector, so they are
-    written in place and never rebound.
+    In an ``Mlp``'s layers, ``weights`` and ``bias`` are views of that
+    network's parameter vector: written in place, never rebound.
     """
 
-    def __init__(self, weights: Array, bias: Array | None, activation: str):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ValueError(f"weights must be a matrix, got shape {weights.shape}")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        if bias is not None:
-            bias = np.asarray(bias, dtype=np.float64)
-            if bias.shape != (weights.shape[0],):
-                raise ValueError(
-                    f"bias shape {bias.shape} does not match output size {weights.shape[0]}"
-                )
-        self._weights, self._bias = weights, bias
-        self.activation = activation
-
-    @property
-    def weights(self) -> Array:
-        return self._weights
-
-    @property
-    def bias(self) -> Array | None:
-        return self._bias
+    weights: Array
+    bias: Array | None
+    activation: str
 
     @property
     def params(self) -> list[Array]:
         """The weights, then the bias if there is one: the one parameter order."""
-        return [self._weights] if self._bias is None else [self._weights, self._bias]
+        return [self.weights] if self.bias is None else [self.weights, self.bias]
 
     @property
     def in_dim(self) -> int:
-        return self._weights.shape[1]
+        return self.weights.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self._weights.shape[0]
+        return self.weights.shape[0]
 
 
 def layer_descriptor(layer: DenseLayer) -> bytes:
@@ -125,40 +106,38 @@ def layer_descriptor(layer: DenseLayer) -> bytes:
     return struct.pack("<IIBB", layer.in_dim, layer.out_dim, code, layer.bias is not None)
 
 
-def layer_payload(layer: DenseLayer) -> list[Array]:
-    """The weights, row-major, then the bias (if any), as little-endian f32."""
-    return [np.ascontiguousarray(p, dtype="<f4") for p in layer.params]
-
-
 class Mlp:
-    """A stack of dense layers with chained dimensions.
+    """A stack of dense layers with chained dimensions, built from their shapes.
 
-    The weights and biases live in one contiguous float64 vector, ``flat``,
-    in ``parameters()`` order. The network copies the given layers' values
-    into it and builds its own layers over reshaped views of it, so a write
-    through either shows in the other; the given layers are left as they
-    were. ``grad`` has the same layout and holds the gradients ``backward``
-    writes; it is ``None`` until the first ``gradients()`` call, so a
-    network that only infers holds none.
+    Each shape is ``(in_dim, out_dim, activation, bias)``, the fields of a
+    model file's layer descriptor. The weights and biases live in one
+    contiguous float64 vector, ``flat``, allocated as zeros in
+    ``parameters()`` order; the layers' arrays are reshaped views of it, so
+    callers write a network's values into either in place. ``grad`` has the
+    same layout and holds the gradients ``backward`` writes; it is ``None``
+    until the first ``gradients()`` call, so a network that only infers
+    holds none.
     """
 
-    def __init__(self, layers: Sequence[DenseLayer]):
-        layers = list(layers)
-        if not layers:
+    def __init__(self, shapes: Sequence[tuple[int, int, str, bool]]):
+        if not shapes:
             raise ValueError("an Mlp needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if prev.out_dim != nxt.in_dim:
+        for i, (in_dim, out_dim, activation, _) in enumerate(shapes):
+            if in_dim < 1 or out_dim < 1:
                 raise ValueError(
-                    f"layer dimensions do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
-        params = [p for layer in layers for p in layer.params]
-        self._shapes = [p.shape for p in params]
-        self._flat = np.concatenate([p.ravel() for p in params])
+                    f"layer {i} maps {in_dim} -> {out_dim}: dimensions must be positive")
+            if activation not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {activation!r}")
+        for prev, nxt in zip(shapes, shapes[1:]):
+            if prev[1] != nxt[0]:
+                raise ValueError(f"layer dimensions do not chain: {prev[1]} -> {nxt[0]}")
+        self._shapes = []
+        for in_dim, out_dim, _, bias in shapes:
+            self._shapes += [(out_dim, in_dim), (out_dim,)] if bias else [(out_dim, in_dim)]
+        self._flat = np.zeros(sum(math.prod(shape) for shape in self._shapes))
         views = iter(self.split(self._flat))
-        self.layers = [
-            DenseLayer(next(views), None if layer.bias is None else next(views), layer.activation)
-            for layer in layers
-        ]
+        self.layers = [DenseLayer(next(views), next(views) if bias else None, activation)
+                       for _, _, activation, bias in shapes]
         self._grad: Array | None = None
         self._grad_views: list[Array] = []
         self._version = 0
@@ -215,20 +194,19 @@ def init_mlp(
     bias: bool,
     rng: np.random.Generator,
 ) -> Mlp:
-    """Build an Mlp with uniform(-a, a) weights, a = sqrt(6/(fan_in+fan_out))."""
+    """An Mlp over ``dims`` with zero biases and uniform(-a, a) weights,
+    a = sqrt(6/(fan_in+fan_out)), each layer's drawn in turn into its view."""
     if len(dims) < 2:
         raise ValueError("need at least an input and an output dimension")
     n_layers = len(dims) - 1
     if len(activations) != n_layers:
         raise ValueError(f"expected {n_layers} activations, got {len(activations)}")
-    layers = []
-    for i in range(n_layers):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    net = Mlp([(dims[i], dims[i + 1], activations[i], bias) for i in range(n_layers)])
+    for layer in net.layers:
+        fan_out, fan_in = layer.weights.shape
         a = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-a, a, size=(fan_out, fan_in))
-        b = np.zeros(fan_out) if bias else None
-        layers.append(DenseLayer(w, b, activations[i]))
-    return Mlp(layers)
+        layer.weights[:] = rng.uniform(-a, a, size=(fan_out, fan_in))
+    return net
 
 
 def check_examples(arr: Array, what: str, dim: int) -> Array:
@@ -246,10 +224,9 @@ def check_examples(arr: Array, what: str, dim: int) -> Array:
 
 def _layer(layer: DenseLayer, a: Array) -> Array:
     """The affine map, the bias added into the fresh product, the activation
-    in place on it. Scoring runs this per layer and step, so it reads the
-    arrays behind the read-only properties."""
-    z = a @ layer._weights.T
-    bias = layer._bias
+    in place on it."""
+    z = a @ layer.weights.T
+    bias = layer.bias
     if bias is not None:
         z += bias
     return _activate(layer.activation, z)

@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from .models import SvddModel, VaeModel, sample_reconstructions
-from .neural import Array, Mlp, check_examples, infer, layer_descriptor, layer_payload
+from .neural import Array, Mlp, check_examples, infer, layer_descriptor
 
 
 def _hash_chunks(*chunks: bytes) -> bytes:
@@ -33,9 +33,12 @@ def _hash_chunks(*chunks: bytes) -> bytes:
 
 
 def _mlp_signature(net: Mlp) -> bytes:
+    """The layer count, then each layer's descriptor followed by its
+    parameters as little-endian f32, weights row-major then bias."""
+    views = iter(net.split(net.flat.astype("<f4")))
     parts = [struct.pack("<I", len(net.layers))]
     for layer in net.layers:
-        parts += [layer_descriptor(layer), *layer_payload(layer)]
+        parts += [layer_descriptor(layer), *(next(views) for _ in layer.params)]
     return b"".join(parts)
 
 

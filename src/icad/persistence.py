@@ -8,8 +8,11 @@ ModelFile ("ICADMDL1")
     in-dim (u32), out-dim (u32), activation code (u8), bias flag (u8);
     model kind (u8: 1=vae, 2=svdd); kind extras — vae: encoder layer count
     (u32) and latent dim (u32); svdd: weight decay (f64), center length
-    (u32) and center values (f64); finally the parameter payload as f32 in
-    layer order, weights row-major, bias after its weights.
+    (u32) and center values (f64); finally the parameter payload: each
+    network's ``Mlp.flat`` as f32, the VAE's encoder before its decoder,
+    which is every layer's weights row-major and then its bias, in layer
+    order. A load checks the payload's length before it allocates any
+    network, and refuses a non-finite parameter or center value.
 
 CalibrationFile ("ICADCAL1")
     magic, scorer kind code (u8: 1=knn, 2=kde, 3=vae, 4=svdd), scorer
@@ -42,7 +45,7 @@ import numpy as np
 
 from .conformal import CalibrationSet
 from .models import SvddModel, VaeModel
-from .neural import ACTIVATIONS, BLOCK_ROWS, Array, DenseLayer, Mlp, layer_descriptor, layer_payload
+from .neural import ACTIVATIONS, BLOCK_ROWS, Array, Mlp, layer_descriptor
 
 MAGIC_MODEL = b"ICADMDL1"
 MAGIC_CALIBRATION = b"ICADCAL1"
@@ -129,18 +132,34 @@ class _Reader:
             raise FormatError(f"{self.what}: {len(self.data) - self.pos} bytes of trailing data")
 
 
-def _read_layers(reader: _Reader, descriptors: list[tuple[int, int, int, int]]) -> list[DenseLayer]:
-    layers = []
-    for in_dim, out_dim, act_code, bias_flag in descriptors:
-        if act_code >= len(ACTIVATIONS):
-            raise FormatError(f"unknown activation code {act_code}")
-        w = np.frombuffer(reader.take(in_dim * out_dim * 4), dtype="<f4")
-        w = w.reshape(out_dim, in_dim).astype(np.float64)
-        b = None
-        if bias_flag:
-            b = np.frombuffer(reader.take(out_dim * 4), dtype="<f4").astype(np.float64)
-        layers.append(DenseLayer(w, b, ACTIVATIONS[act_code]))
-    return layers
+def _read_nets(reader: _Reader, groups: list[list[tuple]], path: str | Path) -> list[Mlp]:
+    """One network per group of layer descriptors, each ``flat`` read from
+    the f32 payload that ends the file.
+
+    The payload's length is checked before any network is allocated, so a
+    corrupt dimension raises rather than allocating, and the payload is
+    checked once for non-finite values.
+    """
+    descriptors = [d for group in groups for d in group]
+    for *_, code, _ in descriptors:
+        if code >= len(ACTIVATIONS):
+            raise FormatError(f"unknown activation code {code}")
+    size = sum(i * o + (o if b else 0) for i, o, _, b in descriptors)
+    payload = np.frombuffer(reader.take(4 * size), dtype="<f4")
+    reader.done()
+    # a float64 sum of f32 values cannot overflow, so it is finite iff they all are
+    if not np.isfinite(payload.sum(dtype=np.float64)):
+        raise FormatError(f"{path}: model parameters must be finite")
+    nets, start = [], 0
+    for group in groups:
+        try:
+            net = Mlp([(i, o, ACTIVATIONS[code], b) for i, o, code, b in group])
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        net.flat[:] = payload[start : start + net.flat.size]
+        start += net.flat.size
+        nets.append(net)
+    return nets
 
 
 def save_model(path: str | Path, model: VaeModel | SvddModel) -> None:
@@ -161,7 +180,7 @@ def save_model(path: str | Path, model: VaeModel | SvddModel) -> None:
     parts = [MAGIC_MODEL, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(layers))]
     parts.extend(layer_descriptor(layer) for layer in layers)
     parts += [struct.pack("<B", kind), extras]
-    parts.extend(part for layer in layers for part in layer_payload(layer))
+    parts.extend(net.flat.astype("<f4") for net in nets)
     _atomic_write(path, parts)
 
 
@@ -181,10 +200,8 @@ def load_model(path: str | Path) -> VaeModel | SvddModel:
         enc_count, latent_dim = reader.unpack("<II")
         if not 0 < enc_count < layer_count:
             raise FormatError(f"{path}: bad encoder layer count {enc_count}")
-        layers = _read_layers(reader, descriptors)
-        reader.done()
-        encoder = Mlp(layers[:enc_count])
-        decoder = Mlp(layers[enc_count:])
+        encoder, decoder = _read_nets(
+            reader, [descriptors[:enc_count], descriptors[enc_count:]], path)
         return VaeModel(encoder, decoder, latent_dim)
     if kind == MODEL_KIND_SVDD:
         weight_decay, center_len = reader.unpack("<dI")
@@ -193,9 +210,10 @@ def load_model(path: str | Path) -> VaeModel | SvddModel:
                 f"{path}: SVDD center has {center_len} values, mapper outputs {descriptors[-1][1]}"
             )
         center = np.frombuffer(reader.take(center_len * 8), dtype="<f8").astype(np.float64)
-        layers = _read_layers(reader, descriptors)
-        reader.done()
-        model = SvddModel(Mlp(layers), weight_decay)
+        if not np.isfinite(center).all():
+            raise FormatError(f"{path}: SVDD center must be finite")
+        (mapper,) = _read_nets(reader, [descriptors], path)
+        model = SvddModel(mapper, weight_decay)
         center.setflags(write=False)
         model.center = center
         return model

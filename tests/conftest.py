@@ -24,7 +24,7 @@ from icad.models import (
     train_svdd,
     train_vae,
 )
-from icad.neural import infer
+from icad.neural import Mlp, infer
 from icad.nonconformity import SvddScorer, VaeScorer
 
 # Scene-scale recipe shared by the detection-suite and statistical tests.
@@ -50,6 +50,18 @@ def reference_adam(params, grads, m, v, t, lr):
         v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
         new.append(p - lr * ((m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)))
     return new
+
+
+def mlp_of(*layers):
+    """An ``Mlp`` built from the shapes of the given ``(weights, bias,
+    activation)`` layers, ``bias`` None for a bias-free layer, with their
+    values written into it."""
+    net = Mlp([(np.shape(w)[1], np.shape(w)[0], act, b is not None) for w, b, act in layers])
+    for layer, (w, b, _) in zip(net.layers, layers):
+        layer.weights[:] = w
+        if b is not None:
+            layer.bias[:] = b
+    return net
 
 
 def assert_views_of_flat(net, x):
@@ -179,6 +191,20 @@ def one_value_center(raw: bytes) -> bytes:
     at = 16 + 10 * layers + 1 + 8  # after the layer descriptors, the model kind, the weight decay
     (length,) = struct.unpack_from("<I", raw, at)
     return raw[:at] + struct.pack("<I", 1) + raw[at + 4 : at + 12] + raw[at + 4 + 8 * length :]
+
+
+def zero_width_svdd(raw: bytes) -> bytes:
+    """A bias-free SVDD model file's bytes with its first layer cut to width
+    0 and the weights of the two layers that meet there dropped: every row
+    would map to the same point."""
+    (layers,) = struct.unpack_from("<I", raw, 12)
+    dims = [struct.unpack_from("<II", raw, 16 + 10 * i) for i in range(layers)]
+    raw = bytearray(raw)
+    struct.pack_into("<I", raw, 16 + 4, 0)  # the first layer's out-dim
+    struct.pack_into("<I", raw, 16 + 10, 0)  # the second layer's in-dim
+    start = len(raw) - 4 * sum(i * o for i, o in dims)
+    dropped = 4 * sum(i * o for i, o in dims[:2])
+    return bytes(raw[:start] + raw[start + dropped :])
 
 
 def untrained_scorers(dim):

@@ -11,6 +11,7 @@ import io
 import os
 import pkgutil
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from icad.nonconformity import SvddScorer, VaeScorer
 from icad.persistence import (load_calibration, load_config, load_dataset, load_model,
                               save_calibration, save_config, save_dataset, save_model)
 
-from conftest import one_value_center, traced_peak_mb
+from conftest import one_value_center, traced_peak_mb, zero_width_svdd
 
 
 @pytest.fixture(scope="module")
@@ -855,6 +856,13 @@ _ERROR_CASES = {
                                       "--cal", "{svdd_cal}", "--input", "{in_stream}",
                                       "--out", "{out}/d.csv"],
                                      "SVDD center has 1 values, mapper outputs 16"),
+    # the mapper's layers are 64 -> 128 -> 16; the last f32 is a weight
+    "calibrate-zero-width-model": (["calibrate", "--scorer", "svdd", "--model", "{zero_width}",
+                                    "--cal-data", "{cal_data}", "--out", "{out}/c.icad"],
+                                   "layer 0 maps 64 -> 0: dimensions must be positive"),
+    "calibrate-non-finite-model": (["calibrate", "--scorer", "svdd", "--model", "{non_finite}",
+                                    "--cal-data", "{cal_data}", "--out", "{out}/c.icad"],
+                                   "non_finite.icad: model parameters must be finite"),
     "sim-config-tau-nan": (["simulate", "--episodes", "2", "--method", "svdd",
                             "--config", "{cfg_tau_nan}", "--out", "{out}/sim"],
                            "tau must be finite, got nan"),
@@ -957,6 +965,9 @@ def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, messag
     save_config(cfg_dir / "seed_negative.txt",
                 {"model": work["svdd"], "cal": work["svdd_cal"], "seed": -5})
     (cfg_dir / "short_center.icad").write_bytes(one_value_center(work["svdd"].read_bytes()))
+    (cfg_dir / "zero_width.icad").write_bytes(zero_width_svdd(work["svdd"].read_bytes()))
+    (cfg_dir / "non_finite.icad").write_bytes(
+        work["svdd"].read_bytes()[:-4] + struct.pack("<f", -np.inf))
     save_calibration(cfg_dir / "knn_cal.icad",
                      CalibrationSet(np.array([1.0, 2.0]), "knn", b"abcdefgh"))
     paths = {name: str(path) for name, path in work.items()}
@@ -967,6 +978,8 @@ def test_error_exits_one_and_writes_nothing(work, tmp_path, capsys, argv, messag
                  cfg_margin=str(cfg_dir / "margin.txt"),
                  cfg_seed_negative=str(cfg_dir / "seed_negative.txt"),
                  short_center=str(cfg_dir / "short_center.icad"),
+                 zero_width=str(cfg_dir / "zero_width.icad"),
+                 non_finite=str(cfg_dir / "non_finite.icad"),
                  knn_cal=str(cfg_dir / "knn_cal.icad"))
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     assert_views_of_flat,
     grad_check_params,
+    mlp_of,
     reference_adam,
     svdd_loss_grads,
     traced_peak_mb,
@@ -26,7 +27,6 @@ from icad.models import (
 from icad.neural import (
     ADAM_SLICE,
     BLOCK_ROWS,
-    DenseLayer,
     Mlp,
     backward,
     forward,
@@ -38,7 +38,7 @@ from icad.persistence import load_model, save_model
 
 
 def _identity_mapper(dim):
-    return Mlp([DenseLayer(np.eye(dim), None, "identity")])
+    return mlp_of((np.eye(dim), None, "identity"))
 
 
 class _ZeroRng:
@@ -55,8 +55,8 @@ def _training_kl(mu, logvar):
     """The KL part of the training loss for an encoder that outputs
     ``(mu, logvar)`` whatever its input: zero weights, the pair as bias."""
     d = len(mu)
-    encoder = Mlp([DenseLayer(np.zeros((2 * d, 1)), np.concatenate([mu, logvar]), "identity")])
-    decoder = Mlp([DenseLayer(np.zeros((1, d)), np.zeros(1), "identity")])
+    encoder = mlp_of((np.zeros((2 * d, 1)), np.concatenate([mu, logvar]), "identity"))
+    decoder = mlp_of((np.zeros((1, d)), np.zeros(1), "identity"))
     _, (_, kl) = _vae_batch_loss_grads(VaeModel(encoder, decoder, d), np.zeros((1, 1)),
                                        np.zeros((1, d)))
     return kl
@@ -219,7 +219,7 @@ def test_svdd_center_traced_peak_stays_under_5_mb():
 
 def test_svdd_center_degeneracy_guard():
     # a zero-weight mapper maps everything to 0; the guard nudges the center
-    mapper = Mlp([DenseLayer(np.zeros((2, 2)), None, "identity")])
+    mapper = mlp_of((np.zeros((2, 2)), None, "identity"))
     model = SvddModel(mapper, weight_decay=0.0)
     c = svdd_init_center(model, np.array([[1.0, 2.0]]))
     assert np.linalg.norm(c) > 1e-6
@@ -257,7 +257,7 @@ def test_svdd_loss_zero_at_center():
 
 def test_svdd_loss_regularizer_only_for_zero_distance_batch():
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
-    model = SvddModel(Mlp([DenseLayer(w, None, "identity")]), weight_decay=0.3)
+    model = SvddModel(mlp_of((w, None, "identity")), weight_decay=0.3)
     z = np.array([0.5, -0.25])
     model.center = (w @ z).copy()
     expected = 0.5 * 0.3 * float((w * w).sum())
@@ -286,12 +286,12 @@ def test_svdd_gradients_match_finite_differences(seed):
 
 def test_svdd_rejects_bias_and_bounded_activation():
     rng = np.random.default_rng(0)
-    biased = Mlp([DenseLayer(rng.normal(size=(2, 2)), np.zeros(2), "elu")])
+    biased = mlp_of((rng.normal(size=(2, 2)), np.zeros(2), "elu"))
     with pytest.raises(ValueError, match="bias"):
         SvddModel(biased)
     # a bounded activation cannot even be built: the activation set has none
     with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
-        DenseLayer(rng.normal(size=(2, 2)), None, "sigmoid")
+        Mlp([(2, 2, "sigmoid", False)])
 
 
 def test_train_svdd_collapses_identical_data():
@@ -453,7 +453,7 @@ def test_pretrain_copies_encoder_weights(toy_blob):
     )
     assert model.center is not None
     # mapper forward equals an encoder rebuilt from the copied weights
-    clone = Mlp([DenseLayer(l.weights.copy(), None, l.activation) for l in model.mapper.layers])
+    clone = mlp_of(*[(l.weights.copy(), None, l.activation) for l in model.mapper.layers])
     z = toy_blob[3:4]
     assert np.array_equal(infer(model.mapper, z), infer(clone, z))
 

@@ -8,12 +8,12 @@ from conftest import (
     finite_difference_grads,
     grad_check_params,
     max_relative_error,
+    mlp_of,
     reference_adam,
 )
 from icad.neural import (
     ADAM_SLICE,
     AdamState,
-    DenseLayer,
     Mlp,
     _activate,
     _activate_prime,
@@ -38,13 +38,13 @@ def _grad_check(net, x, loss, tolerance=1e-4):
 
 
 def test_forward_identity_layer():
-    net = Mlp([DenseLayer(np.eye(2), None, "identity")])
+    net = mlp_of((np.eye(2), None, "identity"))
     y, _ = forward(net, np.array([[1.0, 2.0]]))
     assert np.array_equal(y, [[1.0, 2.0]])
 
 
 def test_forward_relu_hand_case():
-    net = Mlp([DenseLayer(np.array([[2.0, 0.0], [0.0, 3.0]]), None, "relu")])
+    net = mlp_of((np.array([[2.0, 0.0], [0.0, 3.0]]), None, "relu"))
     y, _ = forward(net, np.array([[1.0, -1.0]]))
     assert np.array_equal(y, [[2.0, 0.0]])
 
@@ -82,7 +82,7 @@ def test_forward_dimension_mismatch():
 def test_backward_linear_squared_loss_closed_form():
     rng = np.random.default_rng(11)
     w = rng.normal(size=(3, 4))
-    net = Mlp([DenseLayer(w, None, "identity")])
+    net = mlp_of((w, None, "identity"))
     x = rng.normal(size=4)
     target = rng.normal(size=3)
     y, cache = forward(net, x[None])
@@ -120,7 +120,7 @@ def test_backward_rejects_mismatched_network():
 
 
 def test_grad_check_identity_quadratic_is_tight():
-    net = Mlp([DenseLayer(np.eye(3), None, "identity")])
+    net = mlp_of((np.eye(3), None, "identity"))
     target = np.array([0.7, -1.2, 0.4])
     x = np.array([[1.3, 0.8, -0.9]])
 
@@ -166,7 +166,7 @@ def test_max_relative_error_floor_hides_roundoff_only():
 
 
 def _weights_net(w):
-    return Mlp([DenseLayer(np.array(w, dtype=float), None, "identity")])
+    return mlp_of((np.array(w, dtype=float), None, "identity"))
 
 
 def _adam(state, grads):
@@ -263,12 +263,19 @@ def test_mlp_keeps_its_layers_arrays_in_one_flat_vector(bias):
     rng = np.random.default_rng(3)
     weights = [rng.normal(size=(6, 4)), rng.normal(size=(3, 6))]
     biases = [rng.normal(size=6), rng.normal(size=3)] if bias else [None, None]
-    net = Mlp([DenseLayer(w, b, "elu") for w, b in zip(weights, biases)])
+    net = mlp_of(*[(w, b, "elu") for w, b in zip(weights, biases)])
     given = [p for w, b in zip(weights, biases) for p in (w, b) if p is not None]
     assert [p.tobytes() for p in net.parameters()] == [p.tobytes() for p in given]
     assert net.flat.flags.c_contiguous and net.flat.dtype == np.float64
     assert net.grad is None
     assert_views_of_flat(net, rng.normal(size=(2, 4)))
+
+
+def test_mlp_from_shapes_is_zeros_in_parameter_order():
+    net = Mlp([(4, 6, "elu", True), (6, 3, "identity", False)])
+    assert [p.shape for p in net.parameters()] == [(6, 4), (6,), (3, 6)]
+    assert net.flat.size == 24 + 6 + 18 and not net.flat.any()
+    assert [layer.activation for layer in net.layers] == ["elu", "identity"]
 
 
 def test_layer_arrays_cannot_be_rebound():
@@ -280,27 +287,6 @@ def test_layer_arrays_cannot_be_rebound():
     for name in ("flat", "grad"):
         with pytest.raises(AttributeError):
             setattr(net, name, np.zeros_like(net.flat))
-
-
-def test_mlp_copies_its_layers_and_leaves_them_untouched():
-    rng = np.random.default_rng(9)
-    square = DenseLayer(rng.normal(size=(3, 3)), rng.normal(size=3), "elu")
-    given = [square.weights, square.bias]
-    net = Mlp([square, square])
-    assert square.weights is given[0] and square.bias is given[1]
-    assert all(layer is not square for layer in net.layers)
-    assert not any(np.shares_memory(p, net.flat) for p in given)
-    assert [p.tobytes() for p in net.parameters()] == [p.tobytes() for p in given * 2]
-    # a network over another's layers is a copy: neither sees the other's writes
-    twin = Mlp(net.layers)
-    assert [p.tobytes() for p in twin.parameters()] == [p.tobytes() for p in net.parameters()]
-    want = net.flat.copy()
-    assert_views_of_flat(twin, rng.normal(size=(2, 3)))
-    assert net.flat.tobytes() == want.tobytes()
-    assert given[0].tobytes() == want[:9].tobytes() and given[1].tobytes() == want[9:12].tobytes()
-    y, cache = forward(twin, rng.normal(size=(2, 3)))
-    backward(twin, cache, y)
-    assert net.grad is None
 
 
 def test_backward_writes_the_gradient_vector_in_place():
@@ -329,11 +315,8 @@ def test_init_respects_uniform_bound():
 
 
 def test_mlp_rejects_non_chaining_dims():
-    rng = np.random.default_rng(1)
-    l1 = DenseLayer(rng.normal(size=(4, 3)), None, "identity")
-    l2 = DenseLayer(rng.normal(size=(2, 5)), None, "identity")
     with pytest.raises(ValueError, match="chain"):
-        Mlp([l1, l2])
+        Mlp([(3, 4, "identity", False), (5, 2, "identity", False)])
 
 
 def test_batched_forward_matches_per_example():
@@ -448,10 +431,10 @@ def test_backward_equals_pre_activation_oracle_bitwise(seed, bias, rows):
     rng = np.random.default_rng(seed)
     acts = [*rng.permutation(["elu", "relu", "identity"]), rng.choice(["elu", "relu"])]
     net = init_mlp((5, 7, 6, 4, 3), acts, bias, rng)
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         layer.weights[::3] = 0.0  # these units' pre-activations are exactly +-0
         # a view of the same memory: the layer stays a view of the net's vector
-        layer._weights = layer.weights.view(_SignedZeroProducts)
+        net.layers[i] = layer._replace(weights=layer.weights.view(_SignedZeroProducts))
         if bias:
             layer.bias[:] = rng.normal(size=layer.out_dim)
             layer.bias[::3] = -0.0  # keeps the sign of a zero product
@@ -479,11 +462,11 @@ def test_backward_equals_pre_activation_oracle_bitwise(seed, bias, rows):
 
 _NET = _random_net(0)
 _ERRORS = {
-    "weights-not-a-matrix": (lambda: DenseLayer(np.zeros(3), None, "identity"),
-                             "weights must be a matrix"),
-    "bias-shape": (lambda: DenseLayer(np.zeros((2, 3)), np.zeros(3), "identity"),
-                   r"bias shape \(3,\) does not match output size 2"),
     "empty-mlp": (lambda: Mlp([]), "at least one layer"),
+    "zero-dim": (lambda: Mlp([(4, 0, "elu", True), (0, 2, "identity", True)]),
+                 "layer 0 maps 4 -> 0: dimensions must be positive"),
+    "unknown-activation": (lambda: Mlp([(4, 3, "sigmoid", True)]),
+                           "unknown activation 'sigmoid'"),
     "init-one-dim": (lambda: init_mlp((4,), [], True, np.random.default_rng(0)),
                      "an input and an output dimension"),
     "init-activation-count": (lambda: init_mlp((4, 3), ["elu", "elu"], True,

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from icad.models import SvddModel, VaeModel, sample_reconstructions, svdd_init_center
-from icad.neural import DenseLayer, Mlp, forward, infer
+from icad.neural import forward, infer
 from icad.nonconformity import SvddScorer, VaeScorer
 from icad.persistence import save_model
 
-from conftest import untrained_scorers
+from conftest import mlp_of, untrained_scorers
 
 # ---------------------------------------------------------------- vae / svdd
 
@@ -20,9 +20,9 @@ def _affine_vae(encoder_weights, decoder_weights, decoder_bias):
     # noise vanishes against the mean, so a sampled reconstruction is known
     # in closed form
     dim, d = decoder_weights.shape
-    encoder = Mlp([DenseLayer(np.vstack([encoder_weights, np.zeros((d, dim))]),
-                              np.concatenate([np.zeros(d), np.full(d, -200.0)]), "identity")])
-    decoder = Mlp([DenseLayer(decoder_weights, decoder_bias, "identity")])
+    encoder = mlp_of((np.vstack([encoder_weights, np.zeros((d, dim))]),
+                      np.concatenate([np.zeros(d), np.full(d, -200.0)]), "identity"))
+    decoder = mlp_of((decoder_weights, decoder_bias, "identity"))
     return VaeScorer(VaeModel(encoder, decoder, d))
 
 
@@ -53,13 +53,13 @@ def test_vae_score_dimension_mismatch():
 
 
 def test_svdd_score_identity_mapper():
-    model = SvddModel(Mlp([DenseLayer(np.eye(2), None, "identity")]), weight_decay=0.0)
+    model = SvddModel(mlp_of((np.eye(2), None, "identity")), weight_decay=0.0)
     model.center = np.array([0.0, 0.0])
     assert SvddScorer(model).score(np.array([3.0, 4.0])[None])[0] == pytest.approx(25.0)
 
 
 def test_svdd_score_zero_at_center_preimage():
-    model = SvddModel(Mlp([DenseLayer(np.eye(2), None, "identity")]), weight_decay=0.0)
+    model = SvddModel(mlp_of((np.eye(2), None, "identity")), weight_decay=0.0)
     model.center = np.array([1.0, -2.0])
     assert SvddScorer(model).score(np.array([1.0, -2.0])[None])[0] == 0.0
 

@@ -30,7 +30,7 @@ from icad.persistence import (
     save_model,
 )
 
-from conftest import one_value_center
+from conftest import one_value_center, traced_peak_mb, zero_width_svdd
 
 
 def _random_svdd(seed):
@@ -86,6 +86,17 @@ def test_model_loaded_fingerprint_matches_saved(tmp_path):
     path = tmp_path / "m.icad"
     save_model(path, model)
     assert SvddScorer(load_model(path)).fingerprint() == SvddScorer(model).fingerprint()
+
+
+def test_load_model_traced_peak_holds_the_file_and_one_parameter_vector(tmp_path):
+    # the benchmark's 256-512-64 mapper: its parameters are read straight into
+    # the network's vector, not first into per-layer arrays
+    model = SvddModel.build(256, output_dim=64, hidden=(512,), seed=1)
+    svdd_init_center(model, np.random.default_rng(1).normal(size=(4, 256)))
+    path = tmp_path / "m.icad"
+    save_model(path, model)
+    bound = 1.1 * (path.stat().st_size + model.mapper.flat.nbytes) / 1e6
+    assert traced_peak_mb(lambda: load_model(path)) <= bound
 
 
 def test_dataset_round_trip(tmp_path):
@@ -298,7 +309,9 @@ def test_truncation_at_every_offset_raises_persistence_error(tmp_path, kind):
             loader(path)
 
 
-@pytest.mark.parametrize("kind,offset", [("dataset", 8), ("dataset", 12), ("calibration", 17)])
+# a model file's offset 16 is its first layer's in-dim
+@pytest.mark.parametrize("kind,offset", [("dataset", 8), ("dataset", 12), ("calibration", 17),
+                                         ("svdd_model", 16)])
 def test_corrupted_count_raises_truncation_before_allocating(tmp_path, kind, offset):
     path = tmp_path / "f.icad"
     loader = _write_small_file(kind, path)
@@ -363,6 +376,14 @@ _MALFORMED = {
                            "unknown model kind 3"),
     "svdd-center-of-wrong-length": ("svdd_model", one_value_center,
                                     "SVDD center has 1 values, mapper outputs 3"),
+    "zero-width-layer": ("svdd_model", zero_width_svdd,
+                         r"f\.icad: layer 0 maps 5 -> 0: dimensions must be positive"),
+    # the last f32 of the payload, an SVDD mapper weight
+    "non-finite-parameter": ("svdd_model", lambda raw: _set(raw, len(raw) - 4, "<f", -np.inf),
+                             r"f\.icad: model parameters must be finite"),
+    "non-finite-svdd-center": ("svdd_model",
+                               lambda raw: _set(raw, _model_kind_at(raw) + 13, "<d", np.nan),
+                               r"f\.icad: SVDD center must be finite"),
     "unknown-scorer-code": ("calibration", lambda raw: _set(raw, 8, "<B", 9),
                             "unknown scorer code 9"),
     "empty-calibration": ("calibration", lambda raw: _set(raw, 17, "<I", 0),

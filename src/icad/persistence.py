@@ -5,7 +5,7 @@ All multi-byte values are little-endian. Three formats, each opened by an
 
 ModelFile ("ICADMDL1")
     magic, format version (u32), layer count (u32), then per layer
-    in-dim (u32), out-dim (u32), activation code (u8), bias flag (u8);
+    in-dim (u32), out-dim (u32), activation code (u8), bias flag (u8, 0 or 1);
     model kind (u8: 1=vae, 2=svdd); kind extras — vae: encoder layer count
     (u32) and latent dim (u32); svdd: weight decay (f64), center length
     (u32) and center values (f64); finally the parameter payload: each
@@ -141,9 +141,12 @@ def _read_nets(reader: _Reader, groups: list[list[tuple]], path: str | Path) -> 
     checked once for non-finite values.
     """
     descriptors = [d for group in groups for d in group]
-    for *_, code, _ in descriptors:
+    for k, (*_, code, bias) in enumerate(descriptors):
         if code >= len(ACTIVATIONS):
-            raise FormatError(f"unknown activation code {code}")
+            raise FormatError(f"{path}: unknown activation code {code}")
+        # save_model writes 0 or 1; another value would not load and save to the same bytes
+        if bias > 1:
+            raise FormatError(f"{path}: layer {k} has bias flag {bias}, expected 0 or 1")
     size = sum(i * o + (o if b else 0) for i, o, _, b in descriptors)
     payload = np.frombuffer(reader.take(4 * size), dtype="<f4")
     reader.done()
@@ -202,7 +205,10 @@ def load_model(path: str | Path) -> VaeModel | SvddModel:
             raise FormatError(f"{path}: bad encoder layer count {enc_count}")
         encoder, decoder = _read_nets(
             reader, [descriptors[:enc_count], descriptors[enc_count:]], path)
-        return VaeModel(encoder, decoder, latent_dim)
+        try:
+            return VaeModel(encoder, decoder, latent_dim)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
     if kind == MODEL_KIND_SVDD:
         weight_decay, center_len = reader.unpack("<dI")
         if center_len != descriptors[-1][1]:
@@ -213,7 +219,10 @@ def load_model(path: str | Path) -> VaeModel | SvddModel:
         if not np.isfinite(center).all():
             raise FormatError(f"{path}: SVDD center must be finite")
         (mapper,) = _read_nets(reader, [descriptors], path)
-        model = SvddModel(mapper, weight_decay)
+        try:
+            model = SvddModel(mapper, weight_decay)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         center.setflags(write=False)
         model.center = center
         return model

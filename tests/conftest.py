@@ -24,7 +24,7 @@ from icad.models import (
     train_svdd,
     train_vae,
 )
-from icad.neural import Mlp, infer
+from icad.neural import Mlp, forward
 from icad.nonconformity import SvddScorer, VaeScorer
 
 # Scene-scale recipe shared by the detection-suite and statistical tests.
@@ -67,12 +67,13 @@ def mlp_of(*layers):
 def assert_views_of_flat(net, x):
     """Every layer array of ``net`` is its own stretch of ``net.flat``, in
     ``parameters()`` order: a write through the vector shows in the arrays
-    and in ``infer``. Overwrites the network's parameters."""
+    and in ``forward``. Overwrites the network's parameters, so ``infer``,
+    whose weight copy the write does not reach, must not run on it after."""
     net.flat[:] = np.arange(net.flat.size)
     assert np.concatenate([p.ravel() for p in net.parameters()]).tolist() == \
         list(range(net.flat.size))
     net.flat[:] = 0.0  # every activation maps 0 to 0
-    assert not infer(net, x).any()
+    assert not forward(net, x)[0].any()
 
 
 def finite_difference_grads(params, loss_fn, step=1e-5):

@@ -13,6 +13,7 @@ from conftest import (
 )
 from icad.neural import (
     ADAM_SLICE,
+    WEIGHT_ALIGN,
     AdamState,
     Mlp,
     _activate,
@@ -331,21 +332,79 @@ def test_batched_forward_matches_per_example():
         assert np.max(np.abs(y_batch[i] - y[0])) < 1e-12
 
 
-@pytest.mark.parametrize("bias", [True, False])
-@pytest.mark.parametrize("activation", ["identity", "relu", "elu"])
-def test_infer_equals_forward_bitwise(activation, bias):
-    rng = np.random.default_rng(23)
-    net = init_mlp((16, 32, 8), [activation, activation], bias, rng)
+def _infer_oracle(net, x):
+    """``infer``'s chain spelled out: each product on a C-contiguous
+    ``(in, out)`` copy of the weights, the bias added, the np.where forms of
+    the activations."""
+    for layer in net.layers:
+        z = x @ np.ascontiguousarray(layer.weights.T)
+        if layer.bias is not None:
+            z = z + layer.bias
+        if layer.activation == "relu":
+            z = np.where(z > 0.0, z, 0.0)
+        elif layer.activation == "elu":
+            z = np.where(z >= 0.0, z, np.expm1(z))
+        x = z
+    return x
+
+
+def _scaled_net(activation, bias, rng):
+    # 160 wide, so a 512-row block's hidden layer (81,920 values) takes elu
+    # in two stretches of rows
+    net = init_mlp((16, 160, 8), [activation, activation], bias, rng)
     for layer in net.layers:
         if bias:
             layer.bias[:] = rng.normal(size=layer.out_dim)
-    # scale so that every activation sees both signs and its saturated ends
-    for x in (4.0 * rng.normal(size=(1, 16)), 4.0 * rng.normal(size=(512, 16))):
-        y, _ = forward(net, x)
-        out = infer(net, x)
-        assert out.shape == y.shape
-        assert out.tobytes() == y.tobytes()
+    return net
 
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("activation", ["identity", "relu", "elu"])
+def test_infer_equals_in_out_oracle_bitwise(activation, bias):
+    rng = np.random.default_rng(23)
+    net = _scaled_net(activation, bias, rng)
+    # scale so that every activation sees both signs and its saturated ends;
+    # the one-frame step's 1 to 20 rows and the calibration block's 512
+    for rows in (1, 5, 20, 512):
+        x = 4.0 * rng.normal(size=(rows, 16))
+        out = infer(net, x)
+        assert out.tobytes() == _infer_oracle(net, x).tobytes()
+        # forward multiplies the transposed (out, in) view: the same values,
+        # which BLAS may sum in another order on a few rows. An output that
+        # cancels to near zero differs by more than 1e-12 of itself, so the
+        # bound is relative to the largest output
+        y, _ = forward(net, x)
+        np.testing.assert_allclose(out, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+
+
+def test_infer_weight_copies_are_in_out_and_aligned():
+    net = _scaled_net("elu", True, np.random.default_rng(31))
+    infer(net, np.zeros((1, 16)))
+    copies = net._infer_weights
+    for layer, w in zip(net.layers, copies, strict=True):
+        assert w.flags.c_contiguous and w.ctypes.data % WEIGHT_ALIGN == 0
+        assert w.tobytes() == np.ascontiguousarray(layer.weights.T).tobytes()
+    infer(net, np.zeros((3, 16)))
+    assert net._infer_weights is copies  # made once
+
+
+def test_infer_reads_the_weights_of_the_last_adam_step():
+    rng = np.random.default_rng(29)
+    net = _scaled_net("elu", True, rng)
+    x = 4.0 * rng.normal(size=(5, 16))
+    before = infer(net, x)
+    state = AdamState([net], learning_rate=0.1)
+    for _ in range(2):
+        y, cache = forward(net, x)
+        backward(net, cache, y)
+        adam_step(state)
+        fresh = Mlp([(layer.in_dim, layer.out_dim, layer.activation, True)
+                     for layer in net.layers])
+        fresh.flat[:] = net.flat
+        out = infer(net, x)
+        assert out.tobytes() == infer(fresh, x).tobytes()
+        assert not np.array_equal(out, before)
+        before = out
 
 
 def _elu_views(base):

@@ -358,6 +358,15 @@ def _model_kind_at(raw):
     return _LAYERS_AT + struct.calcsize("<IIBB") * _layer_count(raw)
 
 
+def _svdd_last_layer_with_bias(raw):
+    """A small SVDD model file's bytes with a bias on its last mapper layer:
+    its flag set, and one zero per output appended to the payload, where
+    that layer's bias goes."""
+    last = _LAYERS_AT + struct.calcsize("<IIBB") * (_layer_count(raw) - 1)
+    (out_dim,) = struct.unpack_from("<I", raw, last + 4)
+    return _set(raw, last + 9, "<B", 1) + bytes(4 * out_dim)
+
+
 _MALFORMED = {
     "model-without-layers": ("vae_model", lambda raw: _set(raw, 12, "<I", 0), "no layers"),
     "unknown-activation": ("vae_model", lambda raw: _set(raw, _LAYERS_AT + 8, "<B", 200),
@@ -365,6 +374,24 @@ _MALFORMED = {
     # the first code past neural.ACTIVATIONS
     "former-sigmoid-activation": ("vae_model", lambda raw: _set(raw, _LAYERS_AT + 8, "<B", 3),
                                   "unknown activation code 3"),
+    # save_model writes 1; a flag of 2 would load as "has a bias" and save as 1
+    "bias-flag-of-2": ("vae_model", lambda raw: _set(raw, _LAYERS_AT + 9, "<B", 2),
+                       r"f\.icad: layer 0 has bias flag 2, expected 0 or 1"),
+    # the small VAE's encoder outputs 4 values, a latent dim of 2
+    "vae-latent-dim-disagrees-with-encoder": (
+        "vae_model", lambda raw: _set(raw, _model_kind_at(raw) + 5, "<I", 3),
+        r"f\.icad: encoder output dim 4 must be 2\*latent_dim=6"),
+    "svdd-mapper-layer-with-bias": ("svdd_model", _svdd_last_layer_with_bias,
+                                    r"f\.icad: SVDD mapper layer 2 has a bias term"),
+    "svdd-negative-weight-decay": ("svdd_model",
+                                   lambda raw: _set(raw, _model_kind_at(raw) + 1, "<d", -1.0),
+                                   r"f\.icad: weight decay must be nonnegative and finite, "
+                                   r"got -1\.0"),
+    "svdd-non-finite-weight-decay": ("svdd_model",
+                                     lambda raw: _set(raw, _model_kind_at(raw) + 1, "<d",
+                                                      np.inf),
+                                     r"f\.icad: weight decay must be nonnegative and finite, "
+                                     r"got inf"),
     "vae-encoder-without-layers": ("vae_model",
                                    lambda raw: _set(raw, _model_kind_at(raw) + 1, "<I", 0),
                                    "bad encoder layer count 0"),

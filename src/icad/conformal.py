@@ -129,15 +129,17 @@ def p_value(score: float, cal: CalibrationSet) -> float:
     """The fraction of calibration scores >= ``score``, floored away from zero.
 
     The floor ``1/(len(cal)+1)`` is the smallest resolvable nonzero fraction
-    and keeps ``log p`` finite for the martingale. ``bisect_left`` gives
-    ``searchsorted(side="left")``'s rank of a finite float, as an ``int``.
+    and keeps ``log p`` finite for the martingale. It applies only where no
+    calibration score is ``>= score``: any other fraction is at least
+    ``1/len(cal)``. ``bisect_left`` gives ``searchsorted(side="left")``'s
+    rank of a finite float, as an ``int``.
     """
     if not math.isfinite(score):
         raise ValueError("nonconformity score must be finite")
     scores = cal.score_tuple
     n = len(scores)
     i = bisect_left(scores, score)
-    return max((n - i) / n, 1.0 / (n + 1))
+    return (n - i) / n if i < n else 1.0 / (n + 1)
 
 
 def mixture_martingale_log(window_log_p_sum: float, count: int) -> float:
@@ -308,11 +310,12 @@ class StepResult(NamedTuple):
 
 def _decide(pipeline: "_Pipeline", rows: list[list[float]]) -> list[StepResult]:
     """Each frame's row of scores, in frame order, to p-values, ``_update`` and result."""
+    cal = pipeline.cal
     results = []
     for row in rows:
         # one search per sample: one search for all N left so little cost per
         # sample that acceptance criterion 8 (cost linear in N) failed 1 run in 8
-        ps = tuple(p_value(s, pipeline.cal) for s in row)
+        ps = tuple([p_value(s, cal) for s in row])
         alarm, m_log, s = pipeline._update(ps)
         results.append(StepResult(alarm, tuple(row), ps, m_log, s))
     return results

@@ -60,12 +60,16 @@ def _activate(name: str, z: Array) -> Array:
     """The activation of ``z``, in place: ``z`` is a fresh product that the
     caller does not read again.
 
-    elu is ``max(-0.0, z) + expm1(min(-0.0, z))``, the bits of
+    elu is ``max(z, expm1(min(-0.0, z)))`` in three ufunc calls, the bits of
     ``np.where(z >= 0.0, z, np.expm1(z))`` without a data-dependent select and
     with one new buffer of at most ``ELU_SLICE`` elements: a larger ``z``
-    takes it a stretch of rows at a time. A zero keeps its sign because
-    ``np.maximum`` and ``np.minimum`` return their second operand when both
-    operands are zero.
+    takes it a stretch of rows at a time. It is exact: a positive ``z`` meets
+    ``expm1(-0.0) = -0.0`` and wins; a negative ``z`` meets ``expm1(z)``,
+    which is never below ``z`` (``e^z - 1 > z``, and the tests check that
+    numpy's expm1 keeps that order on every binade from 2^-64 to 2^4), so
+    ``expm1(z)`` is taken. A zero meets a zero of its own sign, because
+    ``np.minimum`` returns its second operand when both operands are zero,
+    and NaN propagates.
     """
     if name == "identity":
         return z
@@ -78,10 +82,7 @@ def _activate(name: str, z: Array) -> Array:
                 _activate(name, z[start : start + step])
             return z
         neg = np.minimum(-0.0, z)
-        np.expm1(neg, out=neg)
-        np.maximum(-0.0, z, out=z)
-        z += neg
-        return z
+        return np.maximum(z, np.expm1(neg, out=neg), out=z)
     raise ValueError(f"unknown activation {name!r}")
 
 

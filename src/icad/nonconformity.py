@@ -64,7 +64,9 @@ class VaeScorer:
     def _score_many(self, block: Array, count: int, rng: np.random.Generator) -> Array:
         """``score_many`` on a block that ``check_examples`` has passed."""
         diff = sample_reconstructions(self.model, block, count, rng)
-        np.subtract(block[:, None, :], diff, out=diff)
+        # reconstruction minus frame: fl(a - b) is exactly -fl(b - a), so the
+        # squares keep their bits
+        diff -= block[:, None, :]
         diff *= diff
         return diff.sum(axis=2)
 
@@ -92,8 +94,10 @@ class SvddScorer:
 
     def _score(self, block: Array) -> Array:
         """``score`` on a block that ``check_examples`` has passed."""
-        diff = infer(self.model.mapper, block) - self.model.center
-        return (diff * diff).sum(axis=1)
+        diff = infer(self.model.mapper, block)
+        diff -= self.model.center
+        diff *= diff
+        return diff.sum(axis=1)
 
     def fingerprint(self) -> bytes:
         return _hash_chunks(

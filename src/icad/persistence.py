@@ -22,7 +22,7 @@ CalibrationFile ("ICADCAL1")
     calibration files load, and a pipeline refuses them.
 
 DatasetFile ("ICADDAT1")
-    magic, count (u32), dimension (u32), corruption-level flag (u8),
+    magic, count (u32), dimension (u32), corruption-level flag (u8, 0 or 1),
     examples as f32 row-major, then (if flagged) one f64 level per example.
 
 Writes go to a temp file in the target directory, part after part without
@@ -326,10 +326,11 @@ class DatasetBlocks:
     counted from the file's first example; the last block may be shorter.
 
     Construction reads the header and checks it against the file's length,
-    so a bad magic, a truncated file or trailing bytes raise here, before any
-    block. ``len()`` is the example count and ``dim`` the width. Each
-    iteration opens the file again and reads one block at a time through one
-    f32 buffer, so a reader holds one block, however long the file.
+    so a bad magic, a flag byte other than 0 or 1, a truncated file or
+    trailing bytes raise here, before any block. ``len()`` is the example
+    count and ``dim`` the width. Each iteration opens the file again and
+    reads one block at a time through one f32 buffer, so a reader holds one
+    block, however long the file.
     """
 
     def __init__(self, path: str | Path):
@@ -348,6 +349,9 @@ class DatasetBlocks:
             count, dim, has_r = reader.unpack("<IIB")
             if count < 1 or dim < 1:
                 raise FormatError(f"{self.path}: empty dataset")
+            if has_r > 1:
+                raise FormatError(
+                    f"{self.path}: corruption-level flag {has_r}, expected 0 or 1")
             expected = _DATASET_HEADER_SIZE + count * dim * 4 + (count * 8 if has_r else 0)
             size = os.fstat(fh.fileno()).st_size
             if size < expected:

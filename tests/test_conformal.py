@@ -284,6 +284,19 @@ def test_mixture_both_sides_of_series_switch(n):
     assert below <= at <= above
 
 
+def test_mixture_both_sides_of_poisson_rescale():
+    # n = 700 takes the Poisson sum from a = 674.5; below a = 700 it runs with
+    # no rescaling, from 700 on with factors of e^-700
+    n = 700
+    points = (699.9, 700.1)
+    assert [math.fmod(a, 700.0) == a for a in points] == [True, False]
+    below, above = (mixture_martingale_log(-a, n) for a in points)
+    for value, a in zip((below, above), points):
+        oracle = _mixture_oracle(a, n)
+        assert abs(value - oracle) <= 1e-11 * max(1.0, abs(oracle)), a
+    assert below <= above
+
+
 @pytest.mark.parametrize("n,a", [(200, 1.5), (200, 50.0), (1000, 1.5), (1000, 300.0)])
 def test_mixture_series_covers_underflowing_incomplete_gamma(n, a):
     # far below the switch of these long windows, where P(n+1, a) is tiny or

@@ -438,6 +438,22 @@ def test_elu_kernels_equal_where_forms_bitwise(view):
         assert _activate_prime("elu", a).tobytes() == want_prime.tobytes()
 
 
+def test_elu_on_every_negative_binade_equals_where_form_bitwise():
+    # for a negative z elu keeps expm1(z), which must never round below z:
+    # every binade from 2^-64 (where expm1(z) is within an ulp of z) to 2^4,
+    # each of its 2^17 leading mantissa patterns with random trailing bits;
+    # a binade's 2^17 values take elu in two ELU_SLICE stretches
+    rng = np.random.default_rng(41)
+    leading = np.arange(1 << 17, dtype=np.uint64) << np.uint64(35)
+    for exponent in range(-64, 4):
+        trailing = rng.integers(0, 1 << 35, size=leading.size, dtype=np.uint64)
+        bits = (np.uint64(1) << np.uint64(63)) | (np.uint64(exponent + 1023) << np.uint64(52))
+        z = (bits | leading | trailing).view(np.float64)
+        assert np.all(np.expm1(z) >= z), exponent
+        want = np.where(z >= 0.0, z, np.expm1(z))
+        assert _activate("elu", z.copy()).tobytes() == want.tobytes(), exponent
+
+
 class _SignedZeroProducts(np.ndarray):
     """Weights whose products give every other exact zero as -0.0. A BLAS sum
     starts from +0.0, so a plain product is never -0.0; these let the

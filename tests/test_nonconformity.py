@@ -256,6 +256,28 @@ def test_vae_score_many_frame_keeps_its_arithmetic():
         assert scorer.score_many(z[None], 10, rng)[0].tolist() == (diff * diff).sum(axis=1).tolist()
 
 
+@pytest.mark.parametrize("rows,count", [(1, 20), (9, 5), (40, 1)])
+def test_vae_score_reduction_equals_reference_formula_bitwise(rows, count):
+    # _score_many squares reconstruction minus frame in place; the reference
+    # squares frame minus reconstruction, the same bits with the sign flipped
+    model = VaeModel.build(64, latent_dim=4, hidden=(32, 16), seed=rows)
+    block = np.random.default_rng(count).normal(scale=3.0, size=(rows, 64))
+    rec = sample_reconstructions(model, block, count, np.random.default_rng(21))
+    want = ((block[:, None, :] - rec) ** 2).sum(axis=2)
+    got = VaeScorer(model)._score_many(block, count, np.random.default_rng(21))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 9, 600])
+def test_svdd_score_reduction_equals_reference_formula_bitwise(rows):
+    # 600 rows map in two blocks' worth of elu slices
+    model = SvddModel.build(32, output_dim=8, hidden=(128, 16), seed=rows)
+    block = np.random.default_rng(rows).normal(size=(rows, 32))
+    svdd_init_center(model, block)
+    want = ((infer(model.mapper, block) - model.center) ** 2).sum(axis=1)
+    assert SvddScorer(model)._score(block).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("count", [1, 7, 20])
 def test_sample_reconstructions_draws_and_decodes_like_single_rows(count):
     model = VaeModel.build(12, latent_dim=3, hidden=(10,), seed=count)

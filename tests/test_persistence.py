@@ -419,6 +419,9 @@ _MALFORMED = {
     "non-finite-calibration-score": ("calibration", lambda raw: _set(raw, 37, "<d", np.nan),
                                      r"f\.icad: calibration scores must be finite"),
     "empty-dataset": ("dataset", lambda raw: _set(raw, 8, "<I", 0), "empty dataset"),
+    # save_dataset writes 0 or 1; a flag of 2 would load as "has levels" and save as 1
+    "dataset-corruption-flag-of-2": ("dataset", lambda raw: _set(raw, 16, "<B", 2),
+                                     r"f\.icad: corruption-level flag 2, expected 0 or 1"),
     "dataset-trailing-bytes": ("dataset", lambda raw: raw + b"\0", "1 bytes of trailing data"),
 }
 
